@@ -26,8 +26,7 @@
 //
 // Smoke mode: `table2_throughput --smoke [baseline.json]` runs a fixed
 // tiny configuration (scale 0.05, window 1000, BFS, k=8) over every
-// backend including "loom-sharded", asserts loom == loom-sharded
-// bit-for-bit, and compares the deterministic quality triples
+// backend and compares the deterministic quality triples
 // (assignment hash, edge-cut, imbalance — no timings) against the
 // committed baseline, exiting non-zero on drift. Registered with ctest as
 // `bench_smoke`, so quality drift fails tier-1 — not only
@@ -42,7 +41,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -216,8 +214,6 @@ struct SmokeQuality {
   double replication_factor = 0.0;
   double edge_balance = 0.0;
   uint64_t edge_assignment_hash = 0;
-
-  bool operator==(const SmokeQuality&) const = default;
 };
 
 bool RunSmokeSpec(const std::string& spec, const datasets::Dataset& ds,
@@ -264,8 +260,7 @@ int RunSmoke(const std::string& baseline_path) {
   using namespace loom;
   constexpr double kScale = 0.05;
   const std::vector<std::string> specs = {
-      "hash", "ldg",  "fennel",
-      "loom", "loom-sharded:shards=3",
+      "hash", "ldg", "fennel", "loom",
       // Edge partitioners: their triple is (replication factor, edge
       // balance, edge hash); the vertex-derived fields ride along too.
       "hdrf:lambda=1.1", "dbh", "hep:threshold_factor=4"};
@@ -285,12 +280,9 @@ int RunSmoke(const std::string& baseline_path) {
     jw.Key("dataset").Value(ds.meta.name);
     jw.Key("edges").Value(static_cast<uint64_t>(ds.NumEdges()));
     jw.Key("systems").BeginArray();
-    SmokeQuality loom_q, sharded_q;
     for (const std::string& spec : specs) {
       SmokeQuality q;
       if (!RunSmokeSpec(spec, ds, &q)) return 2;
-      if (spec == "loom") loom_q = q;
-      if (spec.rfind("loom-sharded", 0) == 0) sharded_q = q;
       jw.BeginObject();
       jw.Key("system").Value(spec);
       jw.Key("assignment_hash").HexValue(q.assignment_hash);
@@ -307,14 +299,6 @@ int RunSmoke(const std::string& baseline_path) {
     }
     jw.EndArray();
     jw.EndObject();
-    // The sharded backend's differential gate rides the smoke too.
-    if (!(loom_q == sharded_q)) {
-      std::cerr << "smoke: loom-sharded diverged from loom on "
-                << ds.meta.name << " (hash " << std::hex
-                << sharded_q.assignment_hash << " vs " << loom_q.assignment_hash
-                << std::dec << ")\n";
-      return 1;
-    }
   }
   jw.EndArray();
   jw.EndObject();
@@ -488,81 +472,6 @@ int main(int argc, char** argv) {
       WriteSystemJson(jw, best);
       jw.EndObject();
       loom_at_t10k.emplace_back(ds.meta.name, best);
-    }
-    jw.EndArray();
-    jw.EndObject();
-  }
-
-  // loom-sharded shard sweep at the same paper window: ingest eps per
-  // shard count, speedup vs the single-threaded loom result above, and the
-  // quality triple (diff_bench.py guards it — the sweep must stay
-  // bit-identical to loom at every S). `host_cpus` records how many cores
-  // the numbers were taken on: the sequencer pipeline is the serial stage,
-  // so on a single-core host the fan-out cannot overlap and the sweep
-  // measures pure sharding overhead (see README "loom-sharded").
-  if (specs.empty()) {
-    jw.Key("loom_sharded_sweep").BeginObject();
-    jw.Key("window").Value(uint64_t{10000});
-    jw.Key("runs").Value(2);
-    jw.Key("host_cpus").Value(
-        static_cast<uint64_t>(std::thread::hardware_concurrency()));
-    jw.Key("datasets").BeginArray();
-    size_t di = 0;
-    for (auto id :
-         {datasets::DatasetId::kLubm100, datasets::DatasetId::kMusicBrainz,
-          datasets::DatasetId::kProvGen, datasets::DatasetId::kDblp}) {
-      datasets::Dataset ds = datasets::MakeDataset(id, bench::BenchScale());
-      eval::ExperimentConfig cfg;
-      cfg.order = stream::StreamOrder::kBreadthFirst;
-      cfg.window_size = 10000;
-      auto source = engine::MakeEdgeSource(ds, cfg.order, cfg.stream_seed);
-      // Positional pairing with the paper-window loop above; keep the two
-      // dataset lists in lockstep or the speedup baselines are crossed.
-      if (loom_at_t10k[di].first != ds.meta.name) {
-        std::cerr << "shard sweep: dataset list out of sync with "
-                     "loom_paper_window ("
-                  << loom_at_t10k[di].first << " vs " << ds.meta.name << ")\n";
-        return 2;
-      }
-      const eval::SystemResult& loom_ref = loom_at_t10k[di++].second;
-      jw.BeginObject();
-      jw.Key("dataset").Value(ds.meta.name);
-      jw.Key("edges").Value(static_cast<uint64_t>(source->SizeHint()));
-      jw.Key("sweep").BeginArray();
-      for (const uint32_t shards : {1u, 2u, 4u}) {
-        const std::string spec =
-            "loom-sharded:shards=" + std::to_string(shards);
-        std::string error;
-        eval::SystemResult best;
-        for (int run = 0; run < 2; ++run) {
-          auto r = eval::RunBackendTimingOnly(spec, ds, *source, cfg, &error);
-          if (!r.has_value()) {
-            std::cerr << "shard sweep: " << error << "\n";
-            return 2;
-          }
-          if (run == 0 || r->partition_ms < best.partition_ms) {
-            best = std::move(*r);
-          }
-        }
-        if (best.assignment_hash != loom_ref.assignment_hash) {
-          std::cerr << "shard sweep: " << spec << " diverged from loom on "
-                    << ds.meta.name << "\n";
-          return 2;
-        }
-        jw.BeginObject();
-        jw.Key("shards").Value(static_cast<uint64_t>(shards));
-        jw.Key("eps").Value(best.edges_per_sec);
-        jw.Key("speedup_vs_loom")
-            .Value(loom_ref.edges_per_sec > 0
-                       ? best.edges_per_sec / loom_ref.edges_per_sec
-                       : 0.0);
-        jw.Key("edge_cut").Value(static_cast<uint64_t>(best.edge_cut));
-        jw.Key("imbalance").Value(best.imbalance);
-        jw.Key("assignment_hash").HexValue(best.assignment_hash);
-        jw.EndObject();
-      }
-      jw.EndArray();
-      jw.EndObject();
     }
     jw.EndArray();
     jw.EndObject();

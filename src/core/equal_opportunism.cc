@@ -10,7 +10,7 @@ namespace loom {
 namespace core {
 
 EqualOpportunism::EqualOpportunism(const tpstry::Tpstry* trie,
-                                   const graph::NeighborView* neighborhood,
+                                   const graph::DynamicGraph* neighborhood,
                                    EqualOpportunismConfig config)
     : trie_(trie), neighborhood_(neighborhood), config_(config) {}
 

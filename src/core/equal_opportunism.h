@@ -23,7 +23,7 @@
 
 #include <vector>
 
-#include "graph/neighbor_view.h"
+#include "graph/dynamic_graph.h"
 #include "motif/match_list.h"
 #include "partition/partitioning.h"
 #include "tpstry/tpstry.h"
@@ -65,7 +65,7 @@ class EqualOpportunism {
   /// adjacency for the neighbour-bid term (may be nullptr to disable it);
   /// both must outlive the allocator.
   EqualOpportunism(const tpstry::Tpstry* trie,
-                   const graph::NeighborView* neighborhood,
+                   const graph::DynamicGraph* neighborhood,
                    EqualOpportunismConfig config);
 
   /// The rationing function l(Si) in [0, 1].
@@ -104,7 +104,7 @@ class EqualOpportunism {
   double RationWith(double size, double smin, double avg) const;
 
   const tpstry::Tpstry* trie_;
-  const graph::NeighborView* neighborhood_;
+  const graph::DynamicGraph* neighborhood_;
   EqualOpportunismConfig config_;
 
   /// Per-eviction scratch (Decide is on the eviction hot path).

@@ -1,8 +1,25 @@
-#include "core/loom_checkpoint.h"
+// LoomPartitioner's checkpoint codec.
+//
+// Sections written:
+//   "loom"      — options fingerprint (every knob that steers a decision,
+//                 doubles as bit patterns), label-space ctor/current counts,
+//                 and a TPSTry++ support fingerprint (workload drift check)
+//   "loom_stats"— LoomStats + MatcherStats counters + compaction phase
+//   "partition" — the partition table (Partitioning::SaveTo)
+//   "window"    — live sliding-window edges (SlidingWindow::SaveTo)
+//   "matches"   — match pool + postings (MatchList::SaveTo)
+//   "seen_graph"— the streamed-so-far adjacency (DynamicGraph::SaveTo)
+//
+// Restore verifies the fingerprint field-by-field (first differing knob is
+// named in the error), rejects label-space mismatches, then loads the
+// component sections and re-fits the open-alphabet tables to the label
+// count the checkpointed run had grown to.
 
 #include <cassert>
 #include <cstring>
 #include <string>
+
+#include "core/loom_partitioner.h"
 
 namespace loom {
 namespace core {
@@ -68,27 +85,29 @@ std::vector<Knob> Fingerprint(const LoomOptions& o) {
 
 }  // namespace
 
-void SaveLoomCore(io::CheckpointWriter* w, const LoomCoreState& state) {
+bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
+                                std::string* error) const {
+  (void)error;
   w->BeginSection("loom");
-  w->U64(state.ctor_num_labels);
-  w->U64(state.label_values->num_labels());  // may have grown past ctor
-  const std::vector<Knob> knobs = Fingerprint(*state.options);
+  w->U64(ctor_num_labels_);
+  w->U64(label_values_->num_labels());  // may have grown past ctor
+  const std::vector<Knob> knobs = Fingerprint(options_);
   w->U32(static_cast<uint32_t>(knobs.size()));
   for (const Knob& k : knobs) {
     w->Str(k.name);
     w->U64(k.value);
   }
-  w->U64(TrieFingerprint(*state.trie));
+  w->U64(TrieFingerprint(*trie_));
   w->EndSection();
 
   w->BeginSection("loom_stats");
-  w->U64(state.stats->edges_ingested);
-  w->U64(state.stats->edges_bypassed);
-  w->U64(state.stats->edges_via_window);
-  w->U64(state.stats->clusters_allocated);
-  w->U64(state.stats->cluster_edges_assigned);
-  w->U64(*state.edges_since_compact);
-  const motif::MatcherStats& m = state.matcher->stats();
+  w->U64(stats_.edges_ingested);
+  w->U64(stats_.edges_bypassed);
+  w->U64(stats_.edges_via_window);
+  w->U64(stats_.clusters_allocated);
+  w->U64(stats_.cluster_edges_assigned);
+  w->U64(edges_since_compact_);
+  const motif::MatcherStats& m = matcher_->stats();
   w->U64(m.edges_admitted);
   w->U64(m.single_edge_matches);
   w->U64(m.extension_matches);
@@ -96,24 +115,28 @@ void SaveLoomCore(io::CheckpointWriter* w, const LoomCoreState& state) {
   w->U64(m.join_attempts);
   w->EndSection();
 
-  state.partitioning->SaveTo(w);
-  state.window->SaveTo(w);
-  state.match_list->SaveTo(w);
+  partitioning_.SaveTo(w);
+  window_.SaveTo(w);
+  match_list_.SaveTo(w);
+  seen_.SaveTo(w, "seen_graph");
+  return true;
 }
 
-size_t RestoreLoomCore(io::CheckpointReader* r, const LoomCoreState& state) {
-  assert(state.stats->edges_ingested == 0 && "restore into a fresh backend");
+bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
+                                   std::string* error) {
+  (void)error;
+  assert(stats_.edges_ingested == 0 && "restore into a fresh backend");
   r->Open("loom");
   const uint64_t ctor_labels = r->U64();
   const uint64_t grown_labels = r->U64();
-  if (ctor_labels != state.ctor_num_labels) {
+  if (ctor_labels != ctor_num_labels_) {
     r->Fail("label-space mismatch: checkpointed run started from " +
             std::to_string(ctor_labels) + " labels, this run from " +
-            std::to_string(state.ctor_num_labels) +
+            std::to_string(ctor_num_labels_) +
             " (dataset or label registry changed; resume with the original "
             "label space)");
   }
-  const std::vector<Knob> knobs = Fingerprint(*state.options);
+  const std::vector<Knob> knobs = Fingerprint(options_);
   const uint32_t n_knobs = r->U32();
   if (n_knobs != knobs.size()) {
     r->Fail("options fingerprint arity mismatch (checkpoint from a build "
@@ -133,7 +156,7 @@ size_t RestoreLoomCore(io::CheckpointReader* r, const LoomCoreState& state) {
     }
   }
   const uint64_t trie_fp = r->U64();
-  if (trie_fp != TrieFingerprint(*state.trie)) {
+  if (trie_fp != TrieFingerprint(*trie_)) {
     r->Fail("workload mismatch: the TPSTry++ support fingerprint differs "
             "(resume must use the checkpointed run's workload and support "
             "threshold)");
@@ -141,29 +164,41 @@ size_t RestoreLoomCore(io::CheckpointReader* r, const LoomCoreState& state) {
   r->Close();
 
   r->Open("loom_stats");
-  state.stats->edges_ingested = r->U64();
-  state.stats->edges_bypassed = r->U64();
-  state.stats->edges_via_window = r->U64();
-  state.stats->clusters_allocated = r->U64();
-  state.stats->cluster_edges_assigned = r->U64();
-  *state.edges_since_compact = r->U64();
+  stats_.edges_ingested = r->U64();
+  stats_.edges_bypassed = r->U64();
+  stats_.edges_via_window = r->U64();
+  stats_.clusters_allocated = r->U64();
+  stats_.cluster_edges_assigned = r->U64();
+  edges_since_compact_ = r->U64();
   motif::MatcherStats ms;
   ms.edges_admitted = r->U64();
   ms.single_edge_matches = r->U64();
   ms.extension_matches = r->U64();
   ms.join_matches = r->U64();
   ms.join_attempts = r->U64();
-  state.matcher->RestoreStats(ms);
+  matcher_->RestoreStats(ms);
   r->Close();
 
-  state.partitioning->LoadFrom(r);
-  state.window->LoadFrom(r);
-  state.match_list->LoadFrom(r);
+  partitioning_.LoadFrom(r);
+  window_.LoadFrom(r);
+  match_list_.LoadFrom(r);
+  seen_.LoadFrom(r, "seen_graph");
+  // Hub rows are derived state — never checkpointed, always re-derived from
+  // the restored graph + table (same rows a fresh run here would hold).
+  hub_.Rebuild(seen_, seen_.NumSlots(), partitioning_);
 
   // Replay the label growth the checkpointed run performed: the retained-RNG
   // draw sequence makes the regrown values bit-identical.
-  state.label_values->EnsureLabels(grown_labels);
-  return state.label_values->num_labels();
+  label_values_->EnsureLabels(grown_labels);
+  const size_t grown = label_values_->num_labels();
+  if (grown != ctor_num_labels_) {
+    // The checkpointed run had grown its alphabet: re-fit the label-sized
+    // tables exactly as EnsureLabelSpace did there.
+    matcher_->InvalidateMotifCache();
+    const std::vector<bool> mask = trie_->MotifLabelMask(grown);
+    motif_label_.assign(mask.begin(), mask.end());
+  }
+  return true;
 }
 
 }  // namespace core

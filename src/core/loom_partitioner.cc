@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/loom_checkpoint.h"
-
 namespace loom {
 namespace core {
 
@@ -149,9 +147,9 @@ void LoomPartitioner::FillProgress(engine::ProgressEvent* progress) const {
   progress->window_population = window_.size();
 }
 
-void FillLoomFinalStats(const motif::MatchPool& pool,
-                        const motif::MatcherStats& m,
-                        engine::FinalStatsEvent* stats) {
+void LoomPartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
+  const motif::MatchPool& pool = match_list_.pool();
+  const motif::MatcherStats& m = matcher_->stats();
   stats->counters.emplace_back("match_allocs_fresh", pool.fresh_allocations());
   stats->counters.emplace_back("match_allocs_reused",
                                pool.reused_allocations());
@@ -162,10 +160,6 @@ void FillLoomFinalStats(const motif::MatchPool& pool,
                                m.extension_matches);
   stats->counters.emplace_back("matcher_join_matches", m.join_matches);
   stats->counters.emplace_back("matcher_join_attempts", m.join_attempts);
-}
-
-void LoomPartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
-  FillLoomFinalStats(match_list_.pool(), matcher_->stats(), stats);
 }
 
 void LoomPartitioner::EvictOldest() {
@@ -239,67 +233,6 @@ void LoomPartitioner::EvictOldest() {
                                    decision.take, edges_assigned,
                                    used_fallback});
   }
-}
-
-namespace {
-/// Builds the shared-codec view over a (logically const for save) backend.
-LoomCoreState CoreState(const LoomOptions* options, size_t ctor_num_labels,
-                        signature::LabelValues* values,
-                        const tpstry::Tpstry* trie,
-                        partition::Partitioning* partitioning,
-                        stream::SlidingWindow* window,
-                        motif::MatchList* match_list,
-                        motif::MotifMatcher* matcher, LoomStats* stats,
-                        uint64_t* edges_since_compact) {
-  LoomCoreState st;
-  st.options = options;
-  st.ctor_num_labels = ctor_num_labels;
-  st.label_values = values;
-  st.trie = trie;
-  st.partitioning = partitioning;
-  st.window = window;
-  st.match_list = match_list;
-  st.matcher = matcher;
-  st.stats = stats;
-  st.edges_since_compact = edges_since_compact;
-  return st;
-}
-}  // namespace
-
-bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
-                                std::string* error) const {
-  (void)error;
-  // The codec only reads through the view on the save path; the const_cast
-  // exists because one LoomCoreState serves both directions.
-  auto* self = const_cast<LoomPartitioner*>(this);
-  SaveLoomCore(w, CoreState(&options_, ctor_num_labels_,
-                            self->label_values_.get(), trie_.get(),
-                            &self->partitioning_, &self->window_,
-                            &self->match_list_, self->matcher_.get(),
-                            &self->stats_, &self->edges_since_compact_));
-  seen_.SaveTo(w, "seen_graph");
-  return true;
-}
-
-bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
-                                   std::string* error) {
-  (void)error;
-  const size_t grown = RestoreLoomCore(
-      r, CoreState(&options_, ctor_num_labels_, label_values_.get(),
-                   trie_.get(), &partitioning_, &window_, &match_list_,
-                   matcher_.get(), &stats_, &edges_since_compact_));
-  seen_.LoadFrom(r, "seen_graph");
-  // Hub rows are derived state — never checkpointed, always re-derived from
-  // the restored graph + table (same rows a fresh run here would hold).
-  hub_.Rebuild(seen_, seen_.NumSlots(), partitioning_);
-  if (grown != ctor_num_labels_) {
-    // The checkpointed run had grown its alphabet: re-fit the label-sized
-    // tables exactly as EnsureLabelSpace did there.
-    matcher_->InvalidateMotifCache();
-    const std::vector<bool> mask = trie_->MotifLabelMask(grown);
-    motif_label_.assign(mask.begin(), mask.end());
-  }
-  return true;
 }
 
 void LoomPartitioner::UpdateWorkload(const query::Workload& workload,

@@ -68,14 +68,6 @@ struct LoomStats {
   uint64_t cluster_edges_assigned = 0;
 };
 
-/// Appends the Loom decision pipeline's deterministic end-of-run counters
-/// (match-pool fresh/reused, matcher totals) in their canonical key order.
-/// Shared by "loom" and "loom-sharded" so their FinalStatsEvent keys can
-/// never drift apart.
-void FillLoomFinalStats(const motif::MatchPool& pool,
-                        const motif::MatcherStats& matcher,
-                        engine::FinalStatsEvent* stats);
-
 class LoomPartitioner : public partition::Partitioner {
  public:
   /// Builds the TPSTry++ from `workload` (frequencies are normalised
@@ -107,8 +99,8 @@ class LoomPartitioner : public partition::Partitioner {
   std::string name() const override { return "loom"; }
 
   /// Full pipeline snapshot (options fingerprint, stats, partition table,
-  /// window, matchList, seen-graph) via the shared Loom codec; restore +
-  /// tail is bit-identical to the uninterrupted run.
+  /// window, matchList, seen-graph; codec in core/loom_checkpoint.cc);
+  /// restore + tail is bit-identical to the uninterrupted run.
   bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
   bool RestoreState(io::CheckpointReader* r, std::string* error) override;
 

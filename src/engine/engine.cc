@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/loom_partitioner.h"
-#include "core/loom_sharded.h"
 #include "partition/edge/dbh_partitioner.h"
 #include "partition/edge/hdrf_partitioner.h"
 #include "partition/edge/hep_partitioner.h"
@@ -61,24 +60,6 @@ void RegisterBuiltins(PartitionerRegistry* r) {
     }
     return std::make_unique<core::LoomPartitioner>(
         ToLoomOptions(o), *ctx.workload, ctx.num_labels);
-  });
-  r->Register("loom-sharded", [](const EngineOptions& o,
-                                 const BuildContext& ctx, std::string* error)
-                  -> std::unique_ptr<partition::Partitioner> {
-    if (ctx.workload == nullptr) {
-      if (error != nullptr) {
-        *error = "backend 'loom-sharded' needs a workload: pass a "
-                 "BuildContext with context.workload set (the TPSTry++ is "
-                 "derived from it)";
-      }
-      return nullptr;
-    }
-    core::LoomShardedOptions so;
-    so.loom = ToLoomOptions(o);
-    so.shards = o.shards;
-    so.shard_queue_depth = static_cast<size_t>(o.shard_queue_depth);
-    return std::make_unique<core::LoomShardedPartitioner>(so, *ctx.workload,
-                                                          ctx.num_labels);
   });
   // Streaming EDGE partitioners (partition/edge/): they place edges, not
   // vertices, and report the (replication factor, edge balance, edge hash)

@@ -254,24 +254,6 @@ const KeyDesc kKeys[] = {
        o.simd = std::string(v);
        return true;
      }},
-    {"shards", "uint in [1, 256]",
-     "loom-sharded: shard worker threads S (output identical for every S)",
-     [](const EngineOptions& o) { return FormatU64(o.shards); },
-     [](EngineOptions& o, std::string_view v) {
-       uint64_t x;
-       if (!ParseU64(v, &x) || x < 1 || x > 256) return false;
-       o.shards = static_cast<uint32_t>(x);
-       return true;
-     }},
-    {"shard_queue_depth", "uint, >= 1",
-     "loom-sharded: bounded fan-out work-queue depth per shard",
-     [](const EngineOptions& o) { return FormatU64(o.shard_queue_depth); },
-     [](EngineOptions& o, std::string_view v) {
-       uint64_t x;
-       if (!ParseU64(v, &x) || x < 1) return false;
-       o.shard_queue_depth = x;
-       return true;
-     }},
 };
 
 std::string KnownKeyList() {

@@ -94,13 +94,6 @@ struct EngineOptions {
   /// the differential suites force the scalar twin).
   std::string simd = "auto";
 
-  // --------------------------------------------------- loom-sharded knobs
-  /// S: shard worker threads (vertex space hashed v mod S). Output is
-  /// bit-identical to "loom" for every S; see core/loom_sharded.h.
-  uint32_t shards = 4;
-  /// Bounded fan-out work-queue depth per shard (backpressure).
-  uint64_t shard_queue_depth = 4;
-
   friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
 
   /// Sets the field addressed by `key` from its string form. Returns false

@@ -86,13 +86,6 @@ struct ProgressEvent {
   uint64_t edges_bypassed = 0;
   /// Current window population (Loom's |Ptemp|; 0 for baselines).
   uint64_t window_population = 0;
-  // Cross-shard sequencing stats, filled only by "loom-sharded" (0
-  // elsewhere): shard worker count, fan-out work items posted so far, and
-  // how many posts blocked on a full shard queue (backpressure; timing-
-  // dependent, reporting-only — never part of partition state).
-  uint64_t shards = 0;
-  uint64_t shard_slices = 0;
-  uint64_t shard_queue_stalls = 0;
   bool finalizing = false;
 };
 

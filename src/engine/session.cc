@@ -170,9 +170,6 @@ bool Session::Checkpoint(const std::string& path, std::string* error) {
     w.U64(p.edges_ingested);
     w.U64(p.edges_bypassed);
     w.U64(p.window_population);
-    w.U64(p.shards);
-    w.U64(p.shard_slices);
-    w.U64(p.shard_queue_stalls);
     w.U8(p.finalizing ? 1 : 0);
     const auto flat = resolved_options_.ToFlat();
     w.U32(static_cast<uint32_t>(flat.size()));
@@ -220,9 +217,6 @@ bool Session::Resume(const std::string& path, std::string* error) {
     p.edges_ingested = r.U64();
     p.edges_bypassed = r.U64();
     p.window_population = r.U64();
-    p.shards = r.U64();
-    p.shard_slices = r.U64();
-    p.shard_queue_stalls = r.U64();
     p.finalizing = r.U8() != 0;
     const auto flat = resolved_options_.ToFlat();
     const uint32_t n_options = r.U32();

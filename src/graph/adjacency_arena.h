@@ -2,10 +2,8 @@
 //
 // DynamicGraph's original layout — one std::vector<VertexId> per vertex —
 // pays a small heap allocation per vertex and, worse, reallocates a
-// vertex's neighbour array as it grows, which is exactly what forbids the
-// sharded backend from letting workers append batch N+1 while the
-// sequencer still reads batch N's adjacency (ROADMAP item 1). The arena
-// replaces that layout with pages carved from large slabs and chained per
+// vertex's neighbour array as it grows, so a reader holding a neighbour
+// span cannot survive a later append. The arena replaces that layout with pages carved from large slabs and chained per
 // vertex. Page capacities grow geometrically along a chain — first page
 // kFirstPageCapacity entries, doubling up to the configured maximum — so
 // the low-degree majority of vertices stays as cache-dense as the small
@@ -229,13 +227,6 @@ class AdjacencyArena {
   AdjacencyArena(const AdjacencyArena&) = delete;
   AdjacencyArena& operator=(const AdjacencyArena&) = delete;
 
-  /// Re-resolves the page capacity; only legal before any append (the
-  /// sharded backend configures default-constructed shard parts).
-  void ConfigurePageCapacity(uint32_t requested) {
-    assert(slabs_.empty() && "page capacity is fixed once pages exist");
-    cap_ = ResolvePageCapacity(requested);
-  }
-
   uint32_t page_capacity() const { return cap_; }
 
   /// Grows the chain table to at least n slots. NOT safe under concurrent
@@ -277,16 +268,6 @@ class AdjacencyArena {
     const uint32_t n = c.count.load(std::memory_order_acquire);
     if (n == 0) return {};
     return NeighborRange::OfChain(c.head, n);
-  }
-
-  /// View over the first `visible` published entries (the sharded
-  /// sequencer's cursor reads). visible must not exceed the published
-  /// count — a cursor outrunning the appends is a sequencing bug.
-  NeighborRange Prefix(VertexId v, uint32_t visible) const {
-    if (visible == 0 || v >= chains_.size()) return {};
-    const Chain& c = chains_[v];
-    assert(visible <= c.count.load(std::memory_order_acquire));
-    return NeighborRange::OfChain(c.head, visible);
   }
 
   /// Sum of all chain lengths (load-time validation, stats).

@@ -6,8 +6,8 @@
 // O(1) amortised edge insertion, label assignment on first sight of a
 // vertex, and neighbour iteration. Adjacency lives in a chunk-stable
 // AdjacencyArena (see graph/adjacency_arena.h): no per-vertex heap
-// allocation, and published neighbour pages never move — the property the
-// overlapped sharded pipeline needs to read while a writer appends.
+// allocation, and published neighbour pages never move, so a snapshot
+// NeighborRange stays valid while later edges are appended.
 
 #ifndef LOOM_GRAPH_DYNAMIC_GRAPH_H_
 #define LOOM_GRAPH_DYNAMIC_GRAPH_H_
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "graph/adjacency_arena.h"
-#include "graph/neighbor_view.h"
 #include "graph/types.h"
 #include "io/checkpoint.h"
 
@@ -25,10 +24,7 @@ namespace graph {
 /// Adjacency-list labelled graph supporting online edge insertion. Vertex
 /// ids are externally assigned (dense in practice: dataset generators number
 /// vertices 0..n-1); the structure grows to accommodate the largest id seen.
-/// Implements NeighborView so the LDG/equal-opportunism scoring cores can
-/// also run over substituted views (see graph/neighbor_view.h); `final` so
-/// direct callers keep devirtualised, inlinable Neighbors() scans.
-class DynamicGraph final : public NeighborView {
+class DynamicGraph {
  public:
   DynamicGraph() = default;
 
@@ -78,11 +74,14 @@ class DynamicGraph final : public NeighborView {
 
   LabelId label(VertexId v) const { return labels_[v]; }
 
-  NeighborRange Neighbors(VertexId v) const override {
-    return arena_.Neighbors(v);
-  }
+  /// Neighbours of `v` in the streamed-so-far graph (empty for unknown
+  /// vertices): insertion order, duplicate edges once per insertion, a
+  /// self-loop as a single entry. The range walks the arena's page chain
+  /// and stays valid while the graph lives.
+  NeighborRange Neighbors(VertexId v) const { return arena_.Neighbors(v); }
 
-  size_t Degree(VertexId v) const override { return arena_.Degree(v); }
+  /// Number of entries Neighbors(v) would return.
+  size_t Degree(VertexId v) const { return arena_.Degree(v); }
 
   /// Writes the graph as checkpoint section `name` (labels, adjacency in
   /// insertion order — neighbour order feeds scoring, so it must survive).

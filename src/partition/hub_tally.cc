@@ -38,7 +38,7 @@ void HubTallyCache::Clear() {
   num_hubs_ = 0;
 }
 
-void HubTallyCache::Materialize(graph::VertexId h, const graph::NeighborView& g,
+void HubTallyCache::Materialize(graph::VertexId h, const graph::DynamicGraph& g,
                                 const Partitioning& p) {
   if (h >= hub_row_.size()) hub_row_.resize(h + 1, kNoRow);
   const uint32_t row = static_cast<uint32_t>(num_hubs_++);
@@ -54,7 +54,7 @@ void HubTallyCache::Materialize(graph::VertexId h, const graph::NeighborView& g,
   });
 }
 
-void HubTallyCache::Rebuild(const graph::NeighborView& g, size_t num_slots,
+void HubTallyCache::Rebuild(const graph::DynamicGraph& g, size_t num_slots,
                             const Partitioning& p) {
   Clear();
   if (!enabled()) return;

@@ -14,11 +14,11 @@
 //
 // maintained by two hooks, each O(1)-amortised against work the stream
 // already does:
-//   * OnEdgeVisible(u, v) — an adjacency entry became readable (AddEdge in
-//     the serial backends, the sequencer's cursor Advance in the sharded
-//     one). If the entry's owner is a materialised hub and the other
-//     endpoint is already assigned, bump one counter; if the owner just
-//     crossed the threshold, materialise it with one full TallyGather.
+//   * OnEdgeVisible(u, v) — an adjacency entry became readable (right
+//     after DynamicGraph::AddEdge). If the entry's owner is a materialised
+//     hub and the other endpoint is already assigned, bump one counter; if
+//     the owner just crossed the threshold, materialise it with one full
+//     TallyGather.
 //   * OnAssign(v, actual) — v was placed (first-writer-wins, post
 //     capacity-diversion partition). Walk v's visible adjacency once and
 //     bump counts[h][actual] for every materialised hub entry h. Summed
@@ -43,7 +43,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/neighbor_view.h"
+#include "graph/dynamic_graph.h"
 #include "graph/types.h"
 #include "partition/partitioning.h"
 
@@ -79,16 +79,11 @@ class HubTallyCache {
     return &rows_[static_cast<size_t>(row) * k_];
   }
 
-  /// Hook: edge (u,v)'s adjacency entries just became visible in `g`.
-  /// Call AFTER the entries are readable (post-AddEdge / post-Advance) and
-  /// BEFORE any decision for this edge. Handles u == v (single entry).
-  /// Templated on the concrete graph type: this runs twice per ingested
-  /// edge, and both DynamicGraph and ShardedSeenGraph are `final`, so the
-  /// degree probe devirtualises to a counter load instead of a virtual
-  /// range construction.
-  template <typename Graph>
-  void OnEdgeVisible(graph::VertexId u, graph::VertexId v, const Graph& g,
-                     const Partitioning& p) {
+  /// Hook: edge (u,v)'s adjacency entries were just added to `g`. Call
+  /// AFTER AddEdge and BEFORE any decision for this edge. Handles u == v
+  /// (single entry). Inline: this runs twice per ingested edge.
+  void OnEdgeVisible(graph::VertexId u, graph::VertexId v,
+                     const graph::DynamicGraph& g, const Partitioning& p) {
     if (!enabled()) return;
     NoteEntry(u, v, g, p);
     // A canonical self-loop is a single entry in u's own chain.
@@ -97,8 +92,8 @@ class HubTallyCache {
 
   /// Hook: v was just assigned to `actual` (the post-diversion partition,
   /// first assignment only). Call after the partition table is updated.
-  template <typename Graph>
-  void OnAssign(graph::VertexId v, graph::PartitionId actual, const Graph& g) {
+  void OnAssign(graph::VertexId v, graph::PartitionId actual,
+                const graph::DynamicGraph& g) {
     // Cheap even when enabled: until a hub materialises this is one branch.
     if (num_hubs_ == 0) return;
     // v occurs in adj(w) exactly as many times as w occurs in adj(v), so
@@ -122,16 +117,15 @@ class HubTallyCache {
   /// materialises every vertex in [0, num_slots) whose visible degree has
   /// reached the threshold. Produces the same rows a fresh run at this
   /// stream position would hold.
-  void Rebuild(const graph::NeighborView& g, size_t num_slots,
+  void Rebuild(const graph::DynamicGraph& g, size_t num_slots,
                const Partitioning& p);
 
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
   /// One new entry `w` appended to `h`'s visible adjacency.
-  template <typename Graph>
-  void NoteEntry(graph::VertexId h, graph::VertexId w, const Graph& g,
-                 const Partitioning& p) {
+  void NoteEntry(graph::VertexId h, graph::VertexId w,
+                 const graph::DynamicGraph& g, const Partitioning& p) {
     if (h < hub_row_.size() && hub_row_[h] != kNoRow) {
       const graph::PartitionId pw = p.PartitionOf(w);
       if (pw < k_) rows_[static_cast<size_t>(hub_row_[h]) * k_ + pw] += 1;
@@ -142,7 +136,7 @@ class HubTallyCache {
     if (g.Degree(h) >= threshold_) Materialize(h, g, p);
   }
 
-  void Materialize(graph::VertexId h, const graph::NeighborView& g,
+  void Materialize(graph::VertexId h, const graph::DynamicGraph& g,
                    const Partitioning& p);
 
   uint32_t k_;

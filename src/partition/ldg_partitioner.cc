@@ -64,7 +64,7 @@ graph::PartitionId BestByWeightedCount(const uint32_t* counts,
 /// accumulates into `counts`, so page boundaries are invisible to the sums.
 /// A materialised hub row IS those sums, maintained incrementally — add it
 /// instead of walking.
-void TallyNeighbors(graph::VertexId v, const graph::NeighborView& neighborhood,
+void TallyNeighbors(graph::VertexId v, const graph::DynamicGraph& neighborhood,
                     const Partitioning& partitioning, const HubTallyCache* hub,
                     uint32_t* counts) {
   if (hub != nullptr) {
@@ -84,7 +84,7 @@ void TallyNeighbors(graph::VertexId v, const graph::NeighborView& neighborhood,
 }  // namespace
 
 graph::PartitionId LdgHeuristic::ChooseForVertex(
-    graph::VertexId v, const graph::NeighborView& neighborhood,
+    graph::VertexId v, const graph::DynamicGraph& neighborhood,
     const Partitioning& partitioning, const HubTallyCache* hub) {
   CountsBuffer buf;
   uint32_t* counts = buf.Prepare(partitioning.k());
@@ -93,7 +93,7 @@ graph::PartitionId LdgHeuristic::ChooseForVertex(
 }
 
 graph::PartitionId LdgHeuristic::Choose(const stream::StreamEdge& e,
-                                        const graph::NeighborView& neighborhood,
+                                        const graph::DynamicGraph& neighborhood,
                                         const Partitioning& partitioning,
                                         bool* had_signal,
                                         const HubTallyCache* hub) {

@@ -19,9 +19,8 @@
 namespace loom {
 namespace partition {
 
-/// Stateless scoring core, shared between the standalone LDG partitioner,
-/// Loom's immediate-assignment path and the sharded backend's sequencer
-/// (which passes a prefix-filtered NeighborView instead of a DynamicGraph).
+/// Stateless scoring core, shared between the standalone LDG partitioner
+/// and Loom's immediate-assignment and fallback paths.
 ///
 /// When the caller maintains a HubTallyCache it passes it as `hub`: vertices
 /// with a materialised counter row skip the adjacency walk entirely (the row
@@ -34,7 +33,7 @@ class LdgHeuristic {
   /// when every score is zero the least-loaded partition wins (keeps growth
   /// balanced on cold starts).
   static graph::PartitionId ChooseForVertex(graph::VertexId v,
-                                            const graph::NeighborView& neighborhood,
+                                            const graph::DynamicGraph& neighborhood,
                                             const Partitioning& partitioning,
                                             const HubTallyCache* hub = nullptr);
 
@@ -43,7 +42,7 @@ class LdgHeuristic {
   /// If `had_signal` is non-null it is set to false when every partition
   /// scored zero (the choice degenerated to least-loaded).
   static graph::PartitionId Choose(const stream::StreamEdge& e,
-                                   const graph::NeighborView& neighborhood,
+                                   const graph::DynamicGraph& neighborhood,
                                    const Partitioning& partitioning,
                                    bool* had_signal = nullptr,
                                    const HubTallyCache* hub = nullptr);

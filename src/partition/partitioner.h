@@ -49,8 +49,7 @@ class Partitioner {
   /// Consumes a batch of consecutive stream elements. Semantically identical
   /// to calling Ingest per edge (the default does exactly that); backends
   /// override to hoist batch-wide work — Loom probes the admission mask for
-  /// the whole batch up front, and future SIMD / sharded backends get a wide
-  /// entry point.
+  /// the whole batch up front.
   virtual void IngestBatch(std::span<const stream::StreamEdge> batch) {
     for (const stream::StreamEdge& e : batch) Ingest(e);
   }

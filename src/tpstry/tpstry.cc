@@ -135,8 +135,8 @@ const TpsNode* Tpstry::FindMotifChild(
   if (n.children.empty()) return nullptr;
   // Sort the delta once; every child membership test shares it (ExtendsBy
   // would otherwise copy + sort per child on the Alg. 2 hot path).
-  // thread_local: the trie is shared by the sharded backend's admission
-  // workers, which must not contend on a member scratch.
+  // thread_local: this is a const lookup, so a member scratch would make
+  // concurrent readers of one trie race.
   thread_local signature::FactorDelta sorted_delta;
   sorted_delta = delta;
   std::sort(sorted_delta.begin(), sorted_delta.end());

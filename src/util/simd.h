@@ -73,8 +73,8 @@ inline Level ActiveLevel() {
 
 /// Forces the active level (clamped to DetectCpuLevel; returns the level
 /// actually installed). Thread-compatible with concurrent kernel calls
-/// (relaxed atomic), but callers should quiesce workers before switching —
-/// the sharded backend only reads the level from its serial stage.
+/// (relaxed atomic), but callers should quiesce other kernel users before
+/// switching.
 Level SetActiveLevel(Level level);
 
 /// Applies an engine-option / CLI spelling: "auto" is a no-op (keep the

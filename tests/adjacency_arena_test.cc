@@ -79,21 +79,8 @@ TEST(AdjacencyArenaTest, EmptyAndOutOfRangeChainsAreEmptyRanges) {
   EXPECT_TRUE(arena.Neighbors(999).empty());
 }
 
-TEST(AdjacencyArenaTest, PrefixExposesExactlyTheCursor) {
-  AdjacencyArena arena(2);
-  arena.Reserve(1);
-  for (VertexId w = 10; w < 15; ++w) arena.Append(0, w);
-  EXPECT_TRUE(arena.Prefix(0, 0).empty());
-  for (uint32_t visible = 1; visible <= 5; ++visible) {
-    const std::vector<VertexId> got = arena.Prefix(0, visible).ToVector();
-    ASSERT_EQ(got.size(), visible);
-    for (uint32_t i = 0; i < visible; ++i) EXPECT_EQ(got[i], 10u + i);
-  }
-}
-
 // A NeighborRange snapshot taken before further appends must keep seeing
-// exactly the entries that were published at snapshot time — the property
-// the sequencer's cursor reads rely on.
+// exactly the entries that were published at snapshot time.
 TEST(AdjacencyArenaTest, SnapshotIsStableAcrossLaterAppends) {
   AdjacencyArena arena(2);
   arena.Reserve(1);
@@ -116,8 +103,7 @@ TEST(AdjacencyArenaTest, ReserveEntriesNeverChangesContentOrGeometry) {
     plain.Reserve(kSlots);
     hinted.Reserve(kSlots);
     hinted.ReserveEntries(hint);
-    // Re-hinting mid-life must also be harmless (loom_sharded re-hints
-    // per shard after construction).
+    // Re-hinting mid-life must also be harmless.
     hinted.ReserveEntries(hint / 2);
     util::SplitMix64 rng(0xfeedface);
     for (int i = 0; i < kAppends; ++i) {

@@ -8,11 +8,8 @@
 //
 // The suite also pins the self-loop policy end to end: backends ingesting a
 // self-loop through the DIRECT API (below the io layer, which rejects them)
-// must canonicalise identically — serial loom and sharded loom stay
-// bit-identical on a stream containing self-loops, and every knob remains
-// behaviour-neutral on such a stream. The pre-sweep code double-inserted
-// self-loops in the serial graph but could split them across shard branches,
-// which is exactly the divergence this would catch.
+// must stay deterministic on a stream containing self-loops, and every knob
+// remains behaviour-neutral on such a stream.
 
 #include <gtest/gtest.h>
 
@@ -40,8 +37,7 @@ engine::EngineOptions WithKnobs(const engine::EngineOptions& base,
   return o;
 }
 
-constexpr const char* kAllBackends[] = {"hash", "ldg", "fennel", "loom",
-                                        "loom-sharded:shards=3"};
+constexpr const char* kAllBackends[] = {"hash", "ldg", "fennel", "loom"};
 
 TEST(AdjacencyEquivalenceTest, PageCapacityIsLayoutOnlyForEveryBackend) {
   const datasets::Dataset ds =
@@ -90,7 +86,7 @@ TEST(AdjacencyEquivalenceTest, TinyPagesAndAggressiveHubCompose) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kDblp, 0.04);
   const engine::EngineOptions base = test_util::OptionsFor(ds);
-  for (const char* spec : {"ldg", "loom", "loom-sharded:shards=4"}) {
+  for (const char* spec : {"ldg", "loom"}) {
     const test_util::Quality reference = test_util::DriveSpec(
         spec, ds, WithKnobs(base, "64", "4294967295"),
         stream::StreamOrder::kDepthFirst, 0x5eed, 512);
@@ -140,12 +136,9 @@ std::vector<graph::PartitionId> IngestAndCollect(
   return out;
 }
 
-// All five backends must digest a self-loop-bearing stream without
+// Every vertex backend must digest a self-loop-bearing stream without
 // divergence: deterministic (two runs bit-equal), layout-independent
-// (page 1 == page 64), and — the historical bug — serial loom and sharded
-// loom identical. Before canonicalisation the serial graph double-inserted
-// self-loops while the sharded slice builder could append them once or
-// twice depending on shard ownership branches.
+// (page 1 == page 64) and hub-cache-independent.
 TEST(SelfLoopPolicyTest, AllBackendsAgreeOnSelfLoopStreams) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
@@ -171,26 +164,6 @@ TEST(SelfLoopPolicyTest, AllBackendsAgreeOnSelfLoopStreams) {
         << spec << ": page capacity changed self-loop handling";
     EXPECT_EQ(IngestAndCollect(nohub.get(), edges, n), reference)
         << spec << ": hub cache changed self-loop handling";
-  }
-}
-
-TEST(SelfLoopPolicyTest, ShardedStaysBitIdenticalToSerialWithSelfLoops) {
-  const datasets::Dataset ds =
-      datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, 0.05);
-  const engine::EngineOptions base = test_util::OptionsFor(ds);
-  const std::vector<stream::StreamEdge> edges = StreamWithSelfLoops(ds, 23);
-  const size_t n = ds.graph.NumVertices();
-
-  auto serial = test_util::MakeBackend("loom", base, ds);
-  ASSERT_NE(serial, nullptr);
-  const auto reference = IngestAndCollect(serial.get(), edges, n);
-
-  for (const char* spec :
-       {"loom-sharded:shards=1", "loom-sharded:shards=2",
-        "loom-sharded:shards=5"}) {
-    auto sharded = test_util::MakeBackend(spec, base, ds);
-    ASSERT_NE(sharded, nullptr) << spec;
-    EXPECT_EQ(IngestAndCollect(sharded.get(), edges, n), reference) << spec;
   }
 }
 

@@ -166,9 +166,7 @@ RunOutcome Outcome(engine::Session& session, const engine::RunReport& report,
           report.events};
 }
 
-// Everything deterministic must match. shard_slices/shard_queue_stalls are
-// documented as reporting-only scheduling telemetry (loom_sharded.h) — a
-// resumed process restarts them — so they are the two exclusions.
+// Everything deterministic must match.
 void ExpectSameOutcome(const RunOutcome& resumed, const RunOutcome& baseline,
                        const std::string& label) {
   EXPECT_EQ(resumed.quality, baseline.quality) << label;
@@ -252,10 +250,6 @@ INSTANTIATE_TEST_SUITE_P(
     testing::ValuesIn(std::vector<MatrixCase>{
         {"loom_provgen", "loom", datasets::DatasetId::kProvGen, 0.05},
         {"loom_musicbrainz", "loom", datasets::DatasetId::kMusicBrainz, 0.05},
-        {"sharded_provgen", "loom-sharded:shards=3",
-         datasets::DatasetId::kProvGen, 0.05},
-        {"sharded_musicbrainz", "loom-sharded:shards=3",
-         datasets::DatasetId::kMusicBrainz, 0.05},
         // Edge partitioners: backend_stats carries the whole quality triple
         // (replica_total, max/min part edges, edge_assignment_hash), so the
         // same EXPECT_EQ proves RF/balance/hash survive a kill -9.
@@ -360,31 +354,29 @@ TEST(OpenAlphabetTest, LabelsBeyondTheCtorAlphabetGrowAndRecover) {
   };
 
   const uint64_t m = edges.size();
-  for (const char* spec : {"loom", "loom-sharded:shards=3"}) {
-    auto baseline_session = MustCreate(spec, ds);
-    ASSERT_NE(baseline_session, nullptr);
-    VectorSource baseline_source(edges);
-    baseline_session->IngestSome(baseline_source, m);
-    const RunOutcome baseline =
-        Outcome(*baseline_session, baseline_session->Finish(), ds);
+  auto baseline_session = MustCreate("loom", ds);
+  ASSERT_NE(baseline_session, nullptr);
+  VectorSource baseline_source(edges);
+  baseline_session->IngestSome(baseline_source, m);
+  const RunOutcome baseline =
+      Outcome(*baseline_session, baseline_session->Finish(), ds);
 
-    const std::string path = TempPath("open_alphabet.loomck");
-    {
-      auto doomed = MustCreate(spec, ds);
-      VectorSource source(edges);
-      doomed->IngestSome(source, m / 2);
-      std::string error;
-      ASSERT_TRUE(doomed->Checkpoint(path, &error)) << spec << ": " << error;
-    }
-    auto resumed = MustCreate(spec, ds);
-    std::string error;
-    ASSERT_TRUE(resumed->Resume(path, &error)) << spec << ": " << error;
+  const std::string path = TempPath("open_alphabet.loomck");
+  {
+    auto doomed = MustCreate("loom", ds);
     VectorSource source(edges);
-    SkipEdges(source, m / 2);
-    resumed->IngestSome(source, m);
-    ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
-                      std::string(spec) + " open alphabet");
+    doomed->IngestSome(source, m / 2);
+    std::string error;
+    ASSERT_TRUE(doomed->Checkpoint(path, &error)) << error;
   }
+  auto resumed = MustCreate("loom", ds);
+  std::string error;
+  ASSERT_TRUE(resumed->Resume(path, &error)) << error;
+  VectorSource source(edges);
+  SkipEdges(source, m / 2);
+  resumed->IngestSome(source, m);
+  ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
+                    "open alphabet");
 }
 
 // ---------------------------------------------- corruption & skew legs
@@ -477,6 +469,24 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
+// v1 files carry a session section with three progress fields and two
+// option keys that v2 dropped. They must fail on the version check, naming
+// both versions, not on a confusing layout or arity error further in.
+TEST_F(CorruptionTest, VersionOneCheckpointIsRejectedByVersion) {
+  std::vector<char> v1 = bytes_;
+  v1[6] = 1;
+  v1[7] = 0;
+  const std::string path = WriteVariant("v1.loomck", v1);
+  ExpectRejected(path, "v1 header");
+  auto session = MustCreate("loom", ds_);
+  std::string error;
+  EXPECT_FALSE(session->Resume(path, &error));
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("v" + std::to_string(io::kCheckpointVersion)),
+            std::string::npos)
+      << error;
+}
+
 TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
   // Different window size: the rejection must name the offending knob.
   {
@@ -506,19 +516,6 @@ TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
     ASSERT_NE(session, nullptr) << error;
     EXPECT_FALSE(session->Resume(path_, &error));
     EXPECT_NE(error.find("label-space mismatch"), std::string::npos) << error;
-  }
-  // Different shard count is an options skew too (and the backend's own
-  // shard section guards the same invariant one layer deeper).
-  {
-    const std::string sharded_path = TempPath("sharded_victim.loomck");
-    auto writer = MustCreate("loom-sharded:shards=3", ds_);
-    engine::EdgeStreamSource source(es_);
-    writer->IngestSome(source, es_.size() / 2);
-    std::string error;
-    ASSERT_TRUE(writer->Checkpoint(sharded_path, &error)) << error;
-    auto session = MustCreate("loom-sharded:shards=2", ds_);
-    EXPECT_FALSE(session->Resume(sharded_path, &error));
-    EXPECT_NE(error.find("shards"), std::string::npos) << error;
   }
   // A used session cannot Resume (restore assumes pristine structures).
   {

@@ -1,14 +1,17 @@
 // Coverage for the loom::engine facade: EngineOptions key round-tripping
 // and error reporting, registry construction (bit-identical to direct
-// construction), backend spec parsing, pull-based edge sources, Drive, and
-// the observer event stream.
+// construction), backend spec parsing, pull-based edge sources, Drive
+// (including loom's batch-split invariance), and the observer event stream.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <tuple>
+
 #include "core/loom_partitioner.h"
-#include "core/loom_sharded.h"
 #include "datasets/dataset_registry.h"
 #include "eval/experiment.h"
 #include "partition/fennel_partitioner.h"
@@ -50,8 +53,6 @@ TEST(EngineOptionsTest, EveryKeyRoundTripsFromItsStringForm) {
       {"epsilon", "0.25"},
       {"threshold_factor", "6.5"},
       {"simd", "scalar"},
-      {"shards", "3"},
-      {"shard_queue_depth", "2"},
   };
   ASSERT_EQ(overrides.size(), EngineOptions::KeyNames().size())
       << "new EngineOptions key without round-trip coverage";
@@ -105,9 +106,6 @@ TEST(EngineOptionsTest, OutOfRangeValuesRejected) {
   EXPECT_FALSE(o.Set("max_imbalance", "0.9", &error));
   EXPECT_FALSE(o.Set("fennel_gamma", "1.0", &error));
   EXPECT_FALSE(o.Set("disable_rationing", "maybe", &error));
-  EXPECT_FALSE(o.Set("shards", "0", &error));
-  EXPECT_FALSE(o.Set("shards", "257", &error));
-  EXPECT_FALSE(o.Set("shard_queue_depth", "0", &error));
   // A failed Set leaves the options untouched.
   EXPECT_EQ(o, EngineOptions());
 }
@@ -127,17 +125,15 @@ TEST(EngineOptionsTest, ApplyOverridesStopsAtFirstError) {
 
 TEST(PartitionerRegistryTest, BuiltinsAreRegistered) {
   auto names = PartitionerRegistry::Global().Names();
-  ASSERT_GE(names.size(), 8u);
+  ASSERT_GE(names.size(), 7u);
   EXPECT_EQ(names[0], "hash");
   EXPECT_EQ(names[1], "ldg");
   EXPECT_EQ(names[2], "fennel");
   EXPECT_EQ(names[3], "loom");
-  EXPECT_EQ(names[4], "loom-sharded");
-  // The edge-partitioning family (PR 9, hep in PR 10) registers after the
-  // vertex family.
-  EXPECT_EQ(names[5], "hdrf");
-  EXPECT_EQ(names[6], "dbh");
-  EXPECT_EQ(names[7], "hep");
+  // The edge-partitioning family registers after the vertex family.
+  EXPECT_EQ(names[4], "hdrf");
+  EXPECT_EQ(names[5], "dbh");
+  EXPECT_EQ(names[6], "hep");
 }
 
 TEST(PartitionerRegistryTest, UnknownBackendErrorListsRegisteredOnes) {
@@ -163,13 +159,11 @@ TEST(PartitionerRegistryTest, ProgrammaticBadSimdValueFailsWithActionableError) 
 }
 
 TEST(PartitionerRegistryTest, LoomWithoutWorkloadFailsWithActionableError) {
-  for (const char* backend : {"loom", "loom-sharded"}) {
-    std::string error;
-    auto p = PartitionerRegistry::Global().Create(backend, EngineOptions(), {},
-                                                  &error);
-    EXPECT_EQ(p, nullptr) << backend;
-    EXPECT_NE(error.find("workload"), std::string::npos) << error;
-  }
+  std::string error;
+  auto p = PartitionerRegistry::Global().Create("loom", EngineOptions(), {},
+                                                &error);
+  EXPECT_EQ(p, nullptr);
+  EXPECT_NE(error.find("workload"), std::string::npos) << error;
 }
 
 TEST(PartitionerRegistryTest, RegisterRejectsDuplicatesAcceptsNew) {
@@ -203,8 +197,6 @@ TEST(PartitionerRegistryTest,
   core::LoomOptions loom_options;
   loom_options.base = base;
   loom_options.window_size = 6;
-  core::LoomShardedOptions sharded_options;
-  sharded_options.loom = loom_options;
 
   std::vector<std::unique_ptr<partition::Partitioner>> direct;
   direct.push_back(std::make_unique<partition::HashPartitioner>(base));
@@ -212,8 +204,6 @@ TEST(PartitionerRegistryTest,
   direct.push_back(std::make_unique<partition::FennelPartitioner>(base));
   direct.push_back(std::make_unique<core::LoomPartitioner>(
       loom_options, ds.workload, ds.registry.size()));
-  direct.push_back(std::make_unique<core::LoomShardedPartitioner>(
-      sharded_options, ds.workload, ds.registry.size()));
 
   for (auto& d : direct) {
     auto r = test_util::MakeBackend(d->name(), options, ds);
@@ -330,6 +320,64 @@ TEST(DriveTest, BatchedDriveMatchesPerEdgeIngest) {
   EXPECT_EQ(eval::HashAssignment(reference->partitioning(), ds.NumVertices()),
             eval::HashAssignment(driven->partitioning(), ds.NumVertices()));
 }
+
+// Loom's IngestBatch hoists the admission probe per batch, so how the
+// stream is cut into batches must never reach the output. Every dataset and
+// order, at batch sizes from per-edge to larger than the eviction-heavy
+// window, against a reference batch size none of the legs share.
+double BatchGridScale(datasets::DatasetId id) {
+  switch (id) {
+    case datasets::DatasetId::kLubm100:
+      return 0.04;
+    case datasets::DatasetId::kMusicBrainz:
+      return 0.05;
+    case datasets::DatasetId::kDblp:
+      return 0.04;
+    case datasets::DatasetId::kProvGen:
+    default:
+      return 0.06;
+  }
+}
+
+using BatchGridParam = std::tuple<datasets::DatasetId, stream::StreamOrder>;
+
+class LoomBatchSplitTest : public testing::TestWithParam<BatchGridParam> {};
+
+TEST_P(LoomBatchSplitTest, EveryBatchSizeMatchesTheReferenceSplit) {
+  const auto [dataset, order] = GetParam();
+  const datasets::Dataset ds =
+      datasets::MakeDataset(dataset, BatchGridScale(dataset));
+  const EngineOptions options = test_util::OptionsFor(ds);
+  const uint64_t seed = 0x5eed;
+  const test_util::Quality reference =
+      test_util::DriveSpec("loom", ds, options, order, seed,
+                           /*batch_size=*/97);
+  for (const size_t batch : {size_t{1}, size_t{64}, size_t{4096}}) {
+    EXPECT_EQ(test_util::DriveSpec("loom", ds, options, order, seed, batch),
+              reference)
+        << "batch_size=" << batch << " on " << datasets::ToString(dataset)
+        << "/" << stream::ToString(order);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDatasetsAllOrders, LoomBatchSplitTest,
+    testing::Combine(testing::Values(datasets::DatasetId::kProvGen,
+                                     datasets::DatasetId::kMusicBrainz,
+                                     datasets::DatasetId::kLubm100,
+                                     datasets::DatasetId::kDblp),
+                     testing::Values(stream::StreamOrder::kBreadthFirst,
+                                     stream::StreamOrder::kDepthFirst,
+                                     stream::StreamOrder::kRandom)),
+    [](const auto& info) {
+      std::string name =
+          std::string(datasets::ToString(std::get<0>(info.param))) + "_" +
+          stream::ToString(std::get<1>(info.param));
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
 
 TEST(DriveTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   datasets::Dataset ds =

@@ -91,14 +91,6 @@ TEST(IntegrationTest, AllSystemsProduceValidPartitionings) {
     EXPECT_TRUE(partition::FullyAssigned(ds.graph, p->partitioning()))
         << ToString(s);
   }
-  // The sharded backend rides the same end-to-end check (and, being
-  // bit-identical to loom, the headline quality claims transfer to it).
-  auto sharded = test_util::MakeBackend(
-      "loom-sharded:shards=2",
-      test_util::OptionsFor(ds, 8, /*window_size=*/1000), ds);
-  ASSERT_NE(sharded, nullptr);
-  test_util::RunAll(sharded.get(), es);
-  EXPECT_TRUE(partition::FullyAssigned(ds.graph, sharded->partitioning()));
 }
 
 TEST(IntegrationTest, LoomWindowSizeImprovesQualityUpToAPoint) {

@@ -189,13 +189,10 @@ INSTANTIATE_TEST_SUITE_P(
                           stream::StreamOrder::kRandom),
         ::testing::Values(2u, 8u, 32u)));
 
-// -------------------------------------------- Finalize contract (all five)
+// ------------------------------------------- Finalize contract (all backends)
 //
 // Pins the partitioner.h contract: Finalize is idempotent, and Ingest after
 // Finalize resumes the stream (a later Finalize covers the new vertices).
-// "loom-sharded" runs the same suite: its worker threads live across
-// checkpoints, so these tests double as thread-lifecycle coverage (and as
-// race targets for the TSan CI leg).
 
 class PartitionerContractTest
     : public ::testing::TestWithParam<const char*> {};
@@ -266,8 +263,6 @@ TEST_P(PartitionerContractTest, SeededCheckpointScheduleIsDeterministic) {
   // Randomized schedule property: random batch sizes interleaved with
   // mid-stream Finalize checkpoints. Two runs of the same seeded schedule
   // must agree bit-for-bit, end fully assigned, and re-Finalize stably.
-  // For loom-sharded this is the determinism probe across thread
-  // interleavings — the schedule is fixed, the OS scheduling is not.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 0x7ab);
   const std::vector<stream::StreamEdge> all(es.begin(), es.end());
@@ -299,8 +294,8 @@ TEST_P(PartitionerContractTest, SeededCheckpointScheduleIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, PartitionerContractTest,
                          ::testing::Values("hash", "ldg", "fennel", "loom",
-                                           "loom-sharded", "hdrf:lambda=1.1",
-                                           "dbh", "hep:threshold_factor=4"));
+                                           "hdrf:lambda=1.1", "dbh",
+                                           "hep:threshold_factor=4"));
 
 }  // namespace
 }  // namespace partition

@@ -3,9 +3,7 @@
 //
 //   * One socket writer, every edge INGESTed, FINALIZE -> the quality
 //     triple (assignment hash, edge cut, imbalance) is bit-identical to a
-//     Session driven directly over the same vector — for "loom" AND
-//     "loom-sharded:shards=3" (the concurrency in the backend and the
-//     concurrency in the server compose).
+//     Session driven directly over the same vector.
 //   * N concurrent writers + M concurrent GET/STATS readers: arrival order
 //     is whatever the scheduler makes it, so the proof obligation shifts to
 //     the ingest log — replaying the log offline must reproduce the
@@ -359,7 +357,7 @@ TEST_P(ServeServerTest, CrashAnalogThenResumeRecoversBitIdentically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServeServerTest,
-                         ::testing::Values("loom", "loom-sharded:shards=3"),
+                         ::testing::Values("loom"),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& ch : name) {

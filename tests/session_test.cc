@@ -215,21 +215,7 @@ TEST(SessionTest, ExternalObserversSeeTheEventStream) {
             report.events.vertices_assigned);
   EXPECT_EQ(external.totals().evictions, report.events.evictions);
   EXPECT_EQ(external.final_stats().counters, report.backend_stats);
-}
-
-TEST(SessionTest, ShardedBackendReportsIdenticalFinalStatsToLoom) {
-  const datasets::Dataset& ds = TestDataset();
-  auto loom = MustCreate("loom", ds);
-  auto sharded = MustCreate("loom-sharded:shards=3", ds);
-  auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  const RunReport loom_report = loom->Run(*source);
-  source->Reset();
-  const RunReport sharded_report = sharded->Run(*source);
-
-  EXPECT_EQ(eval::HashAssignment(loom->partitioning(), ds.NumVertices()),
-            eval::HashAssignment(sharded->partitioning(), ds.NumVertices()));
-  EXPECT_EQ(loom_report.backend_stats, sharded_report.backend_stats);
-  EXPECT_FALSE(loom_report.backend_stats.empty());
+  EXPECT_FALSE(report.backend_stats.empty());
 }
 
 // ------------------------------------------------- eval satellite checks

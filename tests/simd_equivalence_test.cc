@@ -2,8 +2,7 @@
 // partitioning must be BIT-IDENTICAL — assignment hash, edge-cut, imbalance
 // — no matter which kernel level computed it. The kernel-level suite
 // (simd_kernels_test.cc) proves each kernel equal on its own inputs; this
-// suite proves the composition: whole backends (loom, loom-sharded, ldg —
-// every consumer of the signature / equal-opportunism / LDG-tally kernels)
+// suite proves the composition: whole backends (loom, ldg — every consumer of the signature / equal-opportunism / LDG-tally kernels)
 // driven end to end over real datasets under forced-scalar vs the CPU's
 // best level, plus the engine-option spelling ("name:simd=scalar") that
 // tools and benches use.
@@ -32,9 +31,8 @@ namespace loom {
 namespace core {
 namespace {
 
-/// Small-but-eviction-heavy scales (same reasoning as the sharded
-/// equivalence suite: cluster allocation traffic is where the double
-/// arithmetic lives).
+/// Small-but-eviction-heavy scales: cluster allocation traffic is where the
+/// double arithmetic lives.
 double ScaleFor(datasets::DatasetId id) {
   return id == datasets::DatasetId::kProvGen ? 0.06 : 0.05;
 }
@@ -98,8 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
     BackendsAndDatasets, SimdEquivalenceTest,
     ::testing::Combine(::testing::Values(datasets::DatasetId::kMusicBrainz,
                                          datasets::DatasetId::kProvGen),
-                       ::testing::Values("loom", "loom-sharded:shards=3",
-                                         "ldg")),
+                       ::testing::Values("loom", "ldg")),
     [](const ::testing::TestParamInfo<SimdParam>& info) {
       std::string name =
           datasets::MakeDataset(std::get<0>(info.param), 0.01).meta.name;

@@ -4,9 +4,9 @@
 // EngineOptions from a dataset, build a backend through the registry,
 // stream the dataset through it, and compare the golden quality triple
 // (assignment hash, edge-cut, imbalance). Those steps are the definition
-// of "bit-identical partitioning" used by the differential suites
-// (sharded_equivalence_test, concurrency_stress_test), the contract suite
-// and the bench smoke baseline — so they live here, once.
+// of "bit-identical partitioning" used by the differential suites (SIMD,
+// adjacency, batch-split), the contract suite and the bench smoke
+// baseline — so they live here, once.
 
 #ifndef LOOM_TESTS_TEST_UTIL_H_
 #define LOOM_TESTS_TEST_UTIL_H_

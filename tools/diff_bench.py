@@ -27,7 +27,6 @@ import sys
 KNOWN_SECTIONS = (
     "datasets",
     "loom_paper_window",
-    "loom_sharded_sweep",
     "file_stream",
     "edge_partitioners",
 )
@@ -64,10 +63,6 @@ def index_section(doc, name, out):
     elif name == "loom_paper_window":
         for d in doc["loom_paper_window"].get("datasets", []):
             out[(d["dataset"], "loom@t10k")] = d["loom"]
-    elif name == "loom_sharded_sweep":
-        for d in doc["loom_sharded_sweep"].get("datasets", []):
-            for s in d.get("sweep", []):
-                out[(d["dataset"], f"sharded@S{s['shards']}")] = s
     elif name == "file_stream":
         for d in doc["file_stream"].get("datasets", []):
             out[(d["dataset"], "loom@file")] = d

@@ -4,7 +4,7 @@
 // Usage:
 //   loom_partition --graph G.lg --workload Q.lw [--system loom] [--k 8]
 //                  [--order bfs|dfs|random|canonical] [--window 10000]
-//                  [--threshold 0.4] [--shards N] [--opt key=value]...
+//                  [--threshold 0.4] [--opt key=value]...
 //                  [--seed N] [--out assignment.tsv]
 //                  [--output-assignments assignment.tsv] [--evaluate]
 //   loom_partition --input S.les --workload Q.lw [flags as above]
@@ -86,7 +86,6 @@ struct Args {
   uint32_t k = 8;
   size_t window = 10000;
   double threshold = 0.4;
-  uint32_t shards = 0;  // 0 = leave the EngineOptions default
   uint64_t seed = 0x10c5;
   bool evaluate = false;
   bool progress = false;  // per-slice progress + decision-latency histogram
@@ -101,7 +100,7 @@ void Usage() {
                "         --workload Q.lw\n"
                "         [--system NAME | NAME:key=value,...] [--k N]\n"
                "         [--order bfs|dfs|random|canonical] [--window N]\n"
-               "         [--threshold F] [--shards N] [--opt key=value]...\n"
+               "         [--threshold F] [--opt key=value]...\n"
                "         [--seed N] [--out FILE | --output-assignments FILE]\n"
                "         [--edge-out FILE]\n"
                "         [--checkpoint FILE] [--checkpoint-every EDGES]\n"
@@ -225,10 +224,6 @@ bool Parse(int argc, char** argv, Args* args) {
       const char* v = need_value("--edge-assignments");
       if (!v) return false;
       args->edge_assignments_path = v;
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_value("--shards");
-      if (!v) return false;
-      args->shards = static_cast<uint32_t>(std::stoul(v));
     } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
       const char* v = need_value("--checkpoint");
       if (!v) return false;
@@ -418,7 +413,6 @@ int main(int argc, char** argv) {
     options.expected_edges = expected_edges;
     options.window_size = args.window;
     options.support_threshold = args.threshold;
-    if (args.shards > 0) options.shards = args.shards;
     std::string error;
     if (!options.ApplyOverrides(args.opts, &error)) {
       std::cerr << "error: " << error << "\n";

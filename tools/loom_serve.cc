@@ -3,7 +3,7 @@
 // Usage:
 //   loom_serve --socket /tmp/loom.sock --workload Q.lw --like S.les
 //              [--system loom] [--k 8] [--window 10000] [--threshold 0.4]
-//              [--shards N] [--opt key=value]...
+//              [--opt key=value]...
 //              [--checkpoint FILE] [--checkpoint-every EDGES]
 //              [--resume FILE] [--ingest-log FILE] [--tail S.les]
 //              [--out assignment.tsv]
@@ -64,15 +64,14 @@ struct Args {
   uint32_t k = 8;
   size_t window = 10000;
   double threshold = 0.4;
-  uint32_t shards = 0;
 };
 
 void Usage() {
   std::cerr
       << "usage: loom_serve --socket PATH --workload Q.lw --like S.les\n"
          "         [--system NAME | NAME:key=value,...] [--k N]\n"
-         "         [--window N] [--threshold F] [--shards N]\n"
-         "         [--opt key=value]... [--checkpoint FILE]\n"
+         "         [--window N] [--threshold F] [--opt key=value]...\n"
+         "         [--checkpoint FILE]\n"
          "         [--checkpoint-every EDGES] [--resume FILE]\n"
          "         [--ingest-log FILE] [--tail S.les] [--out FILE]\n"
          "protocol (newline-delimited over the unix socket):\n"
@@ -140,10 +139,6 @@ bool Parse(int argc, char** argv, Args* args) {
         std::cerr << "--threshold needs a finite number, got '" << v << "'\n";
         return false;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      const char* v = need_value("--shards");
-      if (!v) return false;
-      args->shards = static_cast<uint32_t>(std::stoul(v));
     } else if (std::strcmp(argv[i], "--help") == 0) {
       Usage();
       std::exit(0);
@@ -220,7 +215,6 @@ int main(int argc, char** argv) {
     options.expected_edges = expected_edges;
     options.window_size = args.window;
     options.support_threshold = args.threshold;
-    if (args.shards > 0) options.shards = args.shards;
     std::string error;
     if (!options.ApplyOverrides(args.opts, &error)) {
       std::cerr << "error: " << error << "\n";

@@ -20,17 +20,15 @@
 #
 # In default mode the diff FAILS if partition quality (edge-cut / imbalance
 # / assignment hash) differs from the baseline; throughput changes only
-# warn. The default run also records the loom-sharded shard sweep
-# (S = 1/2/4 at the paper window, eps + speedup vs single-threaded loom +
-# quality triple) into the same JSON, plus a file_stream section (loom
-# replayed from a freshly written io::FileEdgeSource binary stream at the
-# paper window — eps, eps_vs_inmemory and the quality triple, which
+# warn. The default run also records a file_stream section (loom replayed
+# from a freshly written io::FileEdgeSource binary stream at the paper
+# window — eps, eps_vs_inmemory and the quality triple, which
 # diff_bench.py guards as "loom@file"); the bench itself aborts if the
-# shard sweep or the file replay diverges from loom's assignment hash.
+# file replay diverges from loom's assignment hash.
 # ctest additionally guards the quality triples at tiny scale via the
 # `bench_smoke` test (table2_throughput --smoke vs the committed
 # BENCH_smoke.json) and the multi-source differential via
-# `file_stream_smoke_test` (all 5 backends, RAM vs binary file vs text
+# `file_stream_smoke_test` (every backend, RAM vs binary file vs text
 # file vs lazy generator source). The JSON also carries a timing-only
 # `simd_kernels` section (util::simd ns/op, scalar vs active dispatch
 # level); force a level for the whole run with LOOM_SIMD=scalar|sse2|avx2

@@ -5,7 +5,7 @@
 # then SIGKILL the server mid-service and require --resume plus a client
 # re-send from the STATS cursor to land on the same answer.
 #
-# Leg 1 (per backend: loom, loom-sharded:shards=3):
+# Leg 1:
 #   loom_serve <- loom_ctl ingest-file -> FINALIZE -> SNAPSHOT-QUALITY,
 #   SIGTERM drain (exit 0), sorted assignment TSV diffed against the
 #   offline reference, served cut checked against --evaluate's cut.
@@ -56,46 +56,43 @@ echo "== generating fixed-seed stream + workload (seed $SEED)"
   --workload-out "$WORKDIR/q.lw" \
   --write-stream "$WORKDIR/s.les" --order bfs --seed "$SEED" >/dev/null 2>&1
 
-for SYSTEM in "loom" "loom-sharded:shards=3"; do
-  COMMON=(--workload "$WORKDIR/q.lw" --system "$SYSTEM" --k 8 --window 2000)
-  echo "== [$SYSTEM] offline reference"
-  "$PART" --input "$WORKDIR/s.les" "${COMMON[@]}" \
-    --out "$WORKDIR/ref.tsv" --evaluate 2> "$WORKDIR/ref.log"
-  REF_CUT=$(sed -n 's/^edge cut: \([0-9]*\) .*/\1/p' "$WORKDIR/ref.log")
-  sort -n "$WORKDIR/ref.tsv" > "$WORKDIR/ref.sorted"
-  echo "   cut=$REF_CUT"
-
-  echo "== [$SYSTEM] leg 1: serve + ingest over socket + SIGTERM drain"
-  rm -f "$SOCK"
-  "$SERVE" --socket "$SOCK" --like "$WORKDIR/s.les" "${COMMON[@]}" \
-    --out "$WORKDIR/srv.tsv" 2> "$WORKDIR/serve.log" &
-  SERVER_PID=$!
-  wait_for_socket
-  "$CTL" --socket "$SOCK" ingest-file "$WORKDIR/s.les" >/dev/null
-  "$CTL" --socket "$SOCK" finalize >/dev/null
-  QUALITY=$("$CTL" --socket "$SOCK" quality)
-  SRV_CUT=$(sed -n 's/.* cut=\([0-9]*\) .*/\1/p' <<<"$QUALITY")
-  kill -TERM "$SERVER_PID"
-  wait "$SERVER_PID" && status=0 || status=$?
-  SERVER_PID=""
-  if [ "$status" -ne 0 ]; then
-    echo "serve_harness: SIGTERM drain exited $status" >&2
-    cat "$WORKDIR/serve.log" >&2
-    exit 1
-  fi
-  sort -n "$WORKDIR/srv.tsv" | cmp -s - "$WORKDIR/ref.sorted" || {
-    echo "serve_harness: [$SYSTEM] served assignments differ from offline" >&2
-    exit 1
-  }
-  if [ "$SRV_CUT" != "$REF_CUT" ]; then
-    echo "serve_harness: [$SYSTEM] served cut $SRV_CUT != offline $REF_CUT" >&2
-    exit 1
-  fi
-  echo "   served == offline (cut=$SRV_CUT, assignments identical), drained clean"
-done
-
 SYSTEM="loom"
 COMMON=(--workload "$WORKDIR/q.lw" --system "$SYSTEM" --k 8 --window 2000)
+echo "== [$SYSTEM] offline reference"
+"$PART" --input "$WORKDIR/s.les" "${COMMON[@]}" \
+  --out "$WORKDIR/ref.tsv" --evaluate 2> "$WORKDIR/ref.log"
+REF_CUT=$(sed -n 's/^edge cut: \([0-9]*\) .*/\1/p' "$WORKDIR/ref.log")
+sort -n "$WORKDIR/ref.tsv" > "$WORKDIR/ref.sorted"
+echo "   cut=$REF_CUT"
+
+echo "== [$SYSTEM] leg 1: serve + ingest over socket + SIGTERM drain"
+rm -f "$SOCK"
+"$SERVE" --socket "$SOCK" --like "$WORKDIR/s.les" "${COMMON[@]}" \
+  --out "$WORKDIR/srv.tsv" 2> "$WORKDIR/serve.log" &
+SERVER_PID=$!
+wait_for_socket
+"$CTL" --socket "$SOCK" ingest-file "$WORKDIR/s.les" >/dev/null
+"$CTL" --socket "$SOCK" finalize >/dev/null
+QUALITY=$("$CTL" --socket "$SOCK" quality)
+SRV_CUT=$(sed -n 's/.* cut=\([0-9]*\) .*/\1/p' <<<"$QUALITY")
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" && status=0 || status=$?
+SERVER_PID=""
+if [ "$status" -ne 0 ]; then
+  echo "serve_harness: SIGTERM drain exited $status" >&2
+  cat "$WORKDIR/serve.log" >&2
+  exit 1
+fi
+sort -n "$WORKDIR/srv.tsv" | cmp -s - "$WORKDIR/ref.sorted" || {
+  echo "serve_harness: [$SYSTEM] served assignments differ from offline" >&2
+  exit 1
+}
+if [ "$SRV_CUT" != "$REF_CUT" ]; then
+  echo "serve_harness: [$SYSTEM] served cut $SRV_CUT != offline $REF_CUT" >&2
+  exit 1
+fi
+echo "   served == offline (cut=$SRV_CUT, assignments identical), drained clean"
+
 echo "== leg 2: SIGKILL mid-ingest, --resume, re-send from STATS cursor"
 killed=0
 for attempt in $(seq 1 20); do
