@@ -15,46 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace loom {
 namespace bench {
-
-/// Shared input shapes for the util::simd kernel micro-measurements, so
-/// the `simd_kernels` section of BENCH_throughput.json (table2_throughput)
-/// and the interactive bench/micro_kernels.cc view measure the SAME
-/// workload: an assignment table with kNoPartition holes, neighbour-span
-/// index windows, and a paper-k bid table. Deterministic (fixed seed).
-struct SimdKernelFixture {
-  static constexpr size_t kTableN = 1 << 17;
-  static constexpr uint32_t kK = 8;
-  static constexpr size_t kRows = 24;
-
-  std::vector<uint32_t> table;   // kTableN entries, 1-in-5 kNoPartition
-  std::vector<uint32_t> idx;     // 4096 random table indices (span windows)
-  std::vector<double> overlap;   // kRows x kK, ~1/3 positive
-  double residual[kK];
-  double support[kRows];
-  uint32_t count[kK];
-
-  SimdKernelFixture() : table(kTableN), idx(4096), overlap(kRows * kK) {
-    util::Rng rng(0x51D0);
-    for (auto& t : table) {
-      t = rng.Uniform(5) == 0 ? 0xFFFFFFFFu
-                              : static_cast<uint32_t>(rng.Uniform(kK));
-    }
-    for (auto& i : idx) i = static_cast<uint32_t>(rng.Uniform(kTableN));
-    for (auto& o : overlap) {
-      o = rng.Uniform(3) == 0 ? static_cast<double>(rng.Uniform(5)) : 0.0;
-    }
-    for (uint32_t si = 0; si < kK; ++si) {
-      residual[si] = 0.5;
-      count[si] = static_cast<uint32_t>(kRows) - si;
-    }
-    for (size_t i = 0; i < kRows; ++i) support[i] = 0.25;
-  }
-};
 
 inline double BenchScale(double fallback = 0.5) {
   const char* env = std::getenv("LOOM_BENCH_SCALE");

@@ -7,22 +7,16 @@
 // throughput, partition quality (edge-cut, imbalance, assignment hash on
 // fixed seeds), Loom's match-pool allocation-reuse counters, a Loom-only
 // ingest section at the paper-default window t = 10000 (EngineOptions'
-// default; the acceptance metric for perf PRs), sliding-window
-// micro-latencies, and a "simd_kernels" section (ns/op of the util::simd
-// hot-loop kernels, scalar vs the active dispatch level). tools/run_bench.sh
-// diffs it against the committed baseline so partition quality can never
-// silently drift while chasing throughput.
+// default; the acceptance metric for perf PRs) and sliding-window
+// micro-latencies. tools/run_bench.sh diffs it against the committed
+// baseline so partition quality can never silently drift while chasing
+// throughput.
 //
 // Backend selection: set LOOM_BENCH_SYSTEMS to a ';'-separated list of
 // registry specs (e.g. "fennel;loom:window_size=2000,alpha=0.5") to time
 // arbitrary engine backends/configurations instead of the default four
 // paper systems. Custom selections skip the paper-window section and are
 // not comparable to the committed baseline (run_bench.sh skips the diff).
-// NOTE: a spec that forces a simd level ("loom:simd=scalar") forces it
-// process-wide and it STAYS forced for later specs in the list (simd=auto
-// means keep-current, by design) — when comparing dispatch levels, force
-// the level on every spec or use LOOM_SIMD for the whole run. Quality is
-// unaffected either way (levels are bit-identical).
 //
 // Smoke mode: `table2_throughput --smoke [baseline.json]` runs a fixed
 // tiny configuration (scale 0.05, window 1000, BFS, k=8) over every
@@ -52,7 +46,6 @@
 #include "partition/partition_metrics.h"
 #include "stream/sliding_window.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
 #include "util/timer.h"
@@ -137,67 +130,6 @@ void WriteWindowOpsJson(bench::JsonWriter& jw) {
   jw.Key("window").Value(static_cast<uint64_t>(kWindow));
   jw.Key("push_find_pop_cycle_ns").Value(cycle_ns);
   jw.Key("out_of_order_remove_ns").Value(remove_ns);
-  jw.Key("checksum").Value(sink % 1000);
-  jw.EndObject();
-}
-
-/// util::simd kernel micro-latencies, scalar vs the active dispatch level:
-/// ns/op for the three ported hot loops at the shapes the streaming path
-/// sees. Timing-only (diff_bench.py ignores this section); the committed
-/// numbers document what the dispatch buys on the baseline machine, and
-/// bench/micro_kernels.cc is the per-level interactive view.
-void WriteSimdKernelsJson(bench::JsonWriter& jw) {
-  using util::simd::Level;
-  const bench::SimdKernelFixture fx;  // same shapes as bench/micro_kernels
-  double totals[bench::SimdKernelFixture::kK];
-  uint64_t sink = 0;
-  auto time_ns = [&](auto&& body, size_t iters) {
-    util::Timer t;
-    for (size_t i = 0; i < iters; ++i) body(i);
-    return 1e6 * t.ElapsedMs() / static_cast<double>(iters);
-  };
-  auto measure = [&](Level level, bench::JsonWriter& w) {
-    w.BeginObject();
-    w.Key("level").Value(util::simd::LevelName(level));
-    w.Key("tally_gather_512_ns").Value(time_ns(
-        [&](size_t it) {
-          uint32_t counts[bench::SimdKernelFixture::kK] = {0};
-          util::simd::TallyGatherU32(level, fx.table.data(), fx.table.size(),
-                                     fx.idx.data() + (it * 512) % 2048, 512,
-                                     bench::SimdKernelFixture::kK, counts);
-          sink += counts[3];
-        },
-        20000));
-    w.Key("bid_totals_24x8_ns").Value(time_ns(
-        [&](size_t) {
-          util::simd::BidTotals(level, fx.overlap.data(),
-                                bench::SimdKernelFixture::kRows,
-                                bench::SimdKernelFixture::kK, fx.residual,
-                                fx.support, fx.count, totals);
-          sink += static_cast<uint64_t>(totals[2]);
-        },
-        100000));
-    uint32_t out[3];
-    w.Key("edge_factors_ns").Value(time_ns(
-        [&](size_t it) {
-          util::simd::EdgeAdditionFactors(
-              level, static_cast<uint32_t>(it % 249 + 1), 17, 33,
-              static_cast<uint32_t>(it % 7 + 1), 91, 2, 251, out);
-          sink += out[0];
-        },
-        500000));
-    w.EndObject();
-  };
-
-  jw.Key("simd_kernels").BeginObject();
-  jw.Key("active_level")
-      .Value(util::simd::LevelName(util::simd::ActiveLevel()));
-  jw.Key("levels").BeginArray();
-  measure(util::simd::Level::kScalar, jw);
-  if (util::simd::ActiveLevel() != util::simd::Level::kScalar) {
-    measure(util::simd::ActiveLevel(), jw);
-  }
-  jw.EndArray();
   jw.Key("checksum").Value(sink % 1000);
   jw.EndObject();
 }
@@ -588,7 +520,6 @@ int main(int argc, char** argv) {
   }
 
   WriteWindowOpsJson(jw);
-  WriteSimdKernelsJson(jw);
   jw.EndObject();
   jf << "\n";
   std::cout << "\nwrote " << json_path << "\n";

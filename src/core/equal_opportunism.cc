@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
-
-#include "util/simd.h"
 
 namespace loom {
 namespace core {
@@ -113,7 +110,6 @@ AllocationDecision EqualOpportunism::DecideBids(
   // their assigned neighbours into a me.size() x k table. Bit-identical to
   // calling Bid() per pair, k times cheaper.
   const uint32_t k = p.k();
-  const std::span<const graph::PartitionId> table = p.assignments();
   overlap_scratch_.assign(me.size() * k, 0.0);
   const bool use_nbrs =
       neighborhood_ != nullptr && config_.neighbor_bid_weight > 0.0;
@@ -132,14 +128,8 @@ AllocationDecision EqualOpportunism::DecideBids(
         nbr_cached_vertices_.end());
     nbr_rows_.assign(nbr_cached_vertices_.size() * k, 0);
     for (size_t ci = 0; ci < nbr_cached_vertices_.size(); ++ci) {
-      uint32_t* row = &nbr_rows_[ci * k];
-      // Tally page by page; the kernel accumulates, so the sums don't see
-      // the arena's chunk boundaries.
-      neighborhood_->Neighbors(nbr_cached_vertices_[ci])
-          .ForEachChunk([&](const graph::VertexId* ids, size_t n) {
-            util::simd::TallyGatherU32(table.data(), table.size(), ids, n, k,
-                                       row);
-          });
+      p.TallyNeighbors(neighborhood_->Neighbors(nbr_cached_vertices_[ci]),
+                       &nbr_rows_[ci * k]);
     }
   }
   for (size_t i = 0; i < me.size(); ++i) {
@@ -156,10 +146,13 @@ AllocationDecision EqualOpportunism::DecideBids(
             std::lower_bound(nbr_cached_vertices_.begin(),
                              nbr_cached_vertices_.end(), v) -
             nbr_cached_vertices_.begin());
-        util::simd::AddU32(nbr_match_tally_.data(), &nbr_rows_[ci * k], k);
+        const uint32_t* counts = &nbr_rows_[ci * k];
+        for (uint32_t si = 0; si < k; ++si) nbr_match_tally_[si] += counts[si];
       }
-      util::simd::AccumulateScaledU32(row, nbr_match_tally_.data(),
-                                      config_.neighbor_bid_weight, k);
+      for (uint32_t si = 0; si < k; ++si) {
+        row[si] += config_.neighbor_bid_weight *
+                   static_cast<double>(nbr_match_tally_[si]);
+      }
     }
   }
 
@@ -167,49 +160,31 @@ AllocationDecision EqualOpportunism::DecideBids(
   const double avg = std::max(
       static_cast<double>(p.NumAssigned()) / static_cast<double>(k), 1.0);
 
-  // Eq. 3 totals for all k partitions in one vectorised pass over the
-  // overlap table (bit-identical to the per-partition scalar loops: same
-  // per-lane operation order, masked terms contribute exactly +0.0).
-  // Muted partitions (at capacity / rationed to zero) take count 0.
-  ration_scratch_.resize(k);
-  residual_scratch_.resize(k);
-  count_scratch_.resize(k);
-  support_scratch_.resize(me.size());
-  totals_scratch_.resize(k);
-  for (size_t i = 0; i < me.size(); ++i) {
-    support_scratch_[i] = sort_scratch_[i].support;
-  }
-  for (graph::PartitionId si = 0; si < k; ++si) {
-    const double l = RationWith(static_cast<double>(p.Size(si)), smin, avg);
-    ration_scratch_[si] = l;
-    residual_scratch_[si] = 1.0 - static_cast<double>(p.Size(si)) /
-                                      static_cast<double>(p.Capacity());
-    count_scratch_[si] =
-        (p.AtCapacity(si) || l <= 0.0)
-            ? 0
-            : static_cast<uint32_t>(std::min<double>(
-                  std::ceil(l * static_cast<double>(me.size())),
-                  static_cast<double>(me.size())));
-  }
-  util::simd::BidTotals(overlap_scratch_.data(), me.size(), k,
-                        residual_scratch_.data(), support_scratch_.data(),
-                        count_scratch_.data(), totals_scratch_.data());
-
   graph::PartitionId best = graph::kNoPartition;
   double best_total = 0.0;
   size_t best_count = 0;
   for (graph::PartitionId si = 0; si < k; ++si) {
     if (p.AtCapacity(si)) continue;
-    const double l = ration_scratch_[si];
+    const double l = RationWith(static_cast<double>(p.Size(si)), smin, avg);
     if (l <= 0.0) continue;
-    // Eq. 3 leading l(Si) -- see sweep note in EXPERIMENTS.md
-    const double total = totals_scratch_[si] * l;
+    const size_t count = static_cast<size_t>(
+        std::min<double>(std::ceil(l * static_cast<double>(me.size())),
+                         static_cast<double>(me.size())));
+    const double residual = 1.0 - static_cast<double>(p.Size(si)) /
+                                      static_cast<double>(p.Capacity());
+    double total = 0.0;
+    for (size_t i = 0; i < count; ++i) {
+      const double overlap = overlap_scratch_[i * k + si];
+      if (overlap <= 0.0) continue;  // Bid() returns exactly 0 here
+      total += overlap * residual * sort_scratch_[i].support;
+    }
+    total *= l;  // Eq. 3 leading l(Si) -- see sweep note in EXPERIMENTS.md
     if (total > best_total ||
         (total == best_total && total > 0.0 && best != graph::kNoPartition &&
          p.Size(si) < p.Size(best))) {
       best = si;
       best_total = total;
-      best_count = count_scratch_[si];
+      best_count = count;
     }
   }
 

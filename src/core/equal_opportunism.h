@@ -122,12 +122,6 @@ class EqualOpportunism {
   mutable std::vector<graph::VertexId> nbr_cached_vertices_;
   mutable std::vector<uint32_t> nbr_rows_;  // k counts per cached vertex
   mutable std::vector<uint32_t> nbr_match_tally_;  // per-match accumulator
-  // Per-partition inputs/outputs of the vectorised Eq. 3 totals pass.
-  mutable std::vector<double> ration_scratch_;
-  mutable std::vector<double> residual_scratch_;
-  mutable std::vector<uint32_t> count_scratch_;
-  mutable std::vector<double> support_scratch_;
-  mutable std::vector<double> totals_scratch_;
 };
 
 }  // namespace core

@@ -9,7 +9,6 @@
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -116,19 +115,6 @@ std::unique_ptr<partition::Partitioner> PartitionerRegistry::Create(
     const BuildContext& context, std::string* error) const {
   for (const auto& [n, factory] : factories_) {
     if (n != name) continue;
-    // Install the requested kernel dispatch level ("auto" = leave it
-    // alone). The option parser validates the spelling, but options built
-    // programmatically can hold anything — a harness that believes it
-    // pinned a level must hear about a typo, not silently run at the
-    // previous level. Process-wide; harmless either way, since every
-    // level is bit-identical.
-    if (!util::simd::Configure(options.simd)) {
-      if (error != nullptr) {
-        *error = "invalid EngineOptions::simd value '" + options.simd +
-                 "' (expected auto|scalar|sse2|avx2)";
-      }
-      return nullptr;
-    }
     return factory(options, context, error);
   }
   if (error != nullptr) {

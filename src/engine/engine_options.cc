@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cmath>
 
-#include "util/simd.h"
-
 namespace loom {
 namespace engine {
 
@@ -243,15 +241,6 @@ const KeyDesc kKeys[] = {
        double x;
        if (!ParseDouble(v, &x) || x <= 0.0) return false;
        o.threshold_factor = x;
-       return true;
-     }},
-    {"simd", "one of auto|scalar|sse2|avx2",
-     "force the SIMD kernel dispatch level; all levels bit-identical",
-     [](const EngineOptions& o) { return o.simd; },
-     [](EngineOptions& o, std::string_view v) {
-       util::simd::Level level;
-       if (v != "auto" && !util::simd::ParseLevel(v, &level)) return false;
-       o.simd = std::string(v);
        return true;
      }},
 };

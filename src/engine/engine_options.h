@@ -85,15 +85,6 @@ struct EngineOptions {
   /// threshold_factor x the running mean partial degree.
   double threshold_factor = 4.0;
 
-  // ------------------------------------------------------------ simd knob
-  /// Kernel dispatch level for the util::simd hot-loop kernels: "scalar",
-  /// "sse2" or "avx2" force that level process-wide at construction;
-  /// "auto" leaves the active level alone (the environment default —
-  /// LOOM_SIMD if set, else the CPU's best — until something forces one).
-  /// All levels are bit-identical, so this only affects speed (and lets
-  /// the differential suites force the scalar twin).
-  std::string simd = "auto";
-
   friend bool operator==(const EngineOptions&, const EngineOptions&) = default;
 
   /// Sets the field addressed by `key` from its string form. Returns false

@@ -37,8 +37,8 @@ size_t PageBytes(uint32_t capacity) {
 uint32_t AdjacencyArena::ResolvePageCapacity(uint32_t requested) {
   if (requested != 0) return ClampCapacity(requested);
   // Environment default, resolved once per process (same pattern as
-  // LOOM_SIMD): lets CI force tiny pages for every suite without plumbing
-  // a knob through each test's construction path.
+  // LOOM_HUB_THRESHOLD): lets CI force tiny pages for every suite without
+  // plumbing a knob through each test's construction path.
   static const uint32_t env_default = [] {
     const char* s = std::getenv("LOOM_ADJ_PAGE");
     if (s == nullptr || *s == '\0') return kDefaultPageCapacity;

@@ -9,7 +9,7 @@
 // the low-degree majority of vertices stays as cache-dense as the small
 // vectors it replaced (a degree-3 vertex occupies one 32-byte page, not a
 // maximum-size one) while hubs still converge to large contiguous spans
-// for the SIMD tally kernels:
+// for the neighbour tally:
 //
 //   chain(v):  [4 slots] -> [8 slots] -> ... -> [64] -> [64 tail]
 //
@@ -77,8 +77,7 @@ struct AdjacencyPage {
 ///
 /// Element iteration covers range-for consumers (Fennel, equal
 /// opportunism's Bid); ForEachChunk hands each page's contiguous slot span
-/// to SIMD kernels, whose accumulate-into-counts contract composes across
-/// chunks.
+/// to loops that accumulate across chunks (Partitioning::TallyNeighbors).
 class NeighborRange {
  public:
   NeighborRange() = default;
@@ -166,8 +165,8 @@ class NeighborRange {
   const_iterator end() const { return {}; }
 
   /// Invokes fn(const VertexId* data, size_t n) once per contiguous chunk,
-  /// in order. The SIMD seam: per-page spans go to TallyGatherU32, whose
-  /// scalar small-span path absorbs the per-page tails.
+  /// in order, so hot loops (the neighbour tally, checkpoint writes) run
+  /// over each page's contiguous slots instead of hopping per element.
   template <typename Fn>
   void ForEachChunk(Fn&& fn) const {
     if (count_ == 0) return;

@@ -35,8 +35,9 @@ namespace loom {
 namespace io {
 
 /// Format version this build writes and reads. v2: the session section
-/// dropped the shard progress fields and the shard option keys.
-inline constexpr uint16_t kCheckpointVersion = 2;
+/// dropped the shard progress fields and the shard option keys. v3: it
+/// dropped the "simd" option key.
+inline constexpr uint16_t kCheckpointVersion = 3;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/simd.h"
-
 namespace loom {
 namespace motif {
 
@@ -135,13 +133,10 @@ void MotifMatcher::TryJoin(MatchHandle base_h, MatchHandle small_h,
                            const stream::SlidingWindow& window, MatchList* ml) {
   const Match& base = ml->match(base_h);
   const Match& smaller = ml->match(small_h);
-  // remaining = smaller.edges \ base.edges — the per-attempt membership
-  // tests, batched through the kernel layer (every needle against the
-  // whole base edge set in 8-lane chunks).
-  remaining_.resize(smaller.edges.size());
-  remaining_.resize(util::simd::SortedDifferenceU32(
-      smaller.edges.data(), smaller.edges.size(), base.edges.data(),
-      base.edges.size(), remaining_.data()));
+  remaining_.clear();
+  for (graph::EdgeId eid : smaller.edges) {
+    if (!base.ContainsEdge(eid)) remaining_.push_back(eid);
+  }
   if (remaining_.empty()) return;  // smaller ⊆ base: nothing new
   // A successful join absorbs ALL of `remaining` via motif children, ending
   // at base+|remaining| edges; if that exceeds the largest motif, some step

@@ -4,15 +4,13 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/simd.h"
-
 namespace loom {
 namespace partition {
 
 uint32_t HubTallyCache::ResolveThreshold(uint32_t requested) {
   if (requested != 0) return requested;
-  // Per-process env default, parsed once (same pattern as LOOM_SIMD and
-  // LOOM_ADJ_PAGE): LOOM_HUB_THRESHOLD=0 disables the cache entirely.
+  // Per-process env default, parsed once (same pattern as LOOM_ADJ_PAGE):
+  // LOOM_HUB_THRESHOLD=0 disables the cache entirely.
   static const uint32_t env_default = [] {
     const char* s = std::getenv("LOOM_HUB_THRESHOLD");
     if (s == nullptr || *s == '\0') return kDefaultThreshold;
@@ -48,10 +46,7 @@ void HubTallyCache::Materialize(graph::VertexId h, const graph::DynamicGraph& g,
   // One full tally at crossing time; unassigned entries (kNoPartition >= k)
   // are skipped here and arrive later through OnAssign, so the row equals a
   // fresh tally at every subsequent stream position.
-  const std::span<const graph::PartitionId> table = p.assignments();
-  g.Neighbors(h).ForEachChunk([&](const graph::VertexId* ids, size_t n) {
-    util::simd::TallyGatherU32(table.data(), table.size(), ids, n, k_, counts);
-  });
+  p.TallyNeighbors(g.Neighbors(h), counts);
 }
 
 void HubTallyCache::Rebuild(const graph::DynamicGraph& g, size_t num_slots,

@@ -18,7 +18,7 @@
 //     after DynamicGraph::AddEdge). If the entry's owner is a materialised
 //     hub and the other endpoint is already assigned, bump one counter; if
 //     the owner just crossed the threshold, materialise it with one full
-//     TallyGather.
+//     Partitioning::TallyNeighbors.
 //   * OnAssign(v, actual) — v was placed (first-writer-wins, post
 //     capacity-diversion partition). Walk v's visible adjacency once and
 //     bump counts[h][actual] for every materialised hub entry h. Summed
@@ -30,7 +30,7 @@
 // otherwise (adjacency entries are symmetric: h appears in adj(w) as many
 // times as w appears in adj(h), and a canonical self-loop is a single
 // entry walked once). The counters therefore equal the from-scratch
-// TallyGather integers at every stream position, for ANY threshold — so
+// tally integers at every stream position, for ANY threshold — so
 // the partitioning is bit-identical whether the cache is on, off, or set
 // to a different threshold (pinned by the hub differential tests).
 //
@@ -69,7 +69,7 @@ class HubTallyCache {
   size_t num_hubs() const { return num_hubs_; }
 
   /// The k per-partition counters for v, or nullptr when v is not a
-  /// materialised hub (caller falls back to TallyGather). The row holds
+  /// materialised hub (caller falls back to a full tally). The row holds
   /// exactly the integers a fresh tally of v's visible adjacency would
   /// produce.
   const uint32_t* Counts(graph::VertexId v) const {

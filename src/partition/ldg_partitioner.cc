@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "util/simd.h"
-
 namespace loom {
 namespace partition {
 
@@ -57,28 +55,18 @@ graph::PartitionId BestByWeightedCount(const uint32_t* counts,
   return best;
 }
 
-/// The neighbour tally — LDG's hot loop — runs on the util::simd kernels:
-/// gather each neighbour's partition from the assignment table, count per
-/// partition (values >= k, i.e. kNoPartition, are skipped by the kernel).
-/// The arena hands each contiguous page span to the kernel; the tally
-/// accumulates into `counts`, so page boundaries are invisible to the sums.
-/// A materialised hub row IS those sums, maintained incrementally — add it
-/// instead of walking.
+/// LDG's hot loop. A materialised hub row IS the neighbour tally,
+/// maintained incrementally — add it instead of walking.
 void TallyNeighbors(graph::VertexId v, const graph::DynamicGraph& neighborhood,
                     const Partitioning& partitioning, const HubTallyCache* hub,
                     uint32_t* counts) {
   if (hub != nullptr) {
     if (const uint32_t* row = hub->Counts(v)) {
-      util::simd::AddU32(counts, row, partitioning.k());
+      for (uint32_t p = 0; p < partitioning.k(); ++p) counts[p] += row[p];
       return;
     }
   }
-  const std::span<const graph::PartitionId> table = partitioning.assignments();
-  neighborhood.Neighbors(v).ForEachChunk(
-      [&](const graph::VertexId* ids, size_t n) {
-        util::simd::TallyGatherU32(table.data(), table.size(), ids, n,
-                                   partitioning.k(), counts);
-      });
+  partitioning.TallyNeighbors(neighborhood.Neighbors(v), counts);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/adjacency_arena.h"
 #include "graph/types.h"
 #include "io/checkpoint.h"
 
@@ -41,9 +42,23 @@ class Partitioning {
 
   /// The raw per-vertex assignment table (indexed by VertexId; entries are
   /// kNoPartition until assigned, vertices beyond the table are implicitly
-  /// unassigned). The util::simd gather/tally kernels read this directly.
+  /// unassigned).
   std::span<const graph::PartitionId> assignments() const {
     return assignment_;
+  }
+
+  /// The neighbour tally |N(v) ∩ Si| of LDG, the hub rows and Eq. 1's
+  /// neighbour bids: counts[p] += #entries of `nbrs` assigned to p.
+  /// Unassigned entries are skipped; `counts` holds k() entries and is
+  /// accumulated into, not cleared.
+  void TallyNeighbors(const graph::NeighborRange& nbrs,
+                      uint32_t* counts) const {
+    nbrs.ForEachChunk([&](const graph::VertexId* ids, size_t n) {
+      for (size_t i = 0; i < n; ++i) {
+        const graph::PartitionId p = PartitionOf(ids[i]);
+        if (p != graph::kNoPartition) ++counts[p];
+      }
+    });
   }
 
   /// Assigns v to `p` if there is room, otherwise to the least-loaded

@@ -9,7 +9,7 @@ namespace signature {
 
 LabelValues::LabelValues(size_t num_labels, uint32_t p, uint64_t seed)
     : p_(p), rng_(seed ^ (static_cast<uint64_t>(p) << 32)) {
-  assert(p >= 3);
+  assert(p >= 2);
   values_.reserve(num_labels);
   for (size_t i = 0; i < num_labels; ++i) {
     // r(l) uniform in [1, p).

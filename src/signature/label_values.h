@@ -25,7 +25,9 @@ inline constexpr uint32_t kDefaultPrime = 251;
 /// alphabet never perturbs the values of earlier labels.
 class LabelValues {
  public:
-  /// Requires p >= 3 (so that [1, p) has at least two values).
+  /// Requires p >= 2, the `prime` option's domain (p = 2 leaves a single
+  /// value, so every label gets r(l) = 1: legal, but signatures then tell
+  /// labels apart by degree only).
   LabelValues(size_t num_labels, uint32_t p, uint64_t seed = 0xC0FFEE);
 
   uint32_t prime() const { return p_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/simd.h"
-
 namespace loom {
 namespace signature {
 
@@ -46,19 +44,20 @@ std::optional<FactorDelta> Signature::DifferenceTo(const Signature& other) const
 
 bool Signature::ExtendsBy(const FactorDelta& delta, const Signature& other) const {
   if (other.size() != size() + delta.size()) return false;
-  // other must be exactly this ∪ delta (as multisets); the kernel's scalar
-  // level is the original merge-compare walk, the SIMD levels locate delta's
-  // insertion points and compare the segments between them vector-wide.
+  // Merge-compare: other must be exactly this ∪ delta (as multisets).
   FactorDelta sorted_delta = delta;
   std::sort(sorted_delta.begin(), sorted_delta.end());
-  return ExtendsBySorted(sorted_delta, other);
-}
-
-bool Signature::ExtendsBySorted(const FactorDelta& sorted_delta,
-                                const Signature& other) const {
-  return util::simd::MultisetExtendsU32(
-      factors_.data(), factors_.size(), sorted_delta.data(),
-      sorted_delta.size(), other.factors_.data(), other.factors_.size());
+  size_t i = 0, j = 0;
+  for (Factor f : other.factors_) {
+    if (i < factors_.size() && factors_[i] == f) {
+      ++i;
+    } else if (j < sorted_delta.size() && sorted_delta[j] == f) {
+      ++j;
+    } else {
+      return false;
+    }
+  }
+  return i == factors_.size() && j == sorted_delta.size();
 }
 
 uint64_t Signature::Hash() const {

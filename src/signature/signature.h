@@ -59,15 +59,9 @@ class Signature {
   /// TPSTry++ edge n -> c is c.signature().DifferenceFrom(n.signature()).
   std::optional<FactorDelta> DifferenceTo(const Signature& other) const;
 
-  /// True if `delta` equals other \ this exactly (i.e. this + delta == other),
-  /// without allocating. The hot path of Alg. 2 line 7/15.
+  /// True if `delta` (any order) equals other \ this exactly (i.e.
+  /// this + delta == other). Alg. 2 line 7/15's child test.
   bool ExtendsBy(const FactorDelta& delta, const Signature& other) const;
-
-  /// ExtendsBy for a delta the caller has already sorted ascending — the
-  /// TPSTry++ child scan sorts once and probes every motif child with it
-  /// (the comparison itself runs on the util::simd kernels).
-  bool ExtendsBySorted(const FactorDelta& sorted_delta,
-                       const Signature& other) const;
 
   /// Order-independent (content) hash.
   uint64_t Hash() const;

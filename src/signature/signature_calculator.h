@@ -72,8 +72,7 @@ class SignatureCalculator {
   Signature SingleEdgeSignature(graph::LabelId a, graph::LabelId b) const;
 
  private:
-  /// Appends DegreeFactor(l, 1..degree) to `out`, batching the residues
-  /// through the util::simd kernels in the paper regime (p <= 255).
+  /// Appends DegreeFactor(l, 1..degree) to `out`.
   void AppendDegreeRun(graph::LabelId l, uint32_t degree,
                        std::vector<Factor>* out) const;
 

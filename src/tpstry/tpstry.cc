@@ -132,18 +132,10 @@ const TpsNode* Tpstry::FindSingleEdgeMotif(
 const TpsNode* Tpstry::FindMotifChild(
     uint32_t node_id, const signature::FactorDelta& delta) const {
   const TpsNode& n = nodes_[node_id];
-  if (n.children.empty()) return nullptr;
-  // Sort the delta once; every child membership test shares it (ExtendsBy
-  // would otherwise copy + sort per child on the Alg. 2 hot path).
-  // thread_local: this is a const lookup, so a member scratch would make
-  // concurrent readers of one trie race.
-  thread_local signature::FactorDelta sorted_delta;
-  sorted_delta = delta;
-  std::sort(sorted_delta.begin(), sorted_delta.end());
   for (uint32_t cid : n.children) {
     const TpsNode& c = nodes_[cid];
     if (!IsMotif(cid)) continue;
-    if (n.sig.ExtendsBySorted(sorted_delta, c.sig)) return &c;
+    if (n.sig.ExtendsBy(delta, c.sig)) return &c;
   }
   return nullptr;
 }

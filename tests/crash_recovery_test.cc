@@ -469,22 +469,29 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
-// v1 files carry a session section with three progress fields and two
-// option keys that v2 dropped. They must fail on the version check, naming
-// both versions, not on a confusing layout or arity error further in.
+// Older files carry a session section this build no longer reads: v1 has
+// three progress fields and two option keys that v2 dropped, v2 has the
+// "simd" option key that v3 dropped. They must fail on the version check,
+// naming both versions, not on a confusing layout or arity error further in.
 TEST_F(CorruptionTest, VersionOneCheckpointIsRejectedByVersion) {
-  std::vector<char> v1 = bytes_;
-  v1[6] = 1;
-  v1[7] = 0;
-  const std::string path = WriteVariant("v1.loomck", v1);
-  ExpectRejected(path, "v1 header");
-  auto session = MustCreate("loom", ds_);
-  std::string error;
-  EXPECT_FALSE(session->Resume(path, &error));
-  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
-  EXPECT_NE(error.find("v" + std::to_string(io::kCheckpointVersion)),
-            std::string::npos)
-      << error;
+  for (const uint16_t old_version : {1, 2}) {
+    SCOPED_TRACE("v" + std::to_string(old_version));
+    std::vector<char> old = bytes_;
+    old[6] = static_cast<char>(old_version);
+    old[7] = 0;
+    const std::string path = WriteVariant(
+        "v" + std::to_string(old_version) + ".loomck", old);
+    ExpectRejected(path, "v" + std::to_string(old_version) + " header");
+    auto session = MustCreate("loom", ds_);
+    std::string error;
+    EXPECT_FALSE(session->Resume(path, &error));
+    EXPECT_NE(error.find("version " + std::to_string(old_version)),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("v" + std::to_string(io::kCheckpointVersion)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {

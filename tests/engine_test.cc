@@ -52,7 +52,6 @@ TEST(EngineOptionsTest, EveryKeyRoundTripsFromItsStringForm) {
       {"lambda", "2.5"},
       {"epsilon", "0.25"},
       {"threshold_factor", "6.5"},
-      {"simd", "scalar"},
   };
   ASSERT_EQ(overrides.size(), EngineOptions::KeyNames().size())
       << "new EngineOptions key without round-trip coverage";
@@ -143,19 +142,6 @@ TEST(PartitionerRegistryTest, UnknownBackendErrorListsRegisteredOnes) {
   EXPECT_EQ(p, nullptr);
   EXPECT_NE(error.find("metis"), std::string::npos) << error;
   EXPECT_NE(error.find("loom"), std::string::npos) << error;
-}
-
-TEST(PartitionerRegistryTest, ProgrammaticBadSimdValueFailsWithActionableError) {
-  // The option parser validates "simd", but options built by hand can hold
-  // anything — Create must refuse rather than silently keep the previous
-  // dispatch level (a harness that thinks it pinned scalar must hear this).
-  EngineOptions options;
-  options.simd = "avx512";
-  std::string error;
-  auto p = PartitionerRegistry::Global().Create("hash", options, {}, &error);
-  EXPECT_EQ(p, nullptr);
-  EXPECT_NE(error.find("avx512"), std::string::npos) << error;
-  EXPECT_NE(error.find("simd"), std::string::npos) << error;
 }
 
 TEST(PartitionerRegistryTest, LoomWithoutWorkloadFailsWithActionableError) {

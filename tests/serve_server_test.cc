@@ -413,6 +413,10 @@ TEST(ServeServerIdempotencyTest, SeqNumberedResendsAreDroppedNotReapplied) {
     EXPECT_NE(reply.find("dup"), std::string::npos) << reply;
   }
   std::string reply;
+  // INGEST acks on enqueue. SNAPSHOT-QUALITY rides the decision queue behind
+  // every edge queued before it, so once it replies STATS reads the applied
+  // total rather than a mid-drain count.
+  ASSERT_TRUE(client.Roundtrip("SNAPSHOT-QUALITY", &reply, &error)) << error;
   ASSERT_TRUE(client.Roundtrip("STATS", &reply, &error)) << error;
   EXPECT_NE(reply.find("edges=" + std::to_string(resend_to)),
             std::string::npos)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "graph/pattern_graph.h"
 #include "signature/label_values.h"
@@ -165,6 +167,65 @@ TEST_F(CalculatorTest, IncrementalMatchesFullRecompute) {
   // Adding edge (b,c): b reaches degree 2, c degree 1.
   FactorDelta delta = calc_.FactorsForEdgeAddition(1, 2, 2, 1);
   EXPECT_EQ(base.Extended(delta), calc_.ComputeSignature(abc));
+}
+
+// FactorsForEdgeAddition computes its triple without division; it must
+// equal the `%` definition {EdgeFactor, DegreeFactor(u), DegreeFactor(v)}
+// for every label-value pair of the field and for any uint32 degree (the
+// degree residue takes a `%` fallback once r(l) + degree >= 2p).
+TEST(FactorsForEdgeAdditionTest, EqualsModDefinitionForAllValuesAndDegrees) {
+  for (const uint32_t p : {2u, 3u, 251u, 4294967291u}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    // LabelValues draws r(l) at random from [1, p): for the small primes,
+    // draw enough labels to hold every value and keep one label per value;
+    // for the large prime, a sample of labels.
+    const bool exhaustive = p <= 251;
+    LabelValues values(exhaustive ? 20 * size_t{p} : 64, p, 7);
+    SignatureCalculator calc(&values);
+    std::vector<LabelId> labels;
+    std::vector<bool> seen(exhaustive ? p : 0, false);
+    for (LabelId l = 0; l < values.num_labels(); ++l) {
+      if (!exhaustive) {
+        labels.push_back(l);
+      } else if (!seen[values.Value(l)]) {
+        seen[values.Value(l)] = true;
+        labels.push_back(l);
+      }
+    }
+    if (exhaustive) {
+      ASSERT_EQ(labels.size(), p - 1) << "a value is missing";
+    }
+
+    auto check = [&](LabelId lu, uint32_t du, LabelId lv, uint32_t dv) {
+      const FactorDelta want = {calc.EdgeFactor(lu, lv),
+                                calc.DegreeFactor(lu, du),
+                                calc.DegreeFactor(lv, dv)};
+      return calc.FactorsForEdgeAddition(lu, du, lv, dv) == want;
+    };
+    for (LabelId a : labels) {
+      for (LabelId b : labels) {
+        for (uint32_t d = 1; d <= 3; ++d) {
+          ASSERT_TRUE(check(a, d, b, 1))
+              << "r=" << values.Value(a) << "," << values.Value(b);
+        }
+      }
+    }
+    // Degree sweep: both sides of r + degree == p and == 2p (where the
+    // one-subtract path hands over to `%`), then up to 2^32 - 1.
+    for (LabelId a : labels) {
+      const uint64_t r = values.Value(a);
+      const uint64_t p64 = p;
+      for (const uint64_t d :
+           {uint64_t{0}, uint64_t{1}, p64 - r - 1, p64 - r, p64 - r + 1,
+            2 * p64 - r - 1, 2 * p64 - r, 2 * p64 - r + 1, uint64_t{65535},
+            uint64_t{1} << 20, uint64_t{0x7FFFFFFF}, uint64_t{0xFFFFFFFF}}) {
+        if (d > UINT32_MAX) continue;
+        const uint32_t deg = static_cast<uint32_t>(d);
+        ASSERT_TRUE(check(a, deg, labels.front(), deg))
+            << "r=" << values.Value(a) << " degree=" << deg;
+      }
+    }
+  }
 }
 
 TEST_F(CalculatorTest, StreamEdgeSignatureMatchesPatternSignature) {

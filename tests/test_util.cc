@@ -54,15 +54,6 @@ Quality QualityOf(const partition::Partitioner& p,
   return q;
 }
 
-void ForEachSimdLevel(const std::function<void(util::simd::Level)>& fn) {
-  const util::simd::Level saved = util::simd::ActiveLevel();
-  for (util::simd::Level level : util::simd::SupportedLevels()) {
-    util::simd::SetActiveLevel(level);
-    fn(level);
-  }
-  util::simd::SetActiveLevel(saved);
-}
-
 Quality DriveSpec(std::string_view spec, const datasets::Dataset& ds,
                   const engine::EngineOptions& options,
                   stream::StreamOrder order, uint64_t stream_seed,

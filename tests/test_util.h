@@ -4,15 +4,14 @@
 // EngineOptions from a dataset, build a backend through the registry,
 // stream the dataset through it, and compare the golden quality triple
 // (assignment hash, edge-cut, imbalance). Those steps are the definition
-// of "bit-identical partitioning" used by the differential suites (SIMD,
-// adjacency, batch-split), the contract suite and the bench smoke
+// of "bit-identical partitioning" used by the differential suites
+// (adjacency, batch-split), the contract suite and the bench smoke
 // baseline — so they live here, once.
 
 #ifndef LOOM_TESTS_TEST_UTIL_H_
 #define LOOM_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -22,7 +21,6 @@
 #include "engine/engine.h"
 #include "partition/partitioner.h"
 #include "stream/edge_stream.h"
-#include "util/simd.h"
 
 namespace loom {
 namespace test_util {
@@ -59,12 +57,6 @@ std::ostream& operator<<(std::ostream& os, const Quality& q);
 
 /// Measures `p`'s finished partitioning against `ds`.
 Quality QualityOf(const partition::Partitioner& p, const datasets::Dataset& ds);
-
-/// Runs `fn` once per util::simd level this CPU supports (scalar always
-/// included), installing the level before and restoring the previous active
-/// level after. The SIMD differential suites wrap whole backend runs in
-/// this: every level must produce byte-identical partitioning.
-void ForEachSimdLevel(const std::function<void(util::simd::Level)>& fn);
 
 /// One differential leg: builds `spec`, drives `ds` end to end through
 /// engine::Drive (pull path) in `batch_size` batches over a fresh lazy

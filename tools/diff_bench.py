@@ -32,7 +32,7 @@ KNOWN_SECTIONS = (
 )
 
 # Timing-only sections: present in the files, deliberately not diffed.
-IGNORED_SECTIONS = ("window_ops", "simd_kernels")
+IGNORED_SECTIONS = ("window_ops",)
 
 # Deterministic quality fields, exact-compared when present in EITHER
 # record (so a field disappearing is drift too).

@@ -29,10 +29,7 @@
 # `bench_smoke` test (table2_throughput --smoke vs the committed
 # BENCH_smoke.json) and the multi-source differential via
 # `file_stream_smoke_test` (every backend, RAM vs binary file vs text
-# file vs lazy generator source). The JSON also carries a timing-only
-# `simd_kernels` section (util::simd ns/op, scalar vs active dispatch
-# level); force a level for the whole run with LOOM_SIMD=scalar|sse2|avx2
-# (quality must not move — the SIMD differential suites enforce it).
+# file vs lazy generator source).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
