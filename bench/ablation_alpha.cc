@@ -19,13 +19,12 @@ int main() {
 
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, bench::BenchScale());
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
 
   eval::ExperimentConfig base;
   base.window_size = bench::BenchWindow();
   eval::SystemResult fennel =
-      eval::RunSystem(eval::System::kFennel, ds, es, base);
+      eval::RunSystem(eval::System::kFennel, ds, *source, base);
   std::cout << "dataset " << ds.meta.name
             << ", fennel ipt = " << util::TableWriter::Fmt(fennel.weighted_ipt, 0)
             << "\n\n";
@@ -35,7 +34,8 @@ int main() {
     for (double alpha : {1.0 / 6, 1.0 / 3, 0.5, 2.0 / 3, 5.0 / 6, 1.0}) {
       eval::ExperimentConfig cfg = base;
       cfg.alpha = alpha;
-      eval::SystemResult r = eval::RunSystem(eval::System::kLoom, ds, es, cfg);
+      eval::SystemResult r =
+          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
       t.AddRow({util::TableWriter::Fmt(alpha, 3),
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt),
@@ -51,7 +51,8 @@ int main() {
     for (bool disable : {false, true}) {
       eval::ExperimentConfig cfg = base;
       cfg.disable_rationing = disable;
-      eval::SystemResult r = eval::RunSystem(eval::System::kLoom, ds, es, cfg);
+      eval::SystemResult r =
+          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
       t.AddRow({disable ? "greedy (no rationing)" : "rationed (paper)",
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt),
@@ -67,7 +68,8 @@ int main() {
     for (double beta : {0.0, 0.1, 0.25, 0.5, 1.0}) {
       eval::ExperimentConfig cfg = base;
       cfg.neighbor_bid_weight = beta;
-      eval::SystemResult r = eval::RunSystem(eval::System::kLoom, ds, es, cfg);
+      eval::SystemResult r =
+          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
       t.AddRow({util::TableWriter::Fmt(beta, 2),
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt)});

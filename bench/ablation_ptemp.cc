@@ -20,8 +20,9 @@ int main() {
 
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, bench::BenchScale());
-  const stream::EdgeStream es = stream::MakeStream(
+  const std::vector<graph::EdgeId> order = stream::EdgeOrderFor(
       ds.graph, stream::StreamOrder::kRandom, /*seed=*/0x10c5);
+  engine::GraphEdgeSource source(ds.graph, order);
 
   util::TableWriter t({"window t", "midstream ipt (with Ptemp)",
                        "avg Ptemp share", "end-of-stream ipt"});
@@ -32,7 +33,7 @@ int main() {
     options.expected_edges = ds.NumEdges();
     options.window_size = window;
 
-    eval::MidstreamResult mid = eval::RunLoomMidstream(ds, es, options);
+    eval::MidstreamResult mid = eval::RunLoomMidstream(ds, order, options);
     double ptemp_share = 0.0;
     for (const auto& cp : mid.checkpoints) ptemp_share += cp.ptemp_share;
     if (!mid.checkpoints.empty()) ptemp_share /= mid.checkpoints.size();
@@ -40,7 +41,8 @@ int main() {
     eval::ExperimentConfig cfg;
     cfg.order = stream::StreamOrder::kRandom;
     cfg.window_size = window;
-    eval::SystemResult end = eval::RunSystem(eval::System::kLoom, ds, es, cfg);
+    eval::SystemResult end =
+        eval::RunSystem(eval::System::kLoom, ds, source, cfg);
 
     t.AddRow({std::to_string(window),
               util::TableWriter::Fmt(mid.mean_weighted_ipt, 0),

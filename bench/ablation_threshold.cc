@@ -18,19 +18,20 @@ int main() {
 
   for (auto id : {datasets::DatasetId::kProvGen, datasets::DatasetId::kDblp}) {
     datasets::Dataset ds = datasets::MakeDataset(id, bench::BenchScale());
-    const stream::EdgeStream es =
-        stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+    auto source =
+        engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
 
     eval::ExperimentConfig base;
     base.window_size = bench::BenchWindow();
     eval::SystemResult fennel =
-        eval::RunSystem(eval::System::kFennel, ds, es, base);
+        eval::RunSystem(eval::System::kFennel, ds, *source, base);
 
     util::TableWriter t({"T", "loom ipt", "vs fennel", "partition ms/10k"});
     for (double threshold : thresholds) {
       eval::ExperimentConfig cfg = base;
       cfg.support_threshold = threshold;
-      eval::SystemResult r = eval::RunSystem(eval::System::kLoom, ds, es, cfg);
+      eval::SystemResult r =
+          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
       t.AddRow({util::TableWriter::Pct(threshold, 0),
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt),

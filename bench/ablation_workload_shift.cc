@@ -41,7 +41,7 @@ query::Workload InitialWorkload(graph::LabelRegistry* reg) {
   return w;
 }
 
-double RunVariant(const datasets::Dataset& ds, const stream::EdgeStream& es,
+double RunVariant(const datasets::Dataset& ds, engine::EdgeSource& source,
                   const query::Workload& initial,
                   const query::Workload& final_w, bool adapt, bool oracle) {
   engine::EngineOptions options;
@@ -64,15 +64,15 @@ double RunVariant(const datasets::Dataset& ds, const stream::EdgeStream& es,
   // Step the session to the shift point, drift the workload, keep going.
   // Workload drift is a Loom-specific capability reached through the
   // session's backend() escape hatch; the run lifecycle stays Session's.
-  engine::EdgeStreamSource source(es);
-  const size_t half = es.size() / 2;
+  // Every variant replays the stream from the top.
+  source.Reset();
+  const size_t half = source.SizeHint() / 2;
   session->IngestSome(source, half);
   if (adapt) {
     auto* loom = dynamic_cast<core::LoomPartitioner*>(&session->backend());
     loom->UpdateWorkload(final_w, /*decay=*/0.2);
   }
-  session->IngestSome(source, es.size() - half);
-  session->Finish();
+  session->Run(source);
   query::ExecutorConfig ex;
   ex.max_seeds = 4000;
   return query::RunWorkload(ds.graph, session->partitioning(), final_w, ex)
@@ -87,20 +87,19 @@ int main() {
 
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, bench::BenchScale());
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
   // The post-shift workload is the dataset's canonical, derivation-dominant
   // one; the pre-shift workload is attribution-heavy.
   query::Workload initial_w = InitialWorkload(&ds.registry);
   query::Workload final_w = ds.workload;
 
   util::TableWriter t({"variant", "ipt on shifted workload"});
-  const double oracle =
-      RunVariant(ds, es, initial_w, final_w, /*adapt=*/false, /*oracle=*/true);
-  const double adaptive =
-      RunVariant(ds, es, initial_w, final_w, /*adapt=*/true, /*oracle=*/false);
-  const double stale =
-      RunVariant(ds, es, initial_w, final_w, /*adapt=*/false, /*oracle=*/false);
+  const double oracle = RunVariant(ds, *source, initial_w, final_w,
+                                  /*adapt=*/false, /*oracle=*/true);
+  const double adaptive = RunVariant(ds, *source, initial_w, final_w,
+                                    /*adapt=*/true, /*oracle=*/false);
+  const double stale = RunVariant(ds, *source, initial_w, final_w,
+                                 /*adapt=*/false, /*oracle=*/false);
   t.AddRow({"oracle (knew final Q)", util::TableWriter::Fmt(oracle, 0)});
   t.AddRow({"adaptive (UpdateWorkload at shift)",
             util::TableWriter::Fmt(adaptive, 0)});

@@ -22,14 +22,15 @@ int main() {
 
   for (auto id : datasets::QueryableDatasets()) {
     datasets::Dataset ds = datasets::MakeDataset(id, bench::BenchScale());
-    const stream::EdgeStream es = stream::MakeStream(
-        ds.graph, stream::StreamOrder::kRandom, /*seed=*/0x10c5);
+    auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kRandom,
+                                         /*seed=*/0x10c5);
     std::vector<std::string> row = {ds.meta.name};
     for (size_t w : windows) {
       eval::ExperimentConfig cfg;
       cfg.order = stream::StreamOrder::kRandom;
       cfg.window_size = w;
-      eval::SystemResult r = eval::RunSystem(eval::System::kLoom, ds, es, cfg);
+      eval::SystemResult r =
+          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
       row.push_back(util::TableWriter::Fmt(r.weighted_ipt, 0));
     }
     t.AddRow(std::move(row));

@@ -39,7 +39,7 @@
 
 #include "bench_common.h"
 #include "datasets/dataset_registry.h"
-#include "engine/engine.h"
+#include "engine/session.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
 #include "io/edge_stream_io.h"
@@ -155,33 +155,33 @@ bool RunSmokeSpec(const std::string& spec, const datasets::Dataset& ds,
   options.expected_vertices = ds.NumVertices();
   options.expected_edges = ds.NumEdges();
   options.window_size = 1000;
+  engine::SessionConfig config;
+  config.spec = spec;
+  config.options = options;
   std::string error;
-  auto p = engine::BuildPartitioner(
-      spec, options, {&ds.workload, ds.registry.size()}, &error);
-  if (p == nullptr) {
+  auto session = engine::Session::Create(
+      config, {&ds.workload, ds.registry.size()}, &error);
+  if (session == nullptr) {
     std::cerr << "smoke: building '" << spec << "' failed: " << error << "\n";
     return false;
   }
   auto source =
       engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst, 0x10c5);
-  engine::Drive(p.get(), source.get());
-  out->assignment_hash =
-      eval::HashAssignment(p->partitioning(), ds.NumVertices());
-  out->edge_cut = partition::EdgeCut(ds.graph, p->partitioning());
-  out->imbalance = partition::Imbalance(p->partitioning());
-  engine::FinalStatsEvent stats;
-  p->FillFinalStats(&stats);
-  const uint64_t edge_assignments = stats.Get("edge_assignments");
+  const engine::RunReport report = session->Run(*source);
+  const partition::Partitioning& p = session->partitioning();
+  out->assignment_hash = eval::HashAssignment(p, ds.NumVertices());
+  out->edge_cut = partition::EdgeCut(ds.graph, p);
+  out->imbalance = partition::Imbalance(p);
+  const uint64_t edge_assignments = report.Stat("edge_assignments");
   if (edge_assignments > 0) {
-    const uint64_t vertices_seen = stats.Get("vertices_seen");
+    const uint64_t vertices_seen = report.Stat("vertices_seen");
     out->replication_factor =
-        vertices_seen > 0 ? static_cast<double>(stats.Get("replica_total")) /
+        vertices_seen > 0 ? static_cast<double>(report.Stat("replica_total")) /
                                 static_cast<double>(vertices_seen)
                           : 0.0;
-    out->edge_balance = static_cast<double>(stats.Get("max_part_edges")) *
-                        p->partitioning().k() /
-                        static_cast<double>(edge_assignments);
-    out->edge_assignment_hash = stats.Get("edge_assignment_hash");
+    out->edge_balance = static_cast<double>(report.Stat("max_part_edges")) *
+                        p.k() / static_cast<double>(edge_assignments);
+    out->edge_assignment_hash = report.Stat("edge_assignment_hash");
   }
   return true;
 }

@@ -88,11 +88,6 @@ void LoomPartitioner::EnsureLabelSpace(graph::LabelId max_label) {
   motif_label_.assign(mask.begin(), mask.end());
 }
 
-void LoomPartitioner::Ingest(const stream::StreamEdge& e) {
-  EnsureLabelSpace(std::max(e.label_u, e.label_v));
-  IngestWithAdmission(e, matcher_->SingleEdgeMotif(e) != nullptr);
-}
-
 void LoomPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
   graph::LabelId max_label = 0;
   for (const stream::StreamEdge& e : batch) {

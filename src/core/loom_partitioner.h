@@ -75,11 +75,10 @@ class LoomPartitioner : public partition::Partitioner {
   LoomPartitioner(const LoomOptions& options, const query::Workload& workload,
                   size_t num_labels);
 
-  void Ingest(const stream::StreamEdge& e) override;
-  /// Batch entry point: hoists the admission-mask probe (memoised per label
-  /// pair) for the whole batch before running the per-edge pipeline, so the
-  /// admission memo is walked in one tight pass. Results are bit-identical
-  /// to per-edge Ingest.
+  /// Hoists the admission-mask probe (memoised per label pair) for the
+  /// whole batch before running the per-edge pipeline, so the admission
+  /// memo is walked in one tight pass. Results are bit-identical for every
+  /// batch split.
   void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   void Finalize() override;
   void FillProgress(engine::ProgressEvent* progress) const override;
@@ -91,7 +90,7 @@ class LoomPartitioner : public partition::Partitioner {
   /// `decay` of their mass and mixes in `workload` (normalised) with weight
   /// 1-decay. Motif status, the admission mask and allocation supports all
   /// shift accordingly; matches already in flight are unaffected. Call
-  /// between Ingest()s at any time.
+  /// between IngestBatch()es at any time.
   void UpdateWorkload(const query::Workload& workload, double decay = 0.5);
   const partition::Partitioning& partitioning() const override {
     return partitioning_;
@@ -118,7 +117,7 @@ class LoomPartitioner : public partition::Partitioner {
   size_t WindowSize() const { return window_.size(); }
 
  private:
-  /// Shared Ingest body with the admission test hoisted out (the batch path
+  /// Per-edge pipeline with the admission test hoisted out (IngestBatch
   /// precomputes it).
   void IngestWithAdmission(const stream::StreamEdge& e, bool admitted);
 

@@ -1,5 +1,6 @@
 #include "engine/edge_source.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -52,12 +53,11 @@ size_t GraphEdgeSource::NextBatch(std::span<stream::StreamEdge> out) {
   return produced;
 }
 
-size_t EdgeStreamSource::NextBatch(std::span<stream::StreamEdge> out) {
-  size_t produced = 0;
-  while (produced < out.size() && pos_ < es_.size()) {
-    out[produced++] = es_[pos_++];
-  }
-  return produced;
+size_t SpanEdgeSource::NextBatch(std::span<stream::StreamEdge> out) {
+  const size_t n = std::min(out.size(), edges_.size() - pos_);
+  std::copy_n(edges_.begin() + static_cast<ptrdiff_t>(pos_), n, out.begin());
+  pos_ += n;
+  return n;
 }
 
 std::unique_ptr<EdgeSource> MakeEdgeSource(const graph::LabeledGraph& graph,

@@ -1,25 +1,27 @@
 // Pull-based edge sources: the engine's ingest abstraction.
 //
 // The paper views an online graph as a possibly-infinite sequence of edge
-// additions (Sec. 1.3); materialising that sequence as a std::vector (the
-// old stream::EdgeStream-everywhere idiom) caps every experiment at
-// streams that fit in RAM and bakes "replay a vector" into every caller.
-// EdgeSource inverts the dependency: the engine *pulls* batches of
-// StreamEdges from a source, so a source can synthesise edges lazily
-// (generator-backed datasets), walk an in-memory graph in a chosen arrival
-// order without copying it, or — later — read from a socket or file tail.
+// additions (Sec. 1.3); materialising that sequence as a std::vector caps
+// every experiment at streams that fit in RAM and bakes "replay a vector"
+// into every caller. EdgeSource inverts the dependency: the engine *pulls*
+// batches of StreamEdges from a source, so a source can synthesise edges
+// lazily (generator-backed datasets), walk an in-memory graph in a chosen
+// arrival order without copying it, or read from a file.
 //
 // Adapters provided here:
 //   * GraphEdgeSource      — lazily streams a LabeledGraph in a given edge
 //                            order (BFS/DFS/random shuffles included); only
 //                            the order permutation is materialised, not the
 //                            labelled StreamEdge records.
-//   * EdgeStreamSource     — wraps an already-materialised EdgeStream
-//                            (bridge for the existing eval/bench plumbing).
+//   * SpanEdgeSource       — replays StreamEdges already in memory (serve's
+//                            decision thread, test fixtures) verbatim.
 //   * MakeEdgeSource       — convenience: dataset or graph + StreamOrder.
 //
-// Sources are replayable via Reset() so one source can feed the four
-// compared systems identical streams.
+// Elsewhere: io::FileEdgeSource (stream files) and
+// engine::GeneratorEdgeSource (lazy dataset generators).
+//
+// Sources are replayable via Reset() so one source can feed every compared
+// system identical streams.
 
 #ifndef LOOM_ENGINE_EDGE_SOURCE_H_
 #define LOOM_ENGINE_EDGE_SOURCE_H_
@@ -30,7 +32,7 @@
 
 #include "datasets/schema.h"
 #include "graph/labeled_graph.h"
-#include "stream/edge_stream.h"
+#include "stream/stream_edge.h"
 #include "stream/stream_order.h"
 
 namespace loom {
@@ -76,19 +78,20 @@ class GraphEdgeSource : public EdgeSource {
   size_t pos_ = 0;
 };
 
-/// Bridges an already-materialised EdgeStream (which many tests and the
-/// replay-heavy benches still build) into the pull interface. The stream
-/// must outlive the source.
-class EdgeStreamSource : public EdgeSource {
+/// Replays StreamEdges already held in memory, verbatim: ids and labels
+/// are whatever the span holds (serve's decision thread stamps stream ids
+/// before handing edges over). The span's storage must outlive the source.
+class SpanEdgeSource : public EdgeSource {
  public:
-  explicit EdgeStreamSource(const stream::EdgeStream& es) : es_(es) {}
+  explicit SpanEdgeSource(std::span<const stream::StreamEdge> edges)
+      : edges_(edges) {}
 
   size_t NextBatch(std::span<stream::StreamEdge> out) override;
-  size_t SizeHint() const override { return es_.size(); }
+  size_t SizeHint() const override { return edges_.size(); }
   void Reset() override { pos_ = 0; }
 
  private:
-  const stream::EdgeStream& es_;
+  std::span<const stream::StreamEdge> edges_;
   size_t pos_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <algorithm>
-
 #include "core/loom_partitioner.h"
 #include "partition/edge/dbh_partitioner.h"
 #include "partition/edge/hdrf_partitioner.h"
@@ -10,7 +8,6 @@
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace loom {
 namespace engine {
@@ -158,66 +155,6 @@ std::unique_ptr<partition::Partitioner> BuildPartitioner(
   if (!base.ApplyOverrides(parsed.overrides, error)) return nullptr;
   return PartitionerRegistry::Global().Create(parsed.name, base, context,
                                               error);
-}
-
-DriveResult Drive(partition::Partitioner* partitioner, EdgeSource* source,
-                  EngineObserver* observer, const DriveConfig& config) {
-  DriveResult result;
-  EngineObserver* previous = partitioner->observer();
-  if (observer != nullptr) partitioner->SetObserver(observer);
-  // Progress goes to whoever is subscribed: the drive's own observer, or
-  // one the caller attached via SetObserver beforehand.
-  EngineObserver* progress_to =
-      observer != nullptr ? observer : previous;
-
-  std::vector<stream::StreamEdge> batch(std::max<size_t>(config.batch_size, 1));
-  size_t next_progress =
-      config.progress_interval > 0 ? config.progress_interval : 0;
-
-  auto emit_progress = [&](bool finalizing) {
-    ProgressEvent p;
-    // Default to this drive's count; backends that track lifetime totals
-    // (Loom) override it in FillProgress so the event stays internally
-    // consistent across resumed drives (Finalize is a checkpoint).
-    p.edges_ingested = result.edges;
-    p.finalizing = finalizing;
-    partitioner->FillProgress(&p);
-    progress_to->OnProgress(p);
-  };
-
-  util::Timer timer;
-  for (;;) {
-    const size_t n = source->NextBatch(batch);
-    if (n == 0) break;
-    util::Timer batch_timer;
-    partitioner->IngestBatch(std::span<const stream::StreamEdge>(
-        batch.data(), n));
-    if (progress_to != nullptr) {
-      progress_to->OnBatch(
-          {n, static_cast<uint64_t>(batch_timer.ElapsedMs() * 1e6)});
-    }
-    result.edges += n;
-    if (next_progress != 0 && result.edges >= next_progress &&
-        progress_to != nullptr) {
-      next_progress += config.progress_interval;
-      emit_progress(/*finalizing=*/false);
-    }
-  }
-  if (config.finalize) partitioner->Finalize();
-  result.ms = timer.ElapsedMs();
-
-  if (progress_to != nullptr) {
-    emit_progress(/*finalizing=*/true);
-    if (config.finalize) {
-      // The run is complete: hand subscribers the backend's deterministic
-      // end-of-run counters (empty for backends that report none).
-      FinalStatsEvent final_stats;
-      partitioner->FillFinalStats(&final_stats);
-      progress_to->OnFinalStats(final_stats);
-    }
-  }
-  if (observer != nullptr) partitioner->SetObserver(previous);
-  return result;
 }
 
 }  // namespace engine

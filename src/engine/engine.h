@@ -3,7 +3,7 @@
 //
 // The paper's contribution is a *family* of streaming partitioners compared
 // uniformly across workloads and stream orders; this layer makes the code
-// match that shape. Instead of four hand-rolled constructors (and one-off
+// match that shape. Instead of hand-rolled constructors (and one-off
 // LoomOptions/PartitionerConfig assembly in every tool, bench and example),
 // callers:
 //
@@ -12,10 +12,12 @@
 //   engine::BuildContext ctx{&workload, num_labels};
 //   auto p = engine::PartitionerRegistry::Global().Create("loom", opts, ctx,
 //                                                         &err);
-//   auto src = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-//   engine::Drive(p.get(), src.get(), &observer);   // batched pull ingest
 //
-// Registered backends: "hash", "ldg", "fennel", "loom" (and anything a
+// and every run then goes through engine::Session (session.h), which pulls
+// an EdgeSource into the backend's IngestBatch.
+//
+// Registered backends: the vertex partitioners "hash", "ldg", "fennel",
+// "loom" and the edge partitioners "hdrf", "dbh", "hep" (and anything a
 // client registers at runtime — multi-backend experiments plug in here).
 // One-string construction ("loom:window_size=4000,alpha=0.5") is provided
 // for CLIs and bench configs via BuildPartitioner/ParseBackendSpec.
@@ -47,7 +49,7 @@ struct BuildContext {
   size_t num_labels = 0;
 };
 
-/// Name -> factory registry. The four paper systems are pre-registered;
+/// Name -> factory registry. The built-in backends are pre-registered;
 /// Register() adds experimental backends without touching any call site.
 class PartitionerRegistry {
  public:
@@ -96,29 +98,11 @@ std::unique_ptr<partition::Partitioner> BuildPartitioner(
     std::string_view spec, EngineOptions base, const BuildContext& context,
     std::string* error);
 
-// --------------------------------------------------------------- driving
-
+/// How engine::Session feeds a backend.
 struct DriveConfig {
   /// Edges pulled (and handed to IngestBatch) per iteration.
   size_t batch_size = 512;
-  /// Fire OnProgress roughly every this many edges (0 = only the final,
-  /// finalizing=true event).
-  size_t progress_interval = 1 << 16;
-  /// Call Finalize() when the source is exhausted.
-  bool finalize = true;
 };
-
-struct DriveResult {
-  size_t edges = 0;   // stream elements ingested
-  double ms = 0.0;    // wall time for ingest (+ finalize)
-};
-
-/// Pulls `source` dry through `partitioner` in batches, wiring `observer`
-/// (may be nullptr) into the partitioner for the duration of the drive and
-/// restoring the previous observer afterwards.
-DriveResult Drive(partition::Partitioner* partitioner, EdgeSource* source,
-                  EngineObserver* observer = nullptr,
-                  const DriveConfig& config = {});
 
 }  // namespace engine
 }  // namespace loom

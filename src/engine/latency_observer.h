@@ -1,10 +1,10 @@
 // Per-decision latency profiling over the engine's own event stream.
 //
 // ROADMAP item 5's last rung: regressions in the ingest hot path should be
-// visible per-decision, not only as end-to-end eps. engine::Drive and
-// Session::IngestSome fire a BatchEvent (edge count + wall ns) after every
-// IngestBatch call; this observer folds those into a lock-free log2
-// histogram of nanoseconds-per-edge. Each edge in a batch contributes one
+// visible per-decision, not only as end-to-end eps. Session::IngestSome
+// fires a BatchEvent (edge count + wall ns) after every IngestBatch call;
+// this observer folds those into a lock-free log2 histogram of
+// nanoseconds-per-edge. Each edge in a batch contributes one
 // sample at the batch's mean cost, so quantiles are per-DECISION (drive
 // with batch_size=1 for exact per-edge timing; the default batches trade
 // sample resolution for ingest speed, as everywhere else in the engine).

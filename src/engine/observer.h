@@ -73,13 +73,12 @@ struct ClusterDecisionEvent {
   bool used_fallback = false;
 };
 
-/// Periodic ingest progress (fired by engine::Drive at a coarse interval
-/// and once after Finalize with the final totals).
+/// End-of-run ingest progress, fired once by Session::Finish after
+/// Finalize.
 struct ProgressEvent {
-  /// Backends that track lifetime totals (Loom) report edges ingested
-  /// across their whole life — consistent with edges_bypassed even when a
-  /// stream resumes after a Finalize checkpoint; for stateless baselines
-  /// this is the current drive's count.
+  /// Stream elements ingested over the session's lifetime, edges ingested
+  /// before a checkpoint/resume included. Loom stamps its own lifetime
+  /// count (the same number), consistent with edges_bypassed.
   uint64_t edges_ingested = 0;
   /// Edges that failed the admission test and bypassed the window (always 0
   /// for the baseline backends, which buffer nothing).
@@ -89,10 +88,10 @@ struct ProgressEvent {
   bool finalizing = false;
 };
 
-/// One IngestBatch call completed. Fired by engine::Drive and
-/// Session::IngestSome after every batch handed to the backend, carrying
-/// the batch's wall time — the seam the per-decision latency profiler
-/// (engine::LatencyObserver) hangs off. Timing-dependent by nature, so
+/// One IngestBatch call completed. Fired by Session::IngestSome after
+/// every batch handed to the backend, carrying the batch's wall time — the
+/// seam the per-decision latency profiler (engine::LatencyObserver) hangs
+/// off. Timing-dependent by nature, so
 /// like ProgressEvent it is reporting-only: never part of partition state,
 /// never diffed by benches.
 struct BatchEvent {

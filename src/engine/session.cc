@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 
@@ -98,15 +99,8 @@ void Session::AddEdgeSink(io::EdgeAssignmentSink* sink) {
 }
 
 RunReport Session::Run(EdgeSource& source) {
-  // Drive with no drive-local observer: the session's fanout is already
-  // subscribed, so events (including the final progress + final stats)
-  // reach it through the standing subscription.
-  const DriveResult driven =
-      Drive(partitioner_.get(), &source, nullptr, config_.drive);
-  edges_ += driven.edges;
-  ms_ += driven.ms;
-  FlushSinks();
-  return MakeReport();
+  IngestSome(source, SIZE_MAX);
+  return Finish();
 }
 
 size_t Session::IngestSome(EdgeSource& source, size_t max_edges) {
@@ -135,8 +129,8 @@ RunReport Session::Finish() {
   partitioner_->Finalize();
   ms_ += timer.ElapsedMs();
 
-  // Mirror Drive's end-of-run tail for step-driven streams: a finalizing
-  // progress event with lifetime totals, then the final stats.
+  // The one end-of-run tail: a finalizing progress event with lifetime
+  // totals, then the final stats.
   ProgressEvent progress;
   progress.edges_ingested = edges_;
   progress.finalizing = true;

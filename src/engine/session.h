@@ -1,14 +1,13 @@
-// engine::Session — one object that owns a run's lifecycle.
+// engine::Session — one object that owns a run's lifecycle, and the only
+// ingest path.
 //
-// A "run" in this codebase used to be assembled by hand at every call
-// site: build a partitioner from a registry spec, wire an observer, pull
-// an EdgeSource dry through Drive, then reach into the backend for its
-// counters. Session binds all of it — a spec string, typed options, any
-// number of observers and assignment sinks — and hands back a RunReport
-// assembled PURELY from observer events: there is no backend-specific
-// getter anywhere in the report path (the FDB lesson: evaluate over the
-// engine's own event stream, not over privileged peeks into its
-// internals). The eval harness, tools and examples are all clients.
+// Session builds a partitioner from a registry spec, wires observers and
+// assignment sinks, pulls an EdgeSource into the backend's IngestBatch and
+// hands back a RunReport assembled PURELY from observer events: there is
+// no backend-specific getter anywhere in the report path (the FDB lesson:
+// evaluate over the engine's own event stream, not over privileged peeks
+// into its internals). The eval harness, tools and examples are all
+// clients.
 //
 //   engine::SessionConfig cfg;
 //   cfg.spec = "loom:window_size=4000";
@@ -21,7 +20,8 @@
 //
 // Streams need not end: IngestSome() drives a bounded number of edges (the
 // midstream checkpoint harness steps a stream this way) and Finish()
-// checkpoints whenever the caller chooses.
+// checkpoints whenever the caller chooses. Run() is exactly IngestSome()
+// to exhaustion followed by Finish().
 
 #ifndef LOOM_ENGINE_SESSION_H_
 #define LOOM_ENGINE_SESSION_H_
@@ -45,7 +45,7 @@ struct SessionConfig {
   std::string spec = "loom";
   /// Base options; the spec's inline overrides win on top.
   EngineOptions options;
-  /// Batch size / progress cadence for Run and IngestSome.
+  /// Batch size for Run and IngestSome.
   DriveConfig drive;
 };
 
@@ -116,9 +116,9 @@ class Session {
   /// restores them after the backend restores. Attach before Resume.
   void SetExtension(SessionExtension* extension) { extension_ = extension; }
 
-  /// Pulls `source` dry (batched), finalizes, flushes sinks and reports.
-  /// The source is consumed from its current position — Reset() it first
-  /// to replay from the top.
+  /// Pulls `source` dry (IngestSome), then Finish()es. The source is
+  /// consumed from its current position — Reset() it first to replay from
+  /// the top.
   RunReport Run(EdgeSource& source);
 
   /// Ingests up to `max_edges` from `source` without finalizing; returns
@@ -127,12 +127,9 @@ class Session {
   /// going — Finalize is never implied.
   size_t IngestSome(EdgeSource& source, size_t max_edges);
 
-  /// Checkpoints an IngestSome-driven stream: finalizes, fires the final
-  /// progress + final-stats events (with session-lifetime edge totals),
-  /// flushes sinks and reports. Run() does NOT route through here — its
-  /// end-of-run tail is engine::Drive's (which stamps drive-local counts
-  /// for backends without lifetime totals); both fire the same event kinds
-  /// in the same order.
+  /// Checkpoints the stream: finalizes, fires the final progress event
+  /// (edges_ingested = the session-lifetime count, resumed edges included)
+  /// and the final-stats event, flushes sinks and reports.
   RunReport Finish();
 
   /// Snapshots the whole run — session envelope (backend id, stream cursor,

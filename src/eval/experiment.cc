@@ -160,23 +160,9 @@ SystemResult RunSystem(System system, const datasets::Dataset& ds,
   return RunCommon(system, ds, source, config, /*run_queries=*/true);
 }
 
-SystemResult RunSystem(System system, const datasets::Dataset& ds,
-                       const stream::EdgeStream& es,
-                       const ExperimentConfig& config) {
-  engine::EdgeStreamSource source(es);
-  return RunCommon(system, ds, source, config, /*run_queries=*/true);
-}
-
 SystemResult RunSystemTimingOnly(System system, const datasets::Dataset& ds,
                                  engine::EdgeSource& source,
                                  const ExperimentConfig& config) {
-  return RunCommon(system, ds, source, config, /*run_queries=*/false);
-}
-
-SystemResult RunSystemTimingOnly(System system, const datasets::Dataset& ds,
-                                 const stream::EdgeStream& es,
-                                 const ExperimentConfig& config) {
-  engine::EdgeStreamSource source(es);
   return RunCommon(system, ds, source, config, /*run_queries=*/false);
 }
 

@@ -121,11 +121,6 @@ SystemResult RunSystem(System system, const datasets::Dataset& ds,
                        engine::EdgeSource& source,
                        const ExperimentConfig& config);
 
-/// Bridge overload for call sites holding a materialised EdgeStream.
-SystemResult RunSystem(System system, const datasets::Dataset& ds,
-                       const stream::EdgeStream& es,
-                       const ExperimentConfig& config);
-
 /// Runs all four systems over the same (replayed) stream and fills
 /// ipt_vs_hash. Streams lazily via engine::MakeEdgeSource — the edge
 /// sequence is never materialised.
@@ -136,9 +131,6 @@ ComparisonResult RunComparison(const datasets::Dataset& ds,
 /// used by Table 2 where LUBM-4000 is partitioned but never queried.
 SystemResult RunSystemTimingOnly(System system, const datasets::Dataset& ds,
                                  engine::EdgeSource& source,
-                                 const ExperimentConfig& config);
-SystemResult RunSystemTimingOnly(System system, const datasets::Dataset& ds,
-                                 const stream::EdgeStream& es,
                                  const ExperimentConfig& config);
 
 /// Registry-spec variant: times any registered backend, e.g.

@@ -14,13 +14,15 @@ namespace {
 // Prefix graph over the first `count` stream edges, preserving vertex ids
 // and labels of the full graph (untouched vertices are isolated).
 graph::LabeledGraph PrefixGraph(const datasets::Dataset& ds,
-                                const stream::EdgeStream& es, size_t count) {
+                                const std::vector<graph::EdgeId>& order,
+                                size_t count) {
   graph::LabeledGraph::Builder b;
   for (graph::VertexId v = 0; v < ds.NumVertices(); ++v) {
     b.AddVertex(ds.graph.label(v));
   }
-  for (size_t i = 0; i < count && i < es.size(); ++i) {
-    b.AddEdge(es[i].u, es[i].v);
+  for (size_t i = 0; i < count && i < order.size(); ++i) {
+    const graph::Edge& e = ds.graph.edge(order[i]);
+    b.AddEdge(e.u, e.v);
   }
   return b.Build();
 }
@@ -49,11 +51,11 @@ partition::Partitioning WithPtemp(const partition::Partitioning& p,
 }  // namespace
 
 MidstreamResult RunLoomMidstream(const datasets::Dataset& ds,
-                                 const stream::EdgeStream& es,
+                                 const std::vector<graph::EdgeId>& order,
                                  const engine::EngineOptions& options,
                                  const MidstreamConfig& config) {
   MidstreamResult result;
-  if (es.empty() || config.num_checkpoints == 0) return result;
+  if (order.empty() || config.num_checkpoints == 0) return result;
 
   // Step a Session up to each checkpoint (IngestSome never finalizes — the
   // window must stay populated, that is the point of this harness) and
@@ -69,21 +71,20 @@ MidstreamResult RunLoomMidstream(const datasets::Dataset& ds,
     // partitioning — surface the configuration failure instead.
     throw std::runtime_error("midstream: building 'loom' failed: " + error);
   }
-  engine::EdgeStreamSource source(es);
-
-  const size_t stride =
-      std::max<size_t>(es.size() / config.num_checkpoints, 1);
+  engine::GraphEdgeSource source(ds.graph, order);
+  const size_t m = order.size();
+  const size_t stride = std::max<size_t>(m / config.num_checkpoints, 1);
 
   size_t streamed = 0;
-  while (streamed < es.size()) {
-    const size_t want = std::min(stride, es.size() - streamed);
+  while (streamed < m) {
+    const size_t want = std::min(stride, m - streamed);
     const size_t got = session->IngestSome(source, want);
     streamed += got;
     if (got == 0) break;  // source dry before the arithmetic says so
-    const bool at_end = streamed == es.size();
+    const bool at_end = streamed == m;
     const bool checkpoint_here = got == want || at_end;
     if (!checkpoint_here) continue;
-    graph::LabeledGraph prefix = PrefixGraph(ds, es, streamed);
+    graph::LabeledGraph prefix = PrefixGraph(ds, order, streamed);
     size_t in_ptemp = 0, touched = 0;
     partition::Partitioning view =
         WithPtemp(session->partitioning(), prefix, &in_ptemp, &touched);

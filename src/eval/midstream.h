@@ -18,7 +18,6 @@
 #include "datasets/schema.h"
 #include "engine/engine.h"
 #include "query/query_executor.h"
-#include "stream/edge_stream.h"
 
 namespace loom {
 namespace eval {
@@ -46,12 +45,13 @@ struct MidstreamResult {
   double mean_weighted_ipt = 0.0;
 };
 
-/// Steps `es` through a fresh "loom" engine::Session configured by
-/// `options` (IngestSome to each checkpoint — never finalizing, so Ptemp
+/// Streams `ds.graph` in `order` (a permutation of its edge ids, e.g.
+/// stream::EdgeOrderFor) through a fresh "loom" engine::Session configured
+/// by `options` (IngestSome to each checkpoint — never finalizing, so Ptemp
 /// stays populated), evaluating at checkpoints. `ds` supplies labels and
-/// the workload.
+/// the workload. An empty `order` yields no checkpoints.
 MidstreamResult RunLoomMidstream(const datasets::Dataset& ds,
-                                 const stream::EdgeStream& es,
+                                 const std::vector<graph::EdgeId>& order,
                                  const engine::EngineOptions& options,
                                  const MidstreamConfig& config = {});
 

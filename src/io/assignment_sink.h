@@ -74,9 +74,9 @@ class MemoryAssignmentSink : public AssignmentSink {
   std::vector<std::pair<graph::VertexId, graph::PartitionId>> assignments_;
 };
 
-/// Observer adapter: forwards OnAssign events into a sink. Session wires
-/// this up internally; standalone engine::Drive callers can attach one
-/// directly.
+/// Observer adapter: forwards OnAssign events into a sink. Session feeds
+/// its sinks through its own fan-out; a caller holding a bare partitioner
+/// can attach one with SetObserver.
 class AssignmentSinkObserver : public engine::EngineObserver {
  public:
   explicit AssignmentSinkObserver(AssignmentSink* sink) : sink_(sink) {}

@@ -42,30 +42,32 @@ void EdgePartitioner::AddReplica(graph::VertexId v, graph::PartitionId p) {
   if (!had_any) ++vertices_seen_;
 }
 
-void EdgePartitioner::Ingest(const stream::StreamEdge& e) {
-  EnsureVertex(e.u);
-  EnsureVertex(e.v);
-  // Partial degrees are bumped BEFORE scoring (the NuCut/Adwise HDRF
-  // convention): the edge being placed counts toward its own endpoints'
-  // degrees, so the very first edge sees δu = δv = 1/2.
-  ++degrees_[e.u];
-  if (e.v != e.u) ++degrees_[e.v];
+void EdgePartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
+  for (const stream::StreamEdge& e : batch) {
+    EnsureVertex(e.u);
+    EnsureVertex(e.v);
+    // Partial degrees are bumped BEFORE scoring (the NuCut/Adwise HDRF
+    // convention): the edge being placed counts toward its own endpoints'
+    // degrees, so the very first edge sees δu = δv = 1/2.
+    ++degrees_[e.u];
+    if (e.v != e.u) ++degrees_[e.v];
 
-  const graph::PartitionId p = PlaceEdge(e);
-  assert(p < k());
+    const graph::PartitionId p = PlaceEdge(e);
+    assert(p < k());
 
-  AddReplica(e.u, p);
-  if (e.v != e.u) AddReplica(e.v, p);
-  ++loads_[p];
-  ++edges_assigned_;
-  edge_hash_ = (edge_hash_ ^ p) * 0x100000001b3ULL;  // FNV-1a over placements
+    AddReplica(e.u, p);
+    if (e.v != e.u) AddReplica(e.v, p);
+    ++loads_[p];
+    ++edges_assigned_;
+    edge_hash_ = (edge_hash_ ^ p) * 0x100000001b3ULL;  // FNV-1a, placements
 
-  // Primary vertex placement: first replica part wins, routed through
-  // AssignAndNotify so OnAssign/sinks/eval see edge backends uniformly.
-  AssignAndNotify(&partitioning_, e.u, p);
-  if (e.v != e.u) AssignAndNotify(&partitioning_, e.v, p);
+    // Primary vertex placement: first replica part wins, routed through
+    // AssignAndNotify so OnAssign/sinks/eval see edge backends uniformly.
+    AssignAndNotify(&partitioning_, e.u, p);
+    if (e.v != e.u) AssignAndNotify(&partitioning_, e.v, p);
 
-  if (observer() != nullptr) observer()->OnEdgeAssign({e.id, e.u, e.v, p});
+    if (observer() != nullptr) observer()->OnEdgeAssign({e.id, e.u, e.v, p});
+  }
 }
 
 double EdgePartitioner::ReplicationFactor() const {
@@ -92,8 +94,8 @@ graph::PartitionId EdgePartitioner::HdrfGreedyPick(const stream::StreamEdge& e,
                                                    double lambda,
                                                    double epsilon,
                                                    double capacity) const {
-  // Partial degrees already include this edge (see Ingest): δu is u's share
-  // of the edge's combined streamed-so-far degree.
+  // Partial degrees already include this edge (see IngestBatch): δu is u's
+  // share of the edge's combined streamed-so-far degree.
   const double theta_u = PartialDegree(e.u);
   const double theta_v = PartialDegree(e.v);
   const double delta_u = theta_u / (theta_u + theta_v);

@@ -41,10 +41,10 @@ class EdgePartitioner : public Partitioner {
  public:
   explicit EdgePartitioner(const PartitionerConfig& config);
 
-  /// Updates partial degrees, asks the subclass for a placement, then
-  /// commits: replica sets, part load, edge hash, primary vertex placement
-  /// (AssignAndNotify) and the OnEdgeAssign observer event.
-  void Ingest(const stream::StreamEdge& e) final;
+  /// Per edge: updates partial degrees, asks the subclass for a placement,
+  /// then commits: replica sets, part load, edge hash, primary vertex
+  /// placement (AssignAndNotify) and the OnEdgeAssign observer event.
+  void IngestBatch(std::span<const stream::StreamEdge> batch) final;
 
   /// Edge partitioners buffer nothing; Finalize is a no-op (trivially
   /// idempotent and non-terminal, per the Partitioner contract).

@@ -111,7 +111,7 @@ graph::PartitionId HepPartitioner::ExpandCore(const stream::StreamEdge& e,
 }
 
 graph::PartitionId HepPartitioner::PlaceEdge(const stream::StreamEdge& e) {
-  // First-touch detection: Ingest already bumped partial degrees, so a
+  // First-touch detection: IngestBatch already bumped partial degrees, so a
   // degree of exactly 1 marks a vertex this stream never produced before
   // (a self-loop bumps its single slot once, so the same test holds).
   if (PartialDegree(e.u) == 1) ++touched_;

@@ -45,23 +45,21 @@ graph::PartitionId FennelPartitioner::ChooseFor(graph::VertexId v) const {
   return best == graph::kNoPartition ? partitioning_.LeastLoaded() : best;
 }
 
-void FennelPartitioner::Ingest(const stream::StreamEdge& e) {
-  seen_.TouchVertex(e.u, e.label_u);
-  seen_.TouchVertex(e.v, e.label_v);
-  // Place endpoints one at a time so the second sees the first (interpolated
-  // greedy handles both-new edges by clustering them together).
-  if (!partitioning_.IsAssigned(e.u)) {
-    // Let u "see" v through this edge when v is already placed.
+void FennelPartitioner::IngestBatch(
+    std::span<const stream::StreamEdge> batch) {
+  for (const stream::StreamEdge& e : batch) {
+    seen_.TouchVertex(e.u, e.label_u);
+    seen_.TouchVertex(e.v, e.label_v);
+    // Let u "see" v through this edge when v is already placed, then place
+    // endpoints one at a time so the second sees the first (interpolated
+    // greedy handles both-new edges by clustering them together).
     seen_.AddEdge(e.u, e.v);
-    AssignAndNotify(&partitioning_, e.u, ChooseFor(e.u));
+    if (!partitioning_.IsAssigned(e.u)) {
+      AssignAndNotify(&partitioning_, e.u, ChooseFor(e.u));
+    }
     if (!partitioning_.IsAssigned(e.v)) {
       AssignAndNotify(&partitioning_, e.v, ChooseFor(e.v));
     }
-    return;
-  }
-  seen_.AddEdge(e.u, e.v);
-  if (!partitioning_.IsAssigned(e.v)) {
-    AssignAndNotify(&partitioning_, e.v, ChooseFor(e.v));
   }
 }
 

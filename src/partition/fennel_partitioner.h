@@ -21,7 +21,7 @@ class FennelPartitioner : public Partitioner {
   explicit FennelPartitioner(const PartitionerConfig& config,
                              double gamma = 1.5);
 
-  void Ingest(const stream::StreamEdge& e) override;
+  void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   const Partitioning& partitioning() const override { return partitioning_; }
   std::string name() const override { return "fennel"; }
 

@@ -21,9 +21,11 @@ graph::PartitionId HashPartitioner::HashPlace(graph::VertexId v) const {
   return static_cast<graph::PartitionId>(MixVertex(v) % partitioning_.k());
 }
 
-void HashPartitioner::Ingest(const stream::StreamEdge& e) {
-  AssignAndNotify(&partitioning_, e.u, HashPlace(e.u));
-  AssignAndNotify(&partitioning_, e.v, HashPlace(e.v));
+void HashPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
+  for (const stream::StreamEdge& e : batch) {
+    AssignAndNotify(&partitioning_, e.u, HashPlace(e.u));
+    AssignAndNotify(&partitioning_, e.v, HashPlace(e.v));
+  }
 }
 
 }  // namespace partition

@@ -14,7 +14,7 @@ class HashPartitioner : public Partitioner {
  public:
   explicit HashPartitioner(const PartitionerConfig& config);
 
-  void Ingest(const stream::StreamEdge& e) override;
+  void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   const Partitioning& partitioning() const override { return partitioning_; }
   std::string name() const override { return "hash"; }
 

@@ -108,22 +108,24 @@ void LdgPartitioner::AssignVertex(graph::VertexId v, graph::PartitionId target) 
   hub_.OnAssign(v, actual, seen_);
 }
 
-void LdgPartitioner::Ingest(const stream::StreamEdge& e) {
-  seen_.TouchVertex(e.u, e.label_u);
-  seen_.TouchVertex(e.v, e.label_v);
-  // Record the edge before deciding: the stream element carries its own
-  // adjacency, so each endpoint sees the other.
-  seen_.AddEdge(e.u, e.v);
-  hub_.OnEdgeVisible(e.u, e.v, seen_, partitioning_);
+void LdgPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
+  for (const stream::StreamEdge& e : batch) {
+    seen_.TouchVertex(e.u, e.label_u);
+    seen_.TouchVertex(e.v, e.label_v);
+    // Record the edge before deciding: the stream element carries its own
+    // adjacency, so each endpoint sees the other.
+    seen_.AddEdge(e.u, e.v);
+    hub_.OnEdgeVisible(e.u, e.v, seen_, partitioning_);
 
-  // Place unassigned endpoints one at a time, each seeing the other.
-  if (!partitioning_.IsAssigned(e.u)) {
-    AssignVertex(e.u, LdgHeuristic::ChooseForVertex(e.u, seen_, partitioning_,
-                                                    &hub_));
-  }
-  if (!partitioning_.IsAssigned(e.v)) {
-    AssignVertex(e.v, LdgHeuristic::ChooseForVertex(e.v, seen_, partitioning_,
-                                                    &hub_));
+    // Place unassigned endpoints one at a time, each seeing the other.
+    if (!partitioning_.IsAssigned(e.u)) {
+      AssignVertex(e.u, LdgHeuristic::ChooseForVertex(e.u, seen_,
+                                                      partitioning_, &hub_));
+    }
+    if (!partitioning_.IsAssigned(e.v)) {
+      AssignVertex(e.v, LdgHeuristic::ChooseForVertex(e.v, seen_,
+                                                      partitioning_, &hub_));
+    }
   }
 }
 

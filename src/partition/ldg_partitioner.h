@@ -52,7 +52,7 @@ class LdgPartitioner : public Partitioner {
  public:
   explicit LdgPartitioner(const PartitionerConfig& config);
 
-  void Ingest(const stream::StreamEdge& e) override;
+  void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   const Partitioning& partitioning() const override { return partitioning_; }
   std::string name() const override { return "ldg"; }
 

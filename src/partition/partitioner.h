@@ -1,11 +1,13 @@
 // The common interface every streaming partitioner implements: consume a
-// stream of labelled edges (one at a time or in batches), finalize, expose
-// the resulting vertex partitioning, and report decisions to an optional
+// stream of labelled edges in batches, finalize, expose the resulting
+// vertex partitioning, and report decisions to an optional
 // engine::EngineObserver.
 //
 // Construction goes through engine::PartitionerRegistry ("hash", "ldg",
-// "fennel", "loom" + any user-registered backend) for everything outside
-// src/ internals and unit tests; see engine/engine.h.
+// "fennel", "loom", "hdrf", "dbh", "hep" + any user-registered backend)
+// for everything outside src/ internals and unit tests; see
+// engine/engine.h. Runs go through engine::Session, which pulls an
+// EdgeSource into IngestBatch.
 
 #ifndef LOOM_PARTITION_PARTITIONER_H_
 #define LOOM_PARTITION_PARTITIONER_H_
@@ -43,16 +45,15 @@ class Partitioner {
  public:
   virtual ~Partitioner() = default;
 
-  /// Consumes the next stream element.
-  virtual void Ingest(const stream::StreamEdge& e) = 0;
+  /// Consumes a batch of consecutive stream elements — the one ingest
+  /// entry point. How a stream is cut into batches never reaches the
+  /// output: any split is bit-identical to batches of one. Backends may
+  /// hoist batch-wide work (Loom probes the admission mask for the whole
+  /// batch up front).
+  virtual void IngestBatch(std::span<const stream::StreamEdge> batch) = 0;
 
-  /// Consumes a batch of consecutive stream elements. Semantically identical
-  /// to calling Ingest per edge (the default does exactly that); backends
-  /// override to hoist batch-wide work — Loom probes the admission mask for
-  /// the whole batch up front.
-  virtual void IngestBatch(std::span<const stream::StreamEdge> batch) {
-    for (const stream::StreamEdge& e : batch) Ingest(e);
-  }
+  /// Consumes the next stream element: a batch of one.
+  void Ingest(const stream::StreamEdge& e) { IngestBatch({&e, 1}); }
 
   /// Flushes buffered state (e.g. Loom's window) so partitioning() covers
   /// every vertex seen so far.
@@ -68,7 +69,7 @@ class Partitioner {
   /// The (possibly still partial, before Finalize) partitioning.
   virtual const Partitioning& partitioning() const = 0;
 
-  /// Short name for reports ("hash", "ldg", "fennel", "loom").
+  /// Short name for reports (the registry name: "hash", "loom", "hdrf", ...).
   virtual std::string name() const = 0;
 
   /// Subscribes `observer` to this partitioner's decision events (nullptr
@@ -77,15 +78,15 @@ class Partitioner {
   engine::EngineObserver* observer() const { return observer_; }
 
   /// Fills backend-specific ProgressEvent fields (bypassed edges, window
-  /// population); engine::Drive stamps edges_ingested and fires the event.
-  /// Baselines track nothing extra and keep the zeros.
+  /// population); Session::Finish stamps edges_ingested first and fires
+  /// the event. Baselines track nothing extra and keep the zeros.
   virtual void FillProgress(engine::ProgressEvent*) const {}
 
   /// Appends this backend's deterministic end-of-run counters (name ->
-  /// value, stable order) to `stats`; engine::Drive fires the event after
-  /// Finalize. Only values that are identical across reruns on fixed seeds
-  /// belong here — reports and bench baselines diff them. Baselines have
-  /// nothing to report.
+  /// value, stable order) to `stats`; Session::Finish fires the event
+  /// after Finalize. Only values that are identical across reruns on fixed
+  /// seeds belong here — reports and bench baselines diff them. Baselines
+  /// have nothing to report.
   virtual void FillFinalStats(engine::FinalStatsEvent*) const {}
 
   /// Writes everything this backend needs to resume the stream from the

@@ -20,29 +20,6 @@ namespace serve {
 
 namespace {
 
-/// EdgeSource over an already-stamped span: the decision thread assigns
-/// stream ids BEFORE handing edges to the session, so this source must
-/// never touch them.
-class SpanSource : public engine::EdgeSource {
- public:
-  explicit SpanSource(std::span<const stream::StreamEdge> edges)
-      : edges_(edges) {}
-
-  size_t NextBatch(std::span<stream::StreamEdge> out) override {
-    const size_t n = std::min(out.size(), edges_.size() - served_);
-    std::copy_n(edges_.begin() + static_cast<ptrdiff_t>(served_), n,
-                out.begin());
-    served_ += n;
-    return n;
-  }
-  size_t SizeHint() const override { return edges_.size(); }
-  void Reset() override { served_ = 0; }
-
- private:
-  std::span<const stream::StreamEdge> edges_;
-  size_t served_ = 0;
-};
-
 bool SendAll(int fd, std::string_view bytes) {
   while (!bytes.empty()) {
     const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
@@ -409,7 +386,7 @@ void Server::IngestRun(std::vector<stream::StreamEdge>* run) {
   const std::span<const stream::StreamEdge> span(run->data(), run->size());
   if (ingest_log_ != nullptr) ingest_log_->AppendBatch(span);
   for (const stream::StreamEdge& e : span) tracker_.AddEdge(e);
-  SpanSource source(span);
+  engine::SpanEdgeSource source(span);
   session_->IngestSome(source, run->size());
   PublishProgress();
   edges_since_checkpoint_ += run->size();

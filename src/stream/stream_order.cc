@@ -47,10 +47,5 @@ std::vector<graph::EdgeId> EdgeOrderFor(const graph::LabeledGraph& g,
   return {};
 }
 
-EdgeStream MakeStream(const graph::LabeledGraph& g, StreamOrder order,
-                      uint64_t seed) {
-  return EdgeStream(g, EdgeOrderFor(g, order, seed));
-}
-
 }  // namespace stream
 }  // namespace loom

@@ -4,11 +4,12 @@
 #ifndef LOOM_STREAM_STREAM_ORDER_H_
 #define LOOM_STREAM_STREAM_ORDER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "graph/labeled_graph.h"
-#include "stream/edge_stream.h"
 
 namespace loom {
 namespace stream {
@@ -31,15 +32,11 @@ bool ParseStreamOrder(std::string_view name, StreamOrder* out);
 
 /// The arrival permutation of g's edge ids under `order`. `seed` only
 /// matters for kRandom; BFS/DFS orders are fully determined by the graph.
-/// Single source of the order -> permutation mapping, shared by MakeStream
-/// and engine::MakeEdgeSource so their streams stay bit-identical.
+/// Single source of the order -> permutation mapping: engine::MakeEdgeSource
+/// and every caller that replays a graph by hand go through it.
 std::vector<graph::EdgeId> EdgeOrderFor(const graph::LabeledGraph& g,
                                         StreamOrder order,
                                         uint64_t seed = 0x10c5);
-
-/// Materialises a stream of `g` under `order`.
-EdgeStream MakeStream(const graph::LabeledGraph& g, StreamOrder order,
-                      uint64_t seed = 0x10c5);
 
 }  // namespace stream
 }  // namespace loom

@@ -105,8 +105,8 @@ TEST(AdjacencyEquivalenceTest, TinyPagesAndAggressiveHubCompose) {
 /// stay dense stream positions).
 std::vector<stream::StreamEdge> StreamWithSelfLoops(
     const datasets::Dataset& ds, size_t stride) {
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   std::vector<stream::StreamEdge> edges;
   edges.reserve(es.size() + es.size() / stride + 1);
   for (size_t i = 0; i < es.size(); ++i) {

@@ -200,14 +200,14 @@ class KillPointMatrixTest : public testing::TestWithParam<MatrixCase> {};
 TEST_P(KillPointMatrixTest, ResumeFinishesBitIdenticallyFromEveryKillPoint) {
   const MatrixCase& c = GetParam();
   const datasets::Dataset ds = datasets::MakeDataset(c.dataset, c.scale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const uint64_t m = es.size();
   ASSERT_GT(m, 12u);
 
   auto baseline_session = MustCreate(c.spec, ds);
   ASSERT_NE(baseline_session, nullptr);
-  engine::EdgeStreamSource baseline_source(es);
+  engine::SpanEdgeSource baseline_source(es);
   baseline_session->IngestSome(baseline_source, m);
   const RunOutcome baseline =
       Outcome(*baseline_session, baseline_session->Finish(), ds);
@@ -225,7 +225,7 @@ TEST_P(KillPointMatrixTest, ResumeFinishesBitIdenticallyFromEveryKillPoint) {
     {
       auto doomed = MustCreate(c.spec, ds);
       ASSERT_NE(doomed, nullptr) << label;
-      engine::EdgeStreamSource source(es);
+      engine::SpanEdgeSource source(es);
       ASSERT_EQ(doomed->IngestSome(source, b), b) << label;
       std::string error;
       ASSERT_TRUE(doomed->Checkpoint(path, &error)) << label << ": " << error;
@@ -237,7 +237,7 @@ TEST_P(KillPointMatrixTest, ResumeFinishesBitIdenticallyFromEveryKillPoint) {
     std::string error;
     ASSERT_TRUE(resumed->Resume(path, &error)) << label << ": " << error;
     EXPECT_EQ(resumed->edges_ingested(), b) << label;
-    engine::EdgeStreamSource source(es);
+    engine::SpanEdgeSource source(es);
     SkipEdges(source, b);
     resumed->IngestSome(source, m);
     ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
@@ -271,12 +271,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BaselineRecoveryTest, TableAndSeenGraphBackendsResumeIdentically) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const uint64_t m = es.size();
   for (const char* spec : {"hash", "ldg", "fennel"}) {
     auto baseline_session = MustCreate(spec, ds);
-    engine::EdgeStreamSource baseline_source(es);
+    engine::SpanEdgeSource baseline_source(es);
     baseline_session->IngestSome(baseline_source, m);
     const RunOutcome baseline =
         Outcome(*baseline_session, baseline_session->Finish(), ds);
@@ -284,7 +284,7 @@ TEST(BaselineRecoveryTest, TableAndSeenGraphBackendsResumeIdentically) {
     const std::string path = TempPath(std::string(spec) + ".loomck");
     {
       auto doomed = MustCreate(spec, ds);
-      engine::EdgeStreamSource source(es);
+      engine::SpanEdgeSource source(es);
       doomed->IngestSome(source, m / 2);
       std::string error;
       ASSERT_TRUE(doomed->Checkpoint(path, &error)) << spec << ": " << error;
@@ -292,7 +292,7 @@ TEST(BaselineRecoveryTest, TableAndSeenGraphBackendsResumeIdentically) {
     auto resumed = MustCreate(spec, ds);
     std::string error;
     ASSERT_TRUE(resumed->Resume(path, &error)) << spec << ": " << error;
-    engine::EdgeStreamSource source(es);
+    engine::SpanEdgeSource source(es);
     SkipEdges(source, m / 2);
     resumed->IngestSome(source, m);
     ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
@@ -311,15 +311,14 @@ TEST(BaselineRecoveryTest, TableAndSeenGraphBackendsResumeIdentically) {
 TEST(OpenAlphabetTest, LabelsBeyondTheCtorAlphabetGrowAndRecover) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
   const auto base_labels = static_cast<graph::LabelId>(ds.registry.size());
 
   // Rewrite a slice of the stream to carry labels the run has never seen —
   // starting early, so the grown state is behind the checkpoint too. Labels
   // are a per-vertex property, so the override must hold at every occurrence
   // of a relabelled vertex, not just the edge that introduced it.
-  std::vector<stream::StreamEdge> edges(es.begin(), es.end());
+  std::vector<stream::StreamEdge> edges =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   std::map<graph::VertexId, graph::LabelId> relabel;
   for (size_t i = 10; i < edges.size(); i += 7) {
     relabel.emplace(edges[i].u,
@@ -334,29 +333,10 @@ TEST(OpenAlphabetTest, LabelsBeyondTheCtorAlphabetGrowAndRecover) {
     }
   }
 
-  class VectorSource : public engine::EdgeSource {
-   public:
-    explicit VectorSource(const std::vector<stream::StreamEdge>& edges)
-        : edges_(&edges) {}
-    size_t NextBatch(std::span<stream::StreamEdge> out) override {
-      const size_t n = std::min(out.size(), edges_->size() - pos_);
-      std::copy_n(edges_->begin() + static_cast<ptrdiff_t>(pos_), n,
-                  out.begin());
-      pos_ += n;
-      return n;
-    }
-    size_t SizeHint() const override { return edges_->size(); }
-    void Reset() override { pos_ = 0; }
-
-   private:
-    const std::vector<stream::StreamEdge>* edges_;
-    size_t pos_ = 0;
-  };
-
   const uint64_t m = edges.size();
   auto baseline_session = MustCreate("loom", ds);
   ASSERT_NE(baseline_session, nullptr);
-  VectorSource baseline_source(edges);
+  engine::SpanEdgeSource baseline_source(edges);
   baseline_session->IngestSome(baseline_source, m);
   const RunOutcome baseline =
       Outcome(*baseline_session, baseline_session->Finish(), ds);
@@ -364,7 +344,7 @@ TEST(OpenAlphabetTest, LabelsBeyondTheCtorAlphabetGrowAndRecover) {
   const std::string path = TempPath("open_alphabet.loomck");
   {
     auto doomed = MustCreate("loom", ds);
-    VectorSource source(edges);
+    engine::SpanEdgeSource source(edges);
     doomed->IngestSome(source, m / 2);
     std::string error;
     ASSERT_TRUE(doomed->Checkpoint(path, &error)) << error;
@@ -372,7 +352,7 @@ TEST(OpenAlphabetTest, LabelsBeyondTheCtorAlphabetGrowAndRecover) {
   auto resumed = MustCreate("loom", ds);
   std::string error;
   ASSERT_TRUE(resumed->Resume(path, &error)) << error;
-  VectorSource source(edges);
+  engine::SpanEdgeSource source(edges);
   SkipEdges(source, m / 2);
   resumed->IngestSome(source, m);
   ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,
@@ -385,11 +365,11 @@ class CorruptionTest : public testing::Test {
  protected:
   void SetUp() override {
     ds_ = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-    es_ = stream::MakeStream(ds_.graph, stream::StreamOrder::kBreadthFirst);
+    es_ = test_util::Drain(ds_.graph, stream::StreamOrder::kBreadthFirst);
     path_ = TempPath("victim.loomck");
     auto session = MustCreate("loom", ds_);
     ASSERT_NE(session, nullptr);
-    engine::EdgeStreamSource source(es_);
+    engine::SpanEdgeSource source(es_);
     session->IngestSome(source, es_.size() / 2);
     std::string error;
     ASSERT_TRUE(session->Checkpoint(path_, &error)) << error;
@@ -421,7 +401,7 @@ class CorruptionTest : public testing::Test {
   }
 
   datasets::Dataset ds_;
-  stream::EdgeStream es_;
+  std::vector<stream::StreamEdge> es_;
   std::string path_;
   std::vector<char> bytes_;
 };
@@ -527,7 +507,7 @@ TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
   // A used session cannot Resume (restore assumes pristine structures).
   {
     auto session = MustCreate("loom", ds_);
-    engine::EdgeStreamSource source(es_);
+    engine::SpanEdgeSource source(es_);
     session->IngestSome(source, 8);
     std::string error;
     EXPECT_FALSE(session->Resume(path_, &error));
@@ -592,12 +572,12 @@ TEST(SemanticCorruptionTest, SelfConsistentButDesyncedCountersAreRejected) {
 TEST(RotationTest, CorruptNewestFallsBackToPreviousAndStillFinishesRight) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const uint64_t m = es.size();
 
   auto baseline_session = MustCreate("loom", ds);
-  engine::EdgeStreamSource baseline_source(es);
+  engine::SpanEdgeSource baseline_source(es);
   baseline_session->IngestSome(baseline_source, m);
   const RunOutcome baseline =
       Outcome(*baseline_session, baseline_session->Finish(), ds);
@@ -607,7 +587,7 @@ TEST(RotationTest, CorruptNewestFallsBackToPreviousAndStillFinishesRight) {
   fs::remove(path + ".prev");
   {
     auto doomed = MustCreate("loom", ds);
-    engine::EdgeStreamSource source(es);
+    engine::SpanEdgeSource source(es);
     std::string error;
     doomed->IngestSome(source, m / 3);
     ASSERT_TRUE(engine::CheckpointSessionRotating(doomed.get(), path, &error))
@@ -635,7 +615,7 @@ TEST(RotationTest, CorruptNewestFallsBackToPreviousAndStillFinishesRight) {
   EXPECT_TRUE(used_fallback);
   EXPECT_EQ(resumed->edges_ingested(), m / 3);
 
-  engine::EdgeStreamSource source(es);
+  engine::SpanEdgeSource source(es);
   SkipEdges(source, m / 3);
   resumed->IngestSome(source, m);
   ExpectSameOutcome(Outcome(*resumed, resumed->Finish(), ds), baseline,

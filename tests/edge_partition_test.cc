@@ -26,6 +26,7 @@
 #include "datasets/dataset_registry.h"
 #include "engine/engine.h"
 #include "engine/generator_source.h"
+#include "engine/session.h"
 #include "io/assignment_sink.h"
 #include "io/checkpoint.h"
 #include "io/edge_stream_io.h"
@@ -34,7 +35,6 @@
 #include "partition/edge/hep_partitioner.h"
 #include "partition/edge/split_merge.h"
 #include "partition/partition_metrics.h"
-#include "stream/edge_stream.h"
 #include "test_util.h"
 
 namespace loom {
@@ -159,8 +159,8 @@ TEST(EdgePartitionRegistryTest, EveryFloatOptionKeyRejectsNonFinite) {
 // (fed through the OnEdgeAssign observer event, the same path loom_partition
 // --edge-out uses) records the log.
 
-void CheckBruteForce(EdgePartitioner* p, const stream::EdgeStream& es,
-                     uint32_t k) {
+void CheckBruteForce(EdgePartitioner* p,
+                     const std::vector<stream::StreamEdge>& es, uint32_t k) {
   io::MemoryEdgeAssignmentSink sink;
   io::EdgeAssignmentSinkObserver observer(&sink);
   p->SetObserver(&observer);
@@ -233,8 +233,8 @@ void CheckBruteForce(EdgePartitioner* p, const stream::EdgeStream& es,
 TEST(EdgePartitionBruteForceTest, HdrfStatsMatchPlacementLogReplay) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
   CheckBruteForce(&p, es, /*k=*/8);
 }
@@ -242,8 +242,8 @@ TEST(EdgePartitionBruteForceTest, HdrfStatsMatchPlacementLogReplay) {
 TEST(EdgePartitionBruteForceTest, DbhStatsMatchPlacementLogReplay) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kDepthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kDepthFirst);
   DbhPartitioner p(ConfigFor(ds));
   CheckBruteForce(&p, es, /*k=*/8);
 }
@@ -251,8 +251,8 @@ TEST(EdgePartitionBruteForceTest, DbhStatsMatchPlacementLogReplay) {
 TEST(EdgePartitionBruteForceTest, HepStatsMatchPlacementLogReplay) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HepPartitioner p(ConfigFor(ds), /*threshold_factor=*/4.0, /*lambda=*/1.1,
                    /*epsilon=*/1.0);
   CheckBruteForce(&p, es, /*k=*/8);
@@ -274,8 +274,8 @@ TEST(HdrfPropertyTest, LargeLambdaForcesNearPerfectEdgeBalance) {
   // apart by more than one edge.
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kDblp, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1000.0, /*epsilon=*/1.0);
   for (const stream::StreamEdge& e : es) p.Ingest(e);
   uint64_t max_load = 0, min_load = UINT64_MAX;
@@ -291,8 +291,8 @@ TEST(HdrfPropertyTest, GreedyBeatsHashingOnReplicationFactor) {
   // than degree-based hashing on skewed graphs.
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner hdrf(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
   DbhPartitioner dbh(ConfigFor(ds));
   for (const stream::StreamEdge& e : es) {
@@ -307,8 +307,8 @@ TEST(HdrfPropertyTest, GreedyBeatsHashingOnReplicationFactor) {
 TEST(HepPropertyTest, ExtremeThresholdsDegenerateCleanly) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   // threshold_factor so large nothing ever crosses it: every vertex stays
   // in the core, every edge goes through neighborhood expansion.
@@ -338,8 +338,8 @@ TEST(HepPropertyTest, HardCapacityKeepsEdgeBalanceBounded) {
   // edge per part, whatever the neighborhood scores say.
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   PartitionerConfig config = ConfigFor(ds);
   config.max_imbalance = 1.05;
   HepPartitioner p(config, /*threshold_factor=*/4.0, /*lambda=*/1.1,
@@ -357,8 +357,8 @@ TEST(HepPropertyTest, HepBeatsHdrfOnReplicationFactor) {
   // tighter edge balance (the hard capacity at work).
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner hdrf(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
   HepPartitioner hep(ConfigFor(ds), /*threshold_factor=*/4.0, /*lambda=*/1.1,
                      /*epsilon=*/1.0);
@@ -381,8 +381,8 @@ TEST(HepPropertyTest, HepBeatsHdrfOnReplicationFactor) {
 TEST(EdgePartitionReadoutTest, OutOfRangeReadoutsReturnEmptyNotUB) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
   for (size_t i = 0; i < 64 && i < es.size(); ++i) p.Ingest(es[i]);
 
@@ -402,8 +402,8 @@ TEST(EdgePartitionReadoutTest, OutOfRangeReadoutsReturnEmptyNotUB) {
 TEST(EdgePartitionDeterminismTest, BatchSplitsNeverChangePlacements) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kLubm100, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const std::vector<stream::StreamEdge> all(es.begin(), es.end());
   const engine::EngineOptions options = test_util::OptionsFor(ds);
 
@@ -451,11 +451,15 @@ TEST(EdgePartitionDeterminismTest, EdgeTripleIdenticalAcrossAllSourceKinds) {
   for (const char* spec : {"hdrf:lambda=1.1", "dbh", "hep:threshold_factor=4"}) {
     SCOPED_TRACE(spec);
     auto drive = [&](engine::EdgeSource& source) {
-      auto p = test_util::MakeBackend(spec, options, ds);
-      EXPECT_NE(p, nullptr);
+      engine::SessionConfig config;
+      config.spec = spec;
+      config.options = options;
+      std::string error;
+      auto session =
+          engine::Session::Create(config, test_util::ContextFor(ds), &error);
+      EXPECT_NE(session, nullptr) << error;
       source.Reset();
-      engine::Drive(p.get(), &source);
-      return FinalStatsOf(*p);
+      return session->Run(source).backend_stats;
     };
 
     auto ram = engine::MakeEdgeSource(ds, stream::StreamOrder::kCanonical);
@@ -479,8 +483,8 @@ TEST(EdgePartitionDeterminismTest, EdgeTripleIdenticalAcrossAllSourceKinds) {
 TEST(EdgePartitionCheckpointTest, MidStreamRoundTripFinishesBitIdentically) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const size_t half = es.size() / 2;
 
   for (const char* which : {"hdrf", "dbh", "hep"}) {
@@ -525,8 +529,8 @@ TEST(EdgePartitionCheckpointTest, MidStreamRoundTripFinishesBitIdentically) {
 TEST(EdgePartitionCheckpointTest, HdrfParameterMismatchIsRejected) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   const std::string path = TempPath("hdrf_lambda.loomck");
   {
@@ -548,8 +552,8 @@ TEST(EdgePartitionCheckpointTest, HdrfParameterMismatchIsRejected) {
 TEST(EdgePartitionCheckpointTest, HepParameterMismatchIsRejected) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   const std::string path = TempPath("hep_threshold.loomck");
   {
@@ -573,8 +577,8 @@ TEST(EdgePartitionCheckpointTest, HepParameterMismatchIsRejected) {
 TEST(EdgePartitionCheckpointTest, RestoreIntoUsedInstanceIsRejected) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   const std::string path = TempPath("dbh_used.loomck");
   {
@@ -640,8 +644,8 @@ TEST(EdgePartitionCheckpointTest, CounterDesyncIsRejected) {
 // Records a live run's per-edge placements through the same observer path
 // Session uses, so the offline rebalancer is tested against exactly what
 // `--edge-out` would have written.
-std::vector<EdgeAssignmentRecord> RecordRun(EdgePartitioner* p,
-                                            const stream::EdgeStream& es) {
+std::vector<EdgeAssignmentRecord> RecordRun(
+    EdgePartitioner* p, const std::vector<stream::StreamEdge>& es) {
   io::MemoryEdgeAssignmentSink sink;
   io::EdgeAssignmentSinkObserver observer(&sink);
   p->SetObserver(&observer);
@@ -658,8 +662,8 @@ std::vector<EdgeAssignmentRecord> RecordRun(EdgePartitioner* p,
 TEST(SplitMergeTest, RecordedTripleMatchesLiveRunExactly) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner p(ConfigFor(ds, 16), /*lambda=*/1.1, /*epsilon=*/1.0);
   const std::vector<EdgeAssignmentRecord> records = RecordRun(&p, es);
   ASSERT_EQ(records.size(), es.size());
@@ -677,8 +681,8 @@ TEST(SplitMergeTest, RecordedTripleMatchesLiveRunExactly) {
 TEST(SplitMergeTest, MergeRespectsCapAndBeatsNaiveModulo) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner p(ConfigFor(ds, 16), /*lambda=*/1.1, /*epsilon=*/1.0);
   const std::vector<EdgeAssignmentRecord> records = RecordRun(&p, es);
 
@@ -720,8 +724,8 @@ TEST(SplitMergeTest, MergeRespectsCapAndBeatsNaiveModulo) {
 TEST(SplitMergeTest, TargetEqualToInputIsIdentity) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   HdrfPartitioner p(ConfigFor(ds, 8), /*lambda=*/1.1, /*epsilon=*/1.0);
   const std::vector<EdgeAssignmentRecord> records = RecordRun(&p, es);
 

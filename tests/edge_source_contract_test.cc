@@ -1,9 +1,9 @@
 // The EdgeSource contract, pinned over every implementation: in-memory
-// graph walks (GraphEdgeSource), materialised-stream bridges
-// (EdgeStreamSource), file replay in both formats (io::FileEdgeSource)
-// and the lazy generator path (engine::GeneratorEdgeSource).
+// graph walks (GraphEdgeSource), in-memory replay (SpanEdgeSource), file
+// replay in both formats (io::FileEdgeSource) and the lazy generator path
+// (engine::GeneratorEdgeSource).
 //
-// Contract legs (the engine's assumptions in Drive/Session):
+// Contract legs (the engine's assumptions in Session):
 //   * Drain -> Reset -> drain replays the identical element sequence.
 //   * An exhausted source stays exhausted (NextBatch keeps returning 0)
 //     until Reset.
@@ -28,6 +28,7 @@
 #include "engine/generator_source.h"
 #include "io/edge_stream_io.h"
 #include "stream/stream_order.h"
+#include "test_util.h"
 
 namespace loom {
 namespace {
@@ -36,12 +37,14 @@ constexpr double kScale = 0.03;
 
 struct Env {
   datasets::Dataset ds;
-  stream::EdgeStream es;                 // materialised BFS stream
-  std::string binary_path, text_path;    // the same stream, on disk
+  // The BFS stream, built from the graph without any EdgeSource.
+  std::vector<stream::StreamEdge> es;
+  std::string binary_path, text_path;  // the same stream, on disk
 
-  Env()
-      : ds(datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale)),
-        es(stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst)) {
+  Env() : ds(datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale)) {
+    es = test_util::ReferenceStream(
+        ds.graph,
+        stream::EdgeOrderFor(ds.graph, stream::StreamOrder::kBreadthFirst));
     namespace fs = std::filesystem;
     const fs::path dir = fs::path(testing::TempDir()) / "loom_source_contract";
     fs::create_directories(dir);
@@ -84,8 +87,8 @@ std::vector<SourceCase> AllSources() {
          return engine::MakeEdgeSource(GetEnv().ds,
                                        stream::StreamOrder::kCanonical);
        }},
-      {"edge_stream",
-       [] { return std::make_unique<engine::EdgeStreamSource>(GetEnv().es); }},
+      {"span",
+       [] { return std::make_unique<engine::SpanEdgeSource>(GetEnv().es); }},
       {"file_binary",
        [] {
          return std::make_unique<io::FileEdgeSource>(GetEnv().binary_path);
@@ -245,12 +248,9 @@ TEST(EdgeSourceSkipToTest, ResetAfterSkipRearmsTheFullStreamChecksum) {
 
 TEST(EdgeSourceEquivalenceTest, FileSourcesReplayTheWrittenStream) {
   Env& env = GetEnv();
-  auto reference =
-      engine::MakeEdgeSource(env.ds, stream::StreamOrder::kBreadthFirst);
-  const std::vector<stream::StreamEdge> expected = Drain(*reference, 64);
   for (const std::string& path : {env.binary_path, env.text_path}) {
     io::FileEdgeSource source(path);
-    ExpectSameSequence(expected, Drain(source, 64), path);
+    ExpectSameSequence(env.es, Drain(source, 64), path);
   }
 }
 

@@ -1,18 +1,21 @@
 // Coverage for the loom::engine facade: EngineOptions key round-tripping
 // and error reporting, registry construction (bit-identical to direct
-// construction), backend spec parsing, pull-based edge sources, Drive
-// (including loom's batch-split invariance), and the observer event stream.
+// construction), backend spec parsing, pull-based edge sources, batched
+// Session ingest (including loom's batch-split invariance), and the
+// observer event stream.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <memory>
 #include <string>
 #include <tuple>
 
 #include "core/loom_partitioner.h"
 #include "datasets/dataset_registry.h"
+#include "engine/session.h"
 #include "eval/experiment.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
@@ -173,8 +176,8 @@ TEST(PartitionerRegistryTest,
   // partitioners and (b) registry-built ones with equivalent options: the
   // assignment hashes must be identical.
   datasets::Dataset ds = datasets::MakeFigure1Dataset();
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   const EngineOptions options =
       test_util::OptionsFor(ds, /*k=*/2, /*window_size=*/6);
@@ -251,7 +254,10 @@ TEST(EdgeSourceTest, GraphSourceMatchesMaterializedStream) {
   for (auto order : {stream::StreamOrder::kBreadthFirst,
                      stream::StreamOrder::kDepthFirst,
                      stream::StreamOrder::kRandom}) {
-    const stream::EdgeStream es = stream::MakeStream(ds.graph, order, 0x10c5);
+    // The expected sequence comes straight from the graph, not from any
+    // EdgeSource.
+    const std::vector<stream::StreamEdge> es = test_util::ReferenceStream(
+        ds.graph, stream::EdgeOrderFor(ds.graph, order, 0x10c5));
     auto source = MakeEdgeSource(ds, order, 0x10c5);
     EXPECT_EQ(source->SizeHint(), es.size());
 
@@ -278,13 +284,27 @@ TEST(EdgeSourceTest, GraphSourceMatchesMaterializedStream) {
   }
 }
 
-// ------------------------------------------------- drive and observers
+// ------------------------------------------ session ingest and observers
 
-TEST(DriveTest, BatchedDriveMatchesPerEdgeIngest) {
+std::unique_ptr<Session> MustCreateSession(const std::string& spec,
+                                           const EngineOptions& options,
+                                           const datasets::Dataset& ds,
+                                           size_t batch_size = 512) {
+  SessionConfig config;
+  config.spec = spec;
+  config.options = options;
+  config.drive.batch_size = batch_size;
+  std::string error;
+  auto session = Session::Create(config, test_util::ContextFor(ds), &error);
+  EXPECT_NE(session, nullptr) << error;
+  return session;
+}
+
+TEST(SessionIngestTest, BatchedRunMatchesPerEdgeIngest) {
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   eval::ExperimentConfig cfg;
   cfg.window_size = 256;
@@ -295,16 +315,14 @@ TEST(DriveTest, BatchedDriveMatchesPerEdgeIngest) {
   for (const stream::StreamEdge& e : es) reference->Ingest(e);
   reference->Finalize();
 
-  // Batched drive with an awkward batch size.
-  auto driven = test_util::MakeBackend("loom", options, ds);
-  EdgeStreamSource source(es);
-  DriveConfig drive_config;
-  drive_config.batch_size = 37;
-  const DriveResult result = Drive(driven.get(), &source, nullptr,
-                                   drive_config);
-  EXPECT_EQ(result.edges, es.size());
+  // Batched run with an awkward batch size.
+  auto session = MustCreateSession("loom", options, ds, /*batch_size=*/37);
+  ASSERT_NE(session, nullptr);
+  SpanEdgeSource source(es);
+  const RunReport report = session->Run(source);
+  EXPECT_EQ(report.edges, es.size());
   EXPECT_EQ(eval::HashAssignment(reference->partitioning(), ds.NumVertices()),
-            eval::HashAssignment(driven->partitioning(), ds.NumVertices()));
+            eval::HashAssignment(session->partitioning(), ds.NumVertices()));
 }
 
 // Loom's IngestBatch hoists the admission probe per batch, so how the
@@ -365,21 +383,23 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(DriveTest, ObserverSeesAssignmentsEvictionsAndProgress) {
+TEST(SessionIngestTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   eval::ExperimentConfig cfg;
   cfg.window_size = 64;  // small window forces evictions
   const EngineOptions options = eval::ToEngineOptions(cfg, ds);
-  auto p = test_util::MakeBackend("loom", options, ds);
+  auto session = MustCreateSession("loom", options, ds);
+  ASSERT_NE(session, nullptr);
 
   StatsObserver stats;
+  session->AddObserver(&stats);
   auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  Drive(p.get(), source.get(), &stats);
+  session->Run(*source);
 
   const StatsObserver::Totals& t = stats.totals();
   // Every streamed vertex got exactly one OnAssign.
-  EXPECT_EQ(t.vertices_assigned, p->partitioning().NumAssigned());
+  EXPECT_EQ(t.vertices_assigned, session->partitioning().NumAssigned());
   EXPECT_GT(t.evictions, 0u);
   EXPECT_GT(t.cluster_decisions, 0u);
   EXPECT_GE(t.evictions, t.cluster_decisions);
@@ -387,36 +407,17 @@ TEST(DriveTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   EXPECT_EQ(t.last_progress.edges_ingested, source->SizeHint());
   EXPECT_GT(t.last_progress.edges_bypassed, 0u);
   EXPECT_EQ(t.last_progress.window_population, 0u);  // drained by Finalize
-  // The drive unhooked the observer afterwards.
-  EXPECT_EQ(p->observer(), nullptr);
 
   // Baselines emit assigns through the same channel.
-  auto hash = test_util::MakeBackend("hash", options, ds);
+  auto hash = MustCreateSession("hash", options, ds);
+  ASSERT_NE(hash, nullptr);
   StatsObserver hash_stats;
+  hash->AddObserver(&hash_stats);
   source->Reset();
-  Drive(hash.get(), source.get(), &hash_stats);
+  hash->Run(*source);
   EXPECT_EQ(hash_stats.totals().vertices_assigned,
             hash->partitioning().NumAssigned());
   EXPECT_EQ(hash_stats.totals().evictions, 0u);
-}
-
-TEST(DriveTest, PreAttachedObserverReceivesProgressToo) {
-  // An observer subscribed via SetObserver (not the Drive parameter) must
-  // still see the final finalizing=true progress event.
-  datasets::Dataset ds =
-      datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
-  eval::ExperimentConfig cfg;
-  cfg.window_size = 64;
-  const EngineOptions options = eval::ToEngineOptions(cfg, ds);
-  auto p = test_util::MakeBackend("loom", options, ds);
-
-  StatsObserver stats;
-  p->SetObserver(&stats);
-  auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  Drive(p.get(), source.get());  // no drive-local observer
-  EXPECT_TRUE(stats.totals().last_progress.finalizing);
-  EXPECT_EQ(stats.totals().last_progress.edges_ingested, source->SizeHint());
-  EXPECT_EQ(p->observer(), &stats);  // pre-attached subscription survives
 }
 
 }  // namespace

@@ -38,8 +38,8 @@ TEST(ExperimentTest, MakePartitionerProducesEverySystem) {
 
 TEST(ExperimentTest, RunSystemProducesCompleteResult) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
-  SystemResult r = RunSystem(System::kLdg, ds, es, FastConfig());
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
+  SystemResult r = RunSystem(System::kLdg, ds, *source, FastConfig());
   EXPECT_EQ(r.system, System::kLdg);
   EXPECT_GT(r.weighted_ipt, 0.0);
   EXPECT_GT(r.edge_cut, 0u);
@@ -49,8 +49,9 @@ TEST(ExperimentTest, RunSystemProducesCompleteResult) {
 
 TEST(ExperimentTest, TimingOnlySkipsQueries) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
-  SystemResult r = RunSystemTimingOnly(System::kHash, ds, es, FastConfig());
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
+  SystemResult r =
+      RunSystemTimingOnly(System::kHash, ds, *source, FastConfig());
   EXPECT_EQ(r.weighted_ipt, 0.0);
   EXPECT_EQ(r.matches, 0u);
   EXPECT_GT(r.ms_per_10k_edges, 0.0);

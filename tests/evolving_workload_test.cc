@@ -9,6 +9,7 @@
 #include "partition/partition_metrics.h"
 #include "query/workload_runner.h"
 #include "stream/stream_order.h"
+#include "test_util.h"
 
 namespace loom {
 namespace core {
@@ -86,7 +87,7 @@ TEST(UpdateWorkloadTest, ChangesAdmissionMaskMidStream) {
   options.window_size = 256;
 
   LoomPartitioner loom(options, initial, reg.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const size_t half = es.size() / 2;
   size_t i = 0;
   for (const auto& e : es) {
@@ -148,7 +149,7 @@ TEST(UpdateWorkloadTest, StillBeatsStaleOnShiftedWorkload) {
     options.base.expected_edges = ds.NumEdges();
     options.window_size = 1000;
     LoomPartitioner loom(options, initial, reg.size());
-    auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+    auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
     const size_t half = es.size() / 2;
     size_t i = 0;
     for (const auto& e : es) {

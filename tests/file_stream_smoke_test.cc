@@ -28,17 +28,6 @@ namespace fs = std::filesystem;
 
 constexpr double kScale = 0.05;
 
-test_util::Quality DriveSource(const std::string& spec,
-                               const datasets::Dataset& ds,
-                               const engine::EngineOptions& options,
-                               engine::EdgeSource& source) {
-  auto p = test_util::MakeBackend(spec, options, ds);
-  if (p == nullptr) return test_util::Quality{};
-  source.Reset();
-  engine::Drive(p.get(), &source);
-  return test_util::QualityOf(*p, ds);
-}
-
 TEST(FileStreamSmokeTest, AllBackendsBitIdenticalAcrossRamFileAndLazySources) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
@@ -69,19 +58,19 @@ TEST(FileStreamSmokeTest, AllBackendsBitIdenticalAcrossRamFileAndLazySources) {
     auto in_memory =
         engine::MakeEdgeSource(ds, stream::StreamOrder::kCanonical);
     const test_util::Quality reference =
-        DriveSource(spec, ds, options, *in_memory);
+        test_util::DriveSpec(spec, ds, options, *in_memory);
 
     io::FileEdgeSource binary(binary_path);
-    EXPECT_EQ(DriveSource(spec, ds, options, binary), reference)
+    EXPECT_EQ(test_util::DriveSpec(spec, ds, options, binary), reference)
         << "binary file stream diverged";
 
     io::FileEdgeSource text(text_path);
-    EXPECT_EQ(DriveSource(spec, ds, options, text), reference)
+    EXPECT_EQ(test_util::DriveSpec(spec, ds, options, text), reference)
         << "text file stream diverged";
 
     engine::GeneratorEdgeSource lazy(datasets::DatasetId::kProvGen, kScale,
                                      stream::StreamOrder::kCanonical);
-    EXPECT_EQ(DriveSource(spec, ds, options, lazy), reference)
+    EXPECT_EQ(test_util::DriveSpec(spec, ds, options, lazy), reference)
         << "lazy generator stream diverged";
   }
 }
@@ -110,9 +99,9 @@ TEST(FileStreamSmokeTest, FileReplayMatchesBfsPathForAllBackends) {
     auto in_memory =
         engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
     const test_util::Quality reference =
-        DriveSource(spec, ds, options, *in_memory);
+        test_util::DriveSpec(spec, ds, options, *in_memory);
     io::FileEdgeSource replay(path);
-    EXPECT_EQ(DriveSource(spec, ds, options, replay), reference);
+    EXPECT_EQ(test_util::DriveSpec(spec, ds, options, replay), reference);
   }
 }
 

@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(Ks, KSweepTest, ::testing::Values(2u, 8u, 32u));
 
 TEST(IntegrationTest, AllSystemsProduceValidPartitionings) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kLubm100, 0.1);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kDepthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kDepthFirst);
   for (System s : AllSystems()) {
     auto p = MakePartitioner(s, ds, FastConfig(stream::StreamOrder::kDepthFirst));
     test_util::RunAll(p.get(), es);
@@ -96,12 +96,12 @@ TEST(IntegrationTest, AllSystemsProduceValidPartitionings) {
 TEST(IntegrationTest, LoomWindowSizeImprovesQualityUpToAPoint) {
   // Fig. 9's shape: growing the window from tiny to moderate reduces ipt.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.2);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 7);
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kRandom, 7);
   double tiny_ipt = 0, large_ipt = 0;
   for (size_t window : {16u, 4096u}) {
     ExperimentConfig cfg = FastConfig(stream::StreamOrder::kRandom);
     cfg.window_size = window;
-    SystemResult r = RunSystem(System::kLoom, ds, es, cfg);
+    SystemResult r = RunSystem(System::kLoom, ds, *source, cfg);
     if (window == 16u) {
       tiny_ipt = r.weighted_ipt;
     } else {

@@ -5,6 +5,7 @@
 #include "datasets/dataset_registry.h"
 #include "partition/partition_metrics.h"
 #include "stream/stream_order.h"
+#include "test_util.h"
 
 namespace loom {
 namespace core {
@@ -23,7 +24,7 @@ LoomOptions OptionsFor(const datasets::Dataset& ds, uint32_t k,
 TEST(LoomPartitionerTest, FullyAssignsEveryVertex) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   LoomPartitioner loom(OptionsFor(ds, 8), ds.workload, ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
   EXPECT_TRUE(partition::FullyAssigned(ds.graph, loom.partitioning()));
@@ -33,7 +34,7 @@ TEST(LoomPartitionerTest, FullyAssignsEveryVertex) {
 TEST(LoomPartitionerTest, StatsAreConsistent) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   LoomPartitioner loom(OptionsFor(ds, 8), ds.workload, ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
   const LoomStats& s = loom.stats();
@@ -49,7 +50,7 @@ TEST(LoomPartitionerTest, StatsAreConsistent) {
 TEST(LoomPartitionerTest, RespectsImbalanceBound) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   LoomPartitioner loom(OptionsFor(ds, 8), ds.workload, ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
   EXPECT_LT(partition::Imbalance(loom.partitioning()), 0.12);
@@ -58,7 +59,7 @@ TEST(LoomPartitionerTest, RespectsImbalanceBound) {
 TEST(LoomPartitionerTest, FinalizeIsIdempotent) {
   auto ds = datasets::MakeFigure1Dataset();
   LoomPartitioner loom(OptionsFor(ds, 2, 4), ds.workload, ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
   size_t assigned = loom.partitioning().NumAssigned();
@@ -76,7 +77,7 @@ TEST(LoomPartitionerTest, TrieBuiltFromWorkload) {
 TEST(LoomPartitionerTest, NonMotifEdgesBypassWindow) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   LoomPartitioner loom(OptionsFor(ds, 4), ds.workload, ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
   // ProvGen's Activity-Agent edges (support 30% < 40%) must bypass.
@@ -88,7 +89,7 @@ TEST(LoomPartitionerTest, TinyWindowStillCorrect) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
   LoomPartitioner loom(OptionsFor(ds, 4, /*window=*/1), ds.workload,
                        ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
   EXPECT_TRUE(partition::FullyAssigned(ds.graph, loom.partitioning()));
@@ -98,7 +99,7 @@ TEST(LoomPartitionerTest, WindowNeverExceedsCapacityBetweenIngests) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
   const size_t t = 64;
   LoomPartitioner loom(OptionsFor(ds, 4, t), ds.workload, ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) {
     loom.Ingest(e);
     EXPECT_LE(loom.WindowSize(), t);
@@ -107,7 +108,7 @@ TEST(LoomPartitionerTest, WindowNeverExceedsCapacityBetweenIngests) {
 
 TEST(LoomPartitionerTest, DeterministicAcrossRuns) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   LoomPartitioner a(OptionsFor(ds, 4), ds.workload, ds.registry.size());
   LoomPartitioner b(OptionsFor(ds, 4), ds.workload, ds.registry.size());
   for (const auto& e : es) {
@@ -127,7 +128,7 @@ TEST(LoomPartitionerTest, MotifClustersColocated) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   LoomPartitioner loom(OptionsFor(ds, 8, 2000), ds.workload,
                        ds.registry.size());
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
 

@@ -42,7 +42,7 @@ TEST(HashPartitionerTest, DeterministicPlacement) {
 TEST(HashPartitionerTest, RoughlyBalancedOnLargeInput) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   HashPartitioner p(ConfigFor(ds, 8));
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   RunAll(&p, es);
   EXPECT_TRUE(FullyAssigned(ds.graph, p.partitioning()));
   EXPECT_LT(Imbalance(p.partitioning()), 0.10);
@@ -53,7 +53,7 @@ TEST(HashPartitionerTest, RoughlyBalancedOnLargeInput) {
 TEST(LdgPartitionerTest, NearPerfectBalance) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   LdgPartitioner p(ConfigFor(ds, 8));
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   RunAll(&p, es);
   EXPECT_TRUE(FullyAssigned(ds.graph, p.partitioning()));
   // Strict C = n/k keeps LDG within a few percent (paper: 1-3%).
@@ -62,7 +62,7 @@ TEST(LdgPartitionerTest, NearPerfectBalance) {
 
 TEST(LdgPartitionerTest, BeatsHashOnEdgeCut) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   LdgPartitioner ldg(ConfigFor(ds, 8));
   HashPartitioner hash(ConfigFor(ds, 8));
   RunAll(&ldg, es);
@@ -133,7 +133,7 @@ TEST(FennelPartitionerTest, AlphaMatchesFormula) {
 TEST(FennelPartitionerTest, FullyAssignsAndRespectsImbalance) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   FennelPartitioner p(ConfigFor(ds, 8));
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   RunAll(&p, es);
   EXPECT_TRUE(FullyAssigned(ds.graph, p.partitioning()));
   EXPECT_LT(Imbalance(p.partitioning()), 0.11);
@@ -142,7 +142,7 @@ TEST(FennelPartitionerTest, FullyAssignsAndRespectsImbalance) {
 TEST(FennelPartitionerTest, BeatsLdgOnEdgeCut) {
   // The paper (citing [31]): Fennel cuts fewer edges than LDG at k = 8.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.15);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   FennelPartitioner fennel(ConfigFor(ds, 8));
   LdgPartitioner ldg(ConfigFor(ds, 8));
   RunAll(&fennel, es);
@@ -161,7 +161,7 @@ class PartitionerSweepTest : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(PartitionerSweepTest, AllSystemsFullyAssignWithinBalance) {
   auto [dataset, order, k] = GetParam();
   auto ds = datasets::MakeDataset(dataset, 0.05);
-  auto es = stream::MakeStream(ds.graph, order, 0x5eed);
+  auto es = test_util::Drain(ds.graph, order, 0x5eed);
   PartitionerConfig cfg = ConfigFor(ds, k);
 
   HashPartitioner hash(cfg);
@@ -199,7 +199,7 @@ class PartitionerContractTest
 
 TEST_P(PartitionerContractTest, DoubleFinalizeIsIdempotent) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   // The small OptionsFor window forces a real drain at Finalize.
   auto p = test_util::MakeBackend(GetParam(), test_util::OptionsFor(ds), ds);
@@ -218,7 +218,7 @@ TEST_P(PartitionerContractTest, DoubleFinalizeIsIdempotent) {
 
 TEST_P(PartitionerContractTest, IngestAfterFinalizeResumesTheStream) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   ASSERT_GT(es.size(), 100u);
 
   auto p = test_util::MakeBackend(GetParam(), test_util::OptionsFor(ds), ds);
@@ -235,7 +235,7 @@ TEST_P(PartitionerContractTest, IngestAfterFinalizeResumesTheStream) {
 
 TEST_P(PartitionerContractTest, IngestBatchMatchesPerEdgeIngest) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
   const engine::EngineOptions options = test_util::OptionsFor(ds);
   auto per_edge = test_util::MakeBackend(GetParam(), options, ds);
@@ -264,7 +264,7 @@ TEST_P(PartitionerContractTest, SeededCheckpointScheduleIsDeterministic) {
   // mid-stream Finalize checkpoints. Two runs of the same seeded schedule
   // must agree bit-for-bit, end fully assigned, and re-Finalize stably.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  auto es = stream::MakeStream(ds.graph, stream::StreamOrder::kRandom, 0x7ab);
+  auto es = test_util::Drain(ds.graph, stream::StreamOrder::kRandom, 0x7ab);
   const std::vector<stream::StreamEdge> all(es.begin(), es.end());
   const engine::EngineOptions options = test_util::OptionsFor(ds);
 

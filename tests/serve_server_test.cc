@@ -51,25 +51,6 @@ fs::path TempDir(const std::string& leaf) {
   return dir;
 }
 
-/// EdgeSource over a vector, for the offline reference runs.
-class VecSource : public engine::EdgeSource {
- public:
-  explicit VecSource(const std::vector<stream::StreamEdge>& edges)
-      : edges_(edges) {}
-  size_t NextBatch(std::span<stream::StreamEdge> out) override {
-    const size_t n = std::min(out.size(), edges_.size() - pos_);
-    std::copy_n(edges_.begin() + static_cast<ptrdiff_t>(pos_), n, out.begin());
-    pos_ += n;
-    return n;
-  }
-  size_t SizeHint() const override { return edges_.size(); }
-  void Reset() override { pos_ = 0; }
-
- private:
-  const std::vector<stream::StreamEdge>& edges_;
-  size_t pos_ = 0;
-};
-
 struct Fixture {
   datasets::Dataset ds;
   std::vector<stream::StreamEdge> edges;
@@ -125,7 +106,7 @@ Triple OfflineReference(const Fixture& f) {
   auto session = engine::Session::Create(
       f.session_config, test_util::ContextFor(f.ds), &error);
   EXPECT_NE(session, nullptr) << error;
-  VecSource source(f.edges);
+  engine::SpanEdgeSource source(f.edges);
   session->Run(source);
   return TripleOf(session->partitioning(), f.edges, f.ds.NumVertices());
 }
@@ -283,7 +264,7 @@ TEST_P(ServeServerTest, ConcurrentWritersMatchIngestLogReplay) {
   auto offline = engine::Session::Create(f.session_config,
                                          test_util::ContextFor(f.ds), &error);
   ASSERT_NE(offline, nullptr) << error;
-  VecSource replay(logged);
+  engine::SpanEdgeSource replay(logged);
   offline->Run(replay);
   const Triple replayed =
       TripleOf(offline->partitioning(), logged, f.ds.NumVertices());

@@ -1,14 +1,16 @@
-// engine::Session coverage: run lifecycle (Run vs IngestSome+Finish, bit
-// identical), event-sourced RunReports (totals, final stats, no backend
-// getters anywhere), sink fan-out, spec error reporting — plus the eval
-// harness's generic backend_stats satellite (SystemResult carries whatever
-// the backend reported, nothing else).
+// engine::Session coverage: run lifecycle (Run vs IngestSome+Finish vs a
+// checkpoint/resume, bit identical for every backend), event-sourced
+// RunReports (totals, final stats, no backend getters anywhere), sink
+// fan-out, spec error reporting — plus the eval harness's generic
+// backend_stats satellite (SystemResult carries whatever the backend
+// reported, nothing else).
 
 #include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -121,35 +123,70 @@ TEST(SessionTest, SinksReceiveEveryAssignmentExactlyOnce) {
   }
 }
 
-TEST(SessionTest, StepDrivenStreamMatchesOneShotRunBitForBit) {
+TEST(SessionTest, StepDrivenAndResumedStreamsMatchOneShotRunBitForBit) {
+  // Three ways through the same stream, for every built-in backend: one
+  // Run; uneven IngestSome steps then Finish; and half the stream, a
+  // checkpoint, a resume into a fresh session, then Run over the rest.
+  // Each must end with the same assignments, counters and lifetime edge
+  // count — the final progress event included.
   const datasets::Dataset& ds = TestDataset();
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
+  const uint64_t m = es.size();
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "resumed_run.loomck")
+          .string();
 
-  auto one_shot = MustCreate("loom", ds);
-  EdgeStreamSource source_a(es);
-  const RunReport run_report = one_shot->Run(source_a);
+  for (const std::string& spec : PartitionerRegistry::Global().Names()) {
+    SCOPED_TRACE(spec);
+    auto one_shot = MustCreate(spec, ds);
+    ASSERT_NE(one_shot, nullptr);
+    SpanEdgeSource source_a(es);
+    const RunReport run_report = one_shot->Run(source_a);
 
-  auto stepped = MustCreate("loom", ds);
-  EdgeStreamSource source_b(es);
-  size_t total = 0;
-  for (size_t chunk : {1u, 7u, 500u}) {  // awkward, uneven strides
-    total += stepped->IngestSome(source_b, chunk);
+    auto stepped = MustCreate(spec, ds);
+    SpanEdgeSource source_b(es);
+    size_t total = 0;
+    for (size_t chunk : {1u, 7u, 500u}) {  // awkward, uneven strides
+      total += stepped->IngestSome(source_b, chunk);
+    }
+    // Drain the rest in one large gulp, then checkpoint.
+    total += stepped->IngestSome(source_b, es.size());
+    const RunReport step_report = stepped->Finish();
+    EXPECT_EQ(total, es.size());
+
+    SpanEdgeSource source_c(es);
+    {
+      auto first_half = MustCreate(spec, ds);
+      first_half->IngestSome(source_c, m / 2);
+      std::string error;
+      ASSERT_TRUE(first_half->Checkpoint(path, &error)) << error;
+    }
+    auto resumed = MustCreate(spec, ds);
+    std::string error;
+    ASSERT_TRUE(resumed->Resume(path, &error)) << error;
+    const RunReport resumed_report = resumed->Run(source_c);
+
+    const uint64_t hash =
+        eval::HashAssignment(one_shot->partitioning(), ds.NumVertices());
+    for (const auto& [leg, session, report] :
+         {std::tuple{"stepped", stepped.get(), &step_report},
+          std::tuple{"resumed", resumed.get(), &resumed_report},
+          std::tuple{"one-shot", one_shot.get(), &run_report}}) {
+      SCOPED_TRACE(leg);
+      EXPECT_EQ(report->edges, m);
+      EXPECT_EQ(report->events.last_progress.edges_ingested, m);
+      EXPECT_TRUE(report->events.last_progress.finalizing);
+      EXPECT_EQ(eval::HashAssignment(session->partitioning(), ds.NumVertices()),
+                hash);
+      EXPECT_EQ(report->backend_stats, run_report.backend_stats);
+      EXPECT_EQ(report->events.vertices_assigned,
+                run_report.events.vertices_assigned);
+      EXPECT_EQ(report->events.cluster_decisions,
+                run_report.events.cluster_decisions);
+    }
   }
-  // Drain the rest in one large gulp, then checkpoint.
-  total += stepped->IngestSome(source_b, es.size());
-  const RunReport step_report = stepped->Finish();
-
-  EXPECT_EQ(total, es.size());
-  EXPECT_EQ(step_report.edges, run_report.edges);
-  EXPECT_EQ(eval::HashAssignment(one_shot->partitioning(), ds.NumVertices()),
-            eval::HashAssignment(stepped->partitioning(), ds.NumVertices()));
-  EXPECT_EQ(step_report.backend_stats, run_report.backend_stats);
-  EXPECT_EQ(step_report.events.vertices_assigned,
-            run_report.events.vertices_assigned);
-  EXPECT_EQ(step_report.events.cluster_decisions,
-            run_report.events.cluster_decisions);
-  EXPECT_TRUE(step_report.events.last_progress.finalizing);
+  std::filesystem::remove(path);
 }
 
 TEST(SessionTest, CheckpointFlushesSinksExactlyOnce) {
@@ -175,9 +212,9 @@ TEST(SessionTest, CheckpointFlushesSinksExactlyOnce) {
   auto session = MustCreate("loom", ds);
   CountingSink sink;
   session->AddSink(&sink);
-  const stream::EdgeStream es =
-      stream::MakeStream(ds.graph, stream::StreamOrder::kBreadthFirst);
-  EdgeStreamSource source(es);
+  const std::vector<stream::StreamEdge> es =
+      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
+  SpanEdgeSource source(es);
   session->IngestSome(source, es.size() / 2);
 
   const std::string path =

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "datasets/dataset_registry.h"
-#include "stream/edge_stream.h"
+#include "engine/edge_source.h"
 #include "stream/sliding_window.h"
 #include "stream/stream_order.h"
+#include "test_util.h"
 
 namespace loom {
 namespace stream {
@@ -20,11 +22,12 @@ graph::LabeledGraph SmallGraph() {
   return b.Build();
 }
 
-// ------------------------------------------------------------- edge stream
+// ------------------------------------------------------ graph edge source
 
-TEST(EdgeStreamTest, CarriesLabelsAndPositions) {
+TEST(GraphEdgeSourceTest, CarriesLabelsAndPositions) {
   graph::LabeledGraph g = SmallGraph();
-  EdgeStream es(g, {0, 1, 2});
+  engine::GraphEdgeSource source(g, {0, 1, 2});
+  const std::vector<StreamEdge> es = test_util::Drain(source);
   ASSERT_EQ(es.size(), 3u);
   for (size_t i = 0; i < es.size(); ++i) {
     EXPECT_EQ(es[i].id, i);
@@ -33,9 +36,10 @@ TEST(EdgeStreamTest, CarriesLabelsAndPositions) {
   }
 }
 
-TEST(EdgeStreamTest, RespectsPermutation) {
+TEST(GraphEdgeSourceTest, RespectsPermutation) {
   graph::LabeledGraph g = SmallGraph();
-  EdgeStream es(g, {2, 0, 1});
+  engine::GraphEdgeSource source(g, {2, 0, 1});
+  const std::vector<StreamEdge> es = test_util::Drain(source);
   EXPECT_EQ(es[0].u, g.edge(2).u);
   EXPECT_EQ(es[0].v, g.edge(2).v);
 }
@@ -56,7 +60,7 @@ TEST(StreamOrderTest, AllOrdersCoverAllEdges) {
   auto ds = datasets::MakeFigure1Dataset();
   for (auto order : {StreamOrder::kBreadthFirst, StreamOrder::kDepthFirst,
                      StreamOrder::kRandom, StreamOrder::kCanonical}) {
-    EdgeStream es = MakeStream(ds.graph, order);
+    const std::vector<StreamEdge> es = test_util::Drain(ds.graph, order);
     EXPECT_EQ(es.size(), ds.graph.NumEdges()) << ToString(order);
     std::set<graph::Edge, bool (*)(const graph::Edge&, const graph::Edge&)> seen(
         +[](const graph::Edge& a, const graph::Edge& b) {
@@ -70,8 +74,10 @@ TEST(StreamOrderTest, AllOrdersCoverAllEdges) {
 
 TEST(StreamOrderTest, RandomSeedChangesOrder) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  EdgeStream a = MakeStream(ds.graph, StreamOrder::kRandom, 1);
-  EdgeStream b = MakeStream(ds.graph, StreamOrder::kRandom, 2);
+  const std::vector<StreamEdge> a =
+      test_util::Drain(ds.graph, StreamOrder::kRandom, 1);
+  const std::vector<StreamEdge> b =
+      test_util::Drain(ds.graph, StreamOrder::kRandom, 2);
   bool differs = false;
   for (size_t i = 0; i < a.size() && !differs; ++i) {
     differs = a[i].u != b[i].u || a[i].v != b[i].v;
@@ -96,7 +102,8 @@ TEST(StreamOrderTest, Names) {
 
 TEST(StreamOrderTest, CanonicalIsTheBuilderEdgeIdOrder) {
   auto ds = datasets::MakeFigure1Dataset();
-  EdgeStream es = MakeStream(ds.graph, StreamOrder::kCanonical);
+  const std::vector<StreamEdge> es =
+      test_util::Drain(ds.graph, StreamOrder::kCanonical);
   ASSERT_EQ(es.size(), ds.graph.NumEdges());
   for (size_t i = 0; i < es.size(); ++i) {
     const graph::Edge& e = ds.graph.edge(static_cast<graph::EdgeId>(i));

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/session.h"
 #include "eval/experiment.h"
 #include "partition/partition_metrics.h"
-#include "stream/stream_order.h"
 
 namespace loom {
 namespace test_util {
@@ -34,8 +34,35 @@ std::unique_ptr<partition::Partitioner> MakeBackend(
   return p;
 }
 
-void RunAll(partition::Partitioner* p, const stream::EdgeStream& es) {
-  for (const stream::StreamEdge& e : es) p->Ingest(e);
+std::vector<stream::StreamEdge> Drain(engine::EdgeSource& source) {
+  std::vector<stream::StreamEdge> edges;
+  std::vector<stream::StreamEdge> batch(512);
+  while (const size_t n = source.NextBatch(batch)) {
+    edges.insert(edges.end(), batch.begin(), batch.begin() + n);
+  }
+  return edges;
+}
+
+std::vector<stream::StreamEdge> Drain(const graph::LabeledGraph& g,
+                                      stream::StreamOrder order,
+                                      uint64_t seed) {
+  return Drain(*engine::MakeEdgeSource(g, order, seed));
+}
+
+std::vector<stream::StreamEdge> ReferenceStream(
+    const graph::LabeledGraph& g, const std::vector<graph::EdgeId>& order) {
+  std::vector<stream::StreamEdge> edges(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    const graph::Edge& e = g.edge(order[i]);
+    edges[i] = {static_cast<graph::EdgeId>(i), e.u, e.v, g.label(e.u),
+                g.label(e.v)};
+  }
+  return edges;
+}
+
+void RunAll(partition::Partitioner* p,
+            std::span<const stream::StreamEdge> edges) {
+  for (const stream::StreamEdge& e : edges) p->Ingest(e);
   p->Finalize();
 }
 
@@ -56,15 +83,28 @@ Quality QualityOf(const partition::Partitioner& p,
 
 Quality DriveSpec(std::string_view spec, const datasets::Dataset& ds,
                   const engine::EngineOptions& options,
+                  engine::EdgeSource& source, size_t batch_size) {
+  engine::SessionConfig config;
+  config.spec = std::string(spec);
+  config.options = options;
+  config.drive.batch_size = batch_size;
+  std::string error;
+  auto session = engine::Session::Create(config, ContextFor(ds), &error);
+  if (session == nullptr) {
+    ADD_FAILURE() << "building backend '" << spec << "' failed: " << error;
+    return Quality{};
+  }
+  source.Reset();
+  session->Run(source);
+  return QualityOf(session->backend(), ds);
+}
+
+Quality DriveSpec(std::string_view spec, const datasets::Dataset& ds,
+                  const engine::EngineOptions& options,
                   stream::StreamOrder order, uint64_t stream_seed,
                   size_t batch_size) {
-  auto p = MakeBackend(spec, options, ds);
-  if (p == nullptr) return Quality{};
   auto source = engine::MakeEdgeSource(ds, order, stream_seed);
-  engine::DriveConfig config;
-  config.batch_size = batch_size;
-  engine::Drive(p.get(), source.get(), nullptr, config);
-  return QualityOf(*p, ds);
+  return DriveSpec(spec, ds, options, *source, batch_size);
 }
 
 }  // namespace test_util

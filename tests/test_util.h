@@ -14,13 +14,16 @@
 #include <cstdint>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "datasets/dataset_registry.h"
 #include "engine/engine.h"
 #include "partition/partitioner.h"
-#include "stream/edge_stream.h"
+#include "stream/stream_edge.h"
+#include "stream/stream_order.h"
 
 namespace loom {
 namespace test_util {
@@ -40,8 +43,24 @@ std::unique_ptr<partition::Partitioner> MakeBackend(
     std::string_view spec, const engine::EngineOptions& options,
     const datasets::Dataset& ds);
 
+/// Pulls `source` dry from its current position into a vector, for suites
+/// that slice, mutate or replay a stream edge by edge.
+std::vector<stream::StreamEdge> Drain(engine::EdgeSource& source);
+
+/// `g` streamed in `order` (engine::MakeEdgeSource), drained.
+std::vector<stream::StreamEdge> Drain(const graph::LabeledGraph& g,
+                                      stream::StreamOrder order,
+                                      uint64_t seed = 0x10c5);
+
+/// The stream a walk of `g` in `order` must produce, built straight from
+/// the graph (g.edge(order[i]) with g.label() endpoints, ids = positions)
+/// — an independent reference for suites that test the sources themselves.
+std::vector<stream::StreamEdge> ReferenceStream(
+    const graph::LabeledGraph& g, const std::vector<graph::EdgeId>& order);
+
 /// Ingests the whole stream one edge at a time, then finalizes.
-void RunAll(partition::Partitioner* p, const stream::EdgeStream& es);
+void RunAll(partition::Partitioner* p,
+            std::span<const stream::StreamEdge> edges);
 
 /// The golden quality triple: what "bit-identical partitioning" means in
 /// the differential suites and the bench smoke baseline.
@@ -58,11 +77,15 @@ std::ostream& operator<<(std::ostream& os, const Quality& q);
 /// Measures `p`'s finished partitioning against `ds`.
 Quality QualityOf(const partition::Partitioner& p, const datasets::Dataset& ds);
 
-/// One differential leg: builds `spec`, drives `ds` end to end through
-/// engine::Drive (pull path) in `batch_size` batches over a fresh lazy
-/// source with the given order/seed, finalizes, and returns the quality
-/// triple. Returns a default Quality (and a registered gtest failure) if
-/// the spec fails to build.
+/// One differential leg: runs `spec` over `ds` end to end through an
+/// engine::Session, pulling `source` from the top (Reset) in `batch_size`
+/// batches, and returns the quality triple. Returns a default Quality (and
+/// a registered gtest failure) if the spec fails to build.
+Quality DriveSpec(std::string_view spec, const datasets::Dataset& ds,
+                  const engine::EngineOptions& options,
+                  engine::EdgeSource& source, size_t batch_size = 512);
+
+/// DriveSpec over a fresh lazy graph source with the given order/seed.
 Quality DriveSpec(std::string_view spec, const datasets::Dataset& ds,
                   const engine::EngineOptions& options,
                   stream::StreamOrder order, uint64_t stream_seed,
