@@ -2,7 +2,8 @@
 // partitioner on a pre-materialised provgen stream (Table 2's measure
 // expressed as throughput, suitable for regression tracking), plus isolated
 // hot-path benches for the Alg. 2 matcher (window + matchList only, no
-// partitioner) and the sliding-window ring buffer.
+// partitioner; on provgen and on a hub-heavy MusicBrainz stream) and the
+// sliding-window ring buffer.
 
 #include <benchmark/benchmark.h>
 
@@ -24,7 +25,8 @@ using namespace loom;
 struct Fixture {
   datasets::Dataset ds;
   std::vector<stream::StreamEdge> es;
-  Fixture() : ds(datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.2)) {
+  Fixture(datasets::DatasetId id, double scale)
+      : ds(datasets::MakeDataset(id, scale)) {
     // Materialised once so the timed loops measure ingest, not the source.
     auto source =
         engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
@@ -34,7 +36,15 @@ struct Fixture {
 };
 
 Fixture& GetFixture() {
-  static Fixture f;
+  static Fixture f(datasets::DatasetId::kProvGen, 0.2);
+  return f;
+}
+
+/// MusicBrainz at 8x the reproduction scale, BFS order (the shape of
+/// bench/e2e's mb-bfs stream): its hub endpoints hold thousands of live
+/// matches, so the matcher's per-endpoint caps are what it exercises.
+Fixture& GetMusicBrainzFixture() {
+  static Fixture f(datasets::DatasetId::kMusicBrainz, 8.0);
   return f;
 }
 
@@ -73,8 +83,8 @@ BENCHMARK(BM_IngestLoom)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------- matcher only
 // Window + matchList + Alg. 2, without partitioning/assignment: the exact
 // paths the ring buffer, MatchPool and incremental degrees rebuilt.
-void BM_MatcherOnly(benchmark::State& state) {
-  Fixture& f = GetFixture();
+void BM_MatcherOnly(benchmark::State& state, Fixture& (*fixture)()) {
+  Fixture& f = fixture();
   const size_t window_size = static_cast<size_t>(state.range(0));
   signature::LabelValues values(f.ds.registry.size(),
                                 signature::kDefaultPrime, 0xC0FFEE);
@@ -114,7 +124,13 @@ void BM_MatcherOnly(benchmark::State& state) {
   state.counters["allocs_reused"] = static_cast<double>(reused);
 }
 
-BENCHMARK(BM_MatcherOnly)->Arg(2000)->Arg(10000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MatcherOnly, provgen, &GetFixture)
+    ->Arg(2000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MatcherOnly, musicbrainz_x8_bfs, &GetMusicBrainzFixture)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- window ring ops
 // Steady-state Push / Find / PopOldest cycle at the paper window.

@@ -190,7 +190,8 @@ const KeyDesc kKeys[] = {
        return ParseBool(v, &o.disable_rationing);
      }},
     {"max_matches_per_vertex", "uint, >= 1",
-     "loom: matcher cap on live matches considered per endpoint",
+     "loom: matcher cap N per admitted edge: step 1 extends at most 2N "
+     "matches across both endpoints, step 2 pairs at most N per endpoint",
      [](const EngineOptions& o) { return FormatU64(o.max_matches_per_vertex); },
      [](EngineOptions& o, std::string_view v) {
        uint64_t x;

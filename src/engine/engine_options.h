@@ -65,7 +65,8 @@ struct EngineOptions {
   double neighbor_bid_weight = 0.25;
   /// Ablation escape hatch: disable rationing entirely.
   bool disable_rationing = false;
-  /// Matcher cap on live matches considered per endpoint.
+  /// Matcher cap N (motif::MatcherConfig): step 1 extends at most 2N live
+  /// matches across both endpoints, step 2 pairs at most N per endpoint.
   uint64_t max_matches_per_vertex = 64;
   /// Compact the matchList every this many admitted edges.
   uint64_t compact_interval = 1024;

@@ -94,15 +94,14 @@ void MatchList::RemoveMatchesWithEdge(graph::EdgeId e) {
 
 // -------------------------------------------------------------- queries
 
-void MatchList::CollectLiveAt(graph::VertexId v,
-                              std::vector<MatchHandle>* out) {
-  if (v >= by_vertex_.size()) return;
-  PostingList& pl = by_vertex_[v];
-  PruneIfStale(&pl);
-  const size_t bound = pl.items.size();  // appends during iteration excluded
-  for (size_t i = 0; i < bound; ++i) {
-    if (pool_.IsLive(pl.items[i])) out->push_back(pl.items[i]);
-  }
+void MatchList::CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out,
+                              size_t limit) {
+  if (limit == 0) return;
+  size_t taken = 0;
+  ForEachLiveAt(v, [&](MatchHandle h) {
+    out->push_back(h);
+    return ++taken < limit;
+  });
 }
 
 void MatchList::CollectLiveWithEdge(graph::EdgeId e,

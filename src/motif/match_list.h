@@ -22,6 +22,7 @@
 #ifndef LOOM_MOTIF_MATCH_LIST_H_
 #define LOOM_MOTIF_MATCH_LIST_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "motif/match.h"
@@ -57,11 +58,19 @@ class MatchList {
 
   // ------------------------------------------------------------- iteration
 
-  /// Appends every live match containing vertex `v` to `out` (insertion
-  /// order preserved; `out` is not cleared). Prunes the posting list first
-  /// when it is at least half dead. Safe to Commit/Remove while walking the
+  /// Calls `fn(h)` for each live match containing vertex `v`, in insertion
+  /// order, until `fn` returns false. Prunes the posting list first when it
+  /// is at least half dead; dead handles are skipped, never passed to `fn`.
+  /// `fn` must not mutate this MatchList.
+  template <typename Fn>
+  void ForEachLiveAt(graph::VertexId v, Fn&& fn);
+
+  /// Appends the first `limit` live matches containing vertex `v` to `out`
+  /// (insertion order preserved; `out` is not cleared; dead handles do not
+  /// count towards `limit`). Safe to Commit/Remove while walking the
   /// collected handles.
-  void CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out);
+  void CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out,
+                     size_t limit = SIZE_MAX);
 
   /// Same for matches containing window edge `e`.
   void CollectLiveWithEdge(graph::EdgeId e, std::vector<MatchHandle>* out);
@@ -148,6 +157,18 @@ class MatchList {
   size_t live_count_ = 0;
   size_t total_added_ = 0;
 };
+
+template <typename Fn>
+void MatchList::ForEachLiveAt(graph::VertexId v, Fn&& fn) {
+  if (v >= by_vertex_.size()) return;
+  PostingList& pl = by_vertex_[v];
+  PruneIfStale(&pl);
+  const size_t bound = pl.items.size();  // appends during iteration excluded
+  for (size_t i = 0; i < bound; ++i) {
+    const MatchHandle h = pl.items[i];
+    if (pool_.IsLive(h) && !fn(h)) return;
+  }
+}
 
 }  // namespace motif
 }  // namespace loom

@@ -1,7 +1,7 @@
 #include "motif/motif_matcher.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace loom {
 namespace motif {
@@ -170,40 +170,30 @@ void MotifMatcher::OnEdgeAdded(const stream::StreamEdge& e,
     if (ml->Commit(h)) ++stats_.single_edge_matches;
   }
 
-  // Step 1 — extend existing matches connected to e (Alg. 2 lines 4-8).
-  // The endpoint lists are merged u-first with duplicates (matches touching
-  // both endpoints) dropped via a sorted membership probe.
+  // Step 1 — extend existing matches connected to e (Alg. 2 lines 4-8):
+  // up to 2 x max_matches_per_vertex live matches, u's list first, then v's
+  // minus the matches that contain u (those are in u's list already).
   {
+    const size_t cap = config_.max_matches_per_vertex * 2;
     snap_u_.clear();
-    ml->CollectLiveAt(e.u, &snap_u_);
-    snap_sorted_.assign(snap_u_.begin(), snap_u_.end());
-    std::sort(snap_sorted_.begin(), snap_sorted_.end());
-    snap_v_.clear();
-    ml->CollectLiveAt(e.v, &snap_v_);
-    for (MatchHandle h : snap_v_) {
-      if (!std::binary_search(snap_sorted_.begin(), snap_sorted_.end(), h)) {
-        snap_u_.push_back(h);
-      }
-    }
-    if (snap_u_.size() > config_.max_matches_per_vertex * 2) {
-      snap_u_.resize(config_.max_matches_per_vertex * 2);
+    ml->CollectLiveAt(e.u, &snap_u_, cap);
+    if (snap_u_.size() < cap) {
+      ml->ForEachLiveAt(e.v, [&](MatchHandle h) {
+        if (!ml->match(h).ContainsVertex(e.u)) snap_u_.push_back(h);
+        return snap_u_.size() < cap;
+      });
     }
     for (MatchHandle h : snap_u_) TryExtend(h, e, ml);
   }
 
   // Step 2 — pairwise joins across the two endpoints (Alg. 2 lines 9-18),
-  // over the refreshed lists (they now include e's own new matches).
+  // over the first max_matches_per_vertex live matches of each endpoint's
+  // refreshed list (it now includes e's own new matches).
   {
     snap_u_.clear();
-    ml->CollectLiveAt(e.u, &snap_u_);
+    ml->CollectLiveAt(e.u, &snap_u_, config_.max_matches_per_vertex);
     snap_v_.clear();
-    ml->CollectLiveAt(e.v, &snap_v_);
-    if (snap_u_.size() > config_.max_matches_per_vertex) {
-      snap_u_.resize(config_.max_matches_per_vertex);
-    }
-    if (snap_v_.size() > config_.max_matches_per_vertex) {
-      snap_v_.resize(config_.max_matches_per_vertex);
-    }
+    ml->CollectLiveAt(e.v, &snap_v_, config_.max_matches_per_vertex);
     // Sizes are loop-invariant (registered matches are immutable and the
     // snapshots are fixed): resolve each handle once, not once per pair.
     snap_u_sizes_.resize(snap_u_.size());

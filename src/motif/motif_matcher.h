@@ -40,9 +40,10 @@ namespace motif {
 
 /// Tunables bounding worst-case work per edge.
 struct MatcherConfig {
-  /// Cap on live matches considered per endpoint when extending/joining.
-  /// Generous by default; prevents pathological quadratic blowups on hub
-  /// vertices in adversarial streams.
+  /// Cap N on live matches considered per edge: step 1 extends at most 2N
+  /// matches across both endpoints (u's list first), and step 2 pairs at
+  /// most N per endpoint. Generous by default; prevents pathological
+  /// quadratic blowups on hub vertices in adversarial streams.
   size_t max_matches_per_vertex = 64;
 };
 
@@ -141,7 +142,6 @@ class MotifMatcher {
   // Reusable per-edge scratch (see class comment).
   std::vector<MatchHandle> snap_u_;
   std::vector<MatchHandle> snap_v_;
-  std::vector<MatchHandle> snap_sorted_;
   std::vector<size_t> snap_u_sizes_;  // edge counts, resolved once per snap
   std::vector<size_t> snap_v_sizes_;
   signature::FactorDelta delta_;

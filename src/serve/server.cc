@@ -462,11 +462,29 @@ bool Server::RotateCheckpoint(std::string* error) {
   return true;
 }
 
+void Server::ReapFinishedConns() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    for (std::thread::id id : finished_conns_) {
+      auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      done.push_back(std::move(*it));
+      *it = std::move(conn_threads_.back());
+      conn_threads_.pop_back();
+    }
+    finished_conns_.clear();
+  }
+  for (std::thread& t : done) t.join();
+}
+
 void Server::ListenLoop() {
   for (;;) {
     pollfd p{listen_fd_, POLLIN, 0};
     const int r = ::poll(&p, 1, 100);
     if (stopping_.load(std::memory_order_acquire)) return;
+    ReapFinishedConns();
     if (r <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -506,6 +524,7 @@ void Server::ConnLoop(int fd) {
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     conn_fds_.erase(std::find(conn_fds_.begin(), conn_fds_.end(), fd));
+    finished_conns_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }

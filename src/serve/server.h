@@ -175,6 +175,10 @@ class Server {
   void DecisionLoop();
   void ListenLoop();
   void ConnLoop(int fd);
+  /// Joins the connection threads whose ConnLoop has returned (listen
+  /// thread only), so a long-lived server holds one thread per open
+  /// connection, not one per connection ever accepted.
+  void ReapFinishedConns();
   void TailLoop();
 
   void IngestRun(std::vector<stream::StreamEdge>* run);
@@ -219,6 +223,8 @@ class Server {
   std::mutex conns_mutex_;
   std::vector<int> conn_fds_;
   std::vector<std::thread> conn_threads_;
+  /// Connection threads that finished but are not joined yet.
+  std::vector<std::thread::id> finished_conns_;
   std::thread decision_thread_;
   std::thread listen_thread_;
   std::thread tail_thread_;

@@ -147,6 +147,80 @@ TEST(MatchListTest, CollectAppendsInInsertionOrder) {
   EXPECT_EQ(out, (std::vector<MatchHandle>{a, b, c}));
 }
 
+TEST(MatchListTest, CollectStopsAtTheLimit) {
+  MatchList ml;
+  std::vector<MatchHandle> all;
+  for (graph::EdgeId e = 0; e < 6; ++e) {
+    all.push_back(AddMatch(ml, {e}, {9, 100 + e}, 1));
+  }
+  std::vector<MatchHandle> out{kNullMatch};  // appended to, not cleared
+  ml.CollectLiveAt(9, &out, 4);
+  EXPECT_EQ(out, (std::vector<MatchHandle>{kNullMatch, all[0], all[1],
+                                           all[2], all[3]}));
+  out.clear();
+  ml.CollectLiveAt(9, &out, 0);
+  EXPECT_TRUE(out.empty());
+  ml.CollectLiveAt(9, &out, 100);
+  EXPECT_EQ(out, all);
+}
+
+TEST(MatchListTest, CollectLimitCountsOnlyLiveHandles) {
+  // 8 matches at vertex 9, the 1st and 3rd killed: 2 of 8 dead is below the
+  // prune ratio, so the walk itself must skip them.
+  MatchList ml;
+  std::vector<MatchHandle> all;
+  for (graph::EdgeId e = 0; e < 8; ++e) {
+    all.push_back(AddMatch(ml, {e}, {9, 100 + e}, 1));
+  }
+  ml.RemoveMatchesWithEdge(0);
+  ml.RemoveMatchesWithEdge(2);
+  std::vector<MatchHandle> out;
+  ml.CollectLiveAt(9, &out, 3);
+  EXPECT_EQ(out, (std::vector<MatchHandle>{all[1], all[3], all[4]}));
+  EXPECT_EQ(ml.IndexEntriesAt(9), 8u);  // not pruned
+}
+
+TEST(MatchListTest, LimitedCollectStillPrunesMostlyDeadLists) {
+  MatchList ml;
+  std::vector<MatchHandle> all;
+  for (graph::EdgeId e = 0; e < 8; ++e) {
+    all.push_back(AddMatch(ml, {e}, {9, 100 + e}, 1));
+  }
+  for (graph::EdgeId e = 0; e < 4; ++e) ml.RemoveMatchesWithEdge(e);
+  std::vector<MatchHandle> out;
+  ml.CollectLiveAt(9, &out, 1);
+  EXPECT_EQ(out, (std::vector<MatchHandle>{all[4]}));
+  EXPECT_EQ(ml.IndexEntriesAt(9), 4u);  // half dead: pruned before the walk
+}
+
+TEST(MatchListTest, UnlimitedCollectMatchesLiveAt) {
+  MatchList ml;
+  for (graph::EdgeId e = 0; e < 20; ++e) {
+    AddMatch(ml, {e}, {9, 100 + e}, 1);
+  }
+  for (graph::EdgeId e : {1u, 5u, 6u, 13u, 19u}) ml.RemoveMatchesWithEdge(e);
+  const std::vector<MatchHandle> expected = ml.LiveAt(9);
+  ASSERT_EQ(expected.size(), 15u);
+  std::vector<MatchHandle> out;
+  ml.CollectLiveAt(9, &out);
+  EXPECT_EQ(out, expected);
+}
+
+TEST(MatchListTest, ForEachLiveAtStopsWhenTheVisitorSaysSo) {
+  MatchList ml;
+  std::vector<MatchHandle> all;
+  for (graph::EdgeId e = 0; e < 5; ++e) {
+    all.push_back(AddMatch(ml, {e}, {9, 100 + e}, 1));
+  }
+  ml.RemoveMatchesWithEdge(1);
+  std::vector<MatchHandle> seen;
+  ml.ForEachLiveAt(9, [&](MatchHandle h) {
+    seen.push_back(h);
+    return h != all[2];
+  });
+  EXPECT_EQ(seen, (std::vector<MatchHandle>{all[0], all[2]}));
+}
+
 TEST(MatchListTest, EdgeRingSurvivesSparseGrowingIds) {
   // Edge ids with large gaps (bypassed stream positions) force the edge ring
   // to grow and re-place its posting lists.

@@ -33,9 +33,11 @@ namespace {
 /// Streams a random graph labelled from `label_pool` through a matcher
 /// built on (registry, workload, threshold) with an unbounded window, then
 /// brute-force checks that every window-resident motif match was found.
+/// The matcher's final counters go to `*stats` when given.
 void RunExhaustiveLeg(uint64_t seed, const graph::LabelRegistry& registry,
                       const query::Workload& workload, double threshold,
-                      const std::vector<graph::LabelId>& label_pool) {
+                      const std::vector<graph::LabelId>& label_pool,
+                      MatcherStats* stats = nullptr) {
   util::Rng rng(seed);
 
   signature::LabelValues values(registry.size(), 251, 0xC0FFEE);
@@ -82,6 +84,7 @@ void RunExhaustiveLeg(uint64_t seed, const graph::LabelRegistry& registry,
     matcher.OnEdgeAdded(e, window, &ml);
     admitted.push_back(e);
   }
+  if (stats != nullptr) *stats = matcher.stats();
   if (admitted.empty()) return;  // nothing admissible under this seed
   ASSERT_LE(admitted.size(), 25u) << "keep brute force tractable";
 
@@ -141,22 +144,40 @@ void RunExhaustiveLeg(uint64_t seed, const graph::LabelRegistry& registry,
   EXPECT_EQ(found, expected);
 }
 
-class ExhaustiveMatchTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ExhaustiveMatchTest, MatcherFindsEveryWindowResidentMotifMatch) {
-  // Fig. 1 workload at a low threshold so multi-edge motifs (up to the
-  // 4-edge square) are in play.
+/// The Fig. 1 leg: its workload at a low threshold so multi-edge motifs (up
+/// to the 4-edge square) are in play.
+void RunFigure1Leg(uint64_t seed, MatcherStats* stats = nullptr) {
   graph::LabelRegistry registry;
   query::Workload workload = datasets::Figure1Workload(&registry);
   std::vector<graph::LabelId> pool;
   for (size_t l = 0; l < registry.size(); ++l) {
     pool.push_back(static_cast<graph::LabelId>(l));
   }
-  RunExhaustiveLeg(GetParam(), registry, workload, 0.05, pool);
+  RunExhaustiveLeg(seed, registry, workload, 0.05, pool, stats);
+}
+
+constexpr uint64_t kFigure1Seeds = 40;
+
+class ExhaustiveMatchTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExhaustiveMatchTest, MatcherFindsEveryWindowResidentMotifMatch) {
+  RunFigure1Leg(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExhaustiveMatchTest,
-                         ::testing::Range<uint64_t>(0, 40));
+                         ::testing::Range<uint64_t>(0, kFigure1Seeds));
+
+TEST(ExhaustiveJoinCoverageTest, JoinsFireAcrossTheFigure1Seeds) {
+  // The brute force above only proves the join step if some seed needs it:
+  // a filter that skipped every join would otherwise pass unnoticed.
+  uint64_t joins = 0;
+  for (uint64_t seed = 0; seed < kFigure1Seeds; ++seed) {
+    MatcherStats stats;
+    RunFigure1Leg(seed, &stats);
+    joins += stats.join_matches;
+  }
+  EXPECT_GE(joins, 1u);
+}
 
 class WideAlphabetExhaustiveTest : public ::testing::TestWithParam<uint64_t> {};
 

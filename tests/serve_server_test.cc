@@ -14,6 +14,8 @@
 //     reference, including the restored cut-tracker state.
 //   * Malformed and oversize lines over a real socket produce ERR replies
 //     and never take down the connection, let alone the server.
+//   * Closed connections give their threads back: 300 sequential
+//     connect/STATS/close calls leave the process's mappings flat.
 //
 // Everything here runs under the ThreadSanitizer ctest leg too — the
 // wait-free AssignmentTable reads and the MPSC queue are exactly the kind
@@ -21,6 +23,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -487,6 +490,45 @@ TEST(ServeServerRobustnessTest, MalformedLinesGetErrRepliesNotDisconnects) {
   client.Close();
   server->Shutdown();
   EXPECT_EQ(server->edges_ingested(), 1u);
+}
+
+/// Lines in /proc/self/maps: every unjoined finished thread keeps its
+/// stack and guard page mapped, about two lines per thread.
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  size_t n = 0;
+  while (std::getline(maps, line)) ++n;
+  return n;
+}
+
+TEST(ServeServerRobustnessTest, ClosedConnectionsDoNotLeakThreads) {
+  const Fixture f = MakeFixture("loom");
+  const fs::path dir = TempDir("reap");
+  ServerConfig config;
+  config.socket_path = (dir / "loom.sock").string();
+  config.session = f.session_config;
+  config.registry = &f.ds.registry;
+  std::string error;
+  auto server = Server::Create(config, test_util::ContextFor(f.ds), &error);
+  ASSERT_NE(server, nullptr) << error;
+  server->Start();
+
+  auto stats_roundtrip = [&] {
+    Client client;
+    ASSERT_TRUE(client.Connect(config.socket_path, &error)) << error;
+    std::string reply;
+    ASSERT_TRUE(client.Roundtrip("STATS", &reply, &error)) << error;
+    EXPECT_TRUE(IsOk(reply)) << reply;
+  };
+  for (int i = 0; i < 10; ++i) stats_roundtrip();  // warm up allocators
+  const size_t before = MappingCount();
+  constexpr int kConnections = 300;
+  for (int i = 0; i < kConnections; ++i) stats_roundtrip();
+  const size_t after = MappingCount();
+  // A leak adds ~2 * kConnections lines; allow a few in-flight threads.
+  EXPECT_LE(after, before + 40) << "before=" << before << " after=" << after;
+  server->Shutdown();
 }
 
 TEST(ServeServerRobustnessTest, ControlCommandsWorkWithoutSocket) {
