@@ -412,8 +412,8 @@ int main(int argc, char** argv) {
   // File-streamed ingest: the same paper-window loom run, but replayed
   // through io::FileEdgeSource over a freshly written binary stream file.
   // Quality must stay bit-identical to the in-memory source (the bench
-  // aborts otherwise) and diff_bench.py guards the recorded triple + eps,
-  // so the file path can neither corrupt streams nor silently slow down.
+  // aborts otherwise) and diff_bench.py guards the recorded triple, so the
+  // file path cannot corrupt streams. Its speed is bench/e2e's to measure.
   if (specs.empty()) {
     jw.Key("file_stream").BeginObject();
     jw.Key("window").Value(uint64_t{10000});

@@ -183,9 +183,6 @@ bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
   window_.LoadFrom(r);
   match_list_.LoadFrom(r);
   seen_.LoadFrom(r, "seen_graph");
-  // Hub rows are derived state — never checkpointed, always re-derived from
-  // the restored graph + table (same rows a fresh run here would hold).
-  hub_.Rebuild(seen_, seen_.NumSlots(), partitioning_);
 
   // Replay the label growth the checkpointed run performed: the retained-RNG
   // draw sequence makes the regrown values bit-identical.

@@ -13,7 +13,7 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
       ctor_num_labels_(num_labels),
       partitioning_(options.base.k, options.base.expected_vertices,
                     options.base.max_imbalance),
-      seen_(options.base.expected_vertices, options.base.adj_page_entries,
+      seen_(options.base.expected_vertices, /*page_entries=*/0,
             /*expected_entries=*/2 * options.base.expected_edges),
       hub_(options.base.k, options.base.hub_degree_threshold),
       window_(options.window_size) {

@@ -144,7 +144,7 @@ class LoomPartitioner : public partition::Partitioner {
   size_t ctor_num_labels_;  // label space at construction (checkpoint id)
   partition::Partitioning partitioning_;
   graph::DynamicGraph seen_;  // streamed-so-far adjacency (for LDG scoring)
-  partition::HubTallyCache hub_;  // derived from seen_; rebuilt on restore
+  partition::HubTallyCache hub_;  // derived from seen_; refills after restore
 
   std::unique_ptr<signature::LabelValues> label_values_;
   std::unique_ptr<signature::SignatureCalculator> calc_;

@@ -71,9 +71,9 @@ struct KeyDesc {
   bool (*set)(EngineOptions&, std::string_view);
 };
 
-// One entry per EngineOptions field, in declaration order. Range checks
-// live in the setters so every construction path (CLI, bench config,
-// programmatic ApplyOverrides) rejects the same inputs.
+// One entry per EngineOptions field except adj_page, in declaration order.
+// Range checks live in the setters so every construction path (CLI, bench
+// config, programmatic ApplyOverrides) rejects the same inputs.
 const KeyDesc kKeys[] = {
     {"k", "uint, >= 1",
      "number of partitions",
@@ -103,15 +103,6 @@ const KeyDesc kKeys[] = {
        double x;
        if (!ParseDouble(v, &x) || x < 1.0) return false;
        o.max_imbalance = x;
-       return true;
-     }},
-    {"adj_page", "uint in [0, 65536] (0 = default)",
-     "adjacency arena page capacity; layout/speed only, never quality",
-     [](const EngineOptions& o) { return FormatU64(o.adj_page); },
-     [](EngineOptions& o, std::string_view v) {
-       uint64_t x;
-       if (!ParseU64(v, &x) || x > 65536) return false;
-       o.adj_page = static_cast<uint32_t>(x);
        return true;
      }},
     {"hub_threshold", "uint (0 = default)",

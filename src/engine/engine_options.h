@@ -40,12 +40,12 @@ struct EngineOptions {
   /// ν: per-partition capacity is ν·n/k (Fennel's and Loom's bound; LDG and
   /// hash override it internally, as the paper describes).
   double max_imbalance = 1.1;
-  /// Adjacency arena page capacity in entries (0 = LOOM_ADJ_PAGE env, else
-  /// 64). Layout/speed only: assignments are bit-identical for every value.
+  /// Not an option key and unread by the library: bench/e2e/trace.cc's
+  /// replica still passes it to DynamicGraph (0 = the 64-entry default).
   uint32_t adj_page = 0;
   /// Visible degree at which a vertex gets incremental per-partition tally
-  /// counters (0 = LOOM_HUB_THRESHOLD env, else 128; env 0 disables).
-  /// Speed only: the counters equal the from-scratch tallies exactly.
+  /// counters (0 = 128; 4294967295 disables the cache). Speed only: the
+  /// counters equal the from-scratch tallies exactly.
   uint32_t hub_threshold = 0;
 
   // ------------------------------------------------------------ loom knobs
@@ -128,7 +128,6 @@ struct EngineOptions {
     base.expected_vertices = static_cast<size_t>(expected_vertices);
     base.expected_edges = static_cast<size_t>(expected_edges);
     base.max_imbalance = max_imbalance;
-    base.adj_page_entries = adj_page;
     base.hub_degree_threshold = hub_threshold;
     return base;
   }

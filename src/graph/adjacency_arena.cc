@@ -1,8 +1,5 @@
 #include "graph/adjacency_arena.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -16,14 +13,6 @@ namespace {
 /// chain growth), so the slab is tracked in bytes, not page counts.
 constexpr size_t kTargetSlabBytes = 16 * 1024;
 
-uint32_t ClampCapacity(uint64_t requested) {
-  if (requested < 1) return 1;
-  if (requested > AdjacencyArena::kMaxPageCapacity) {
-    return AdjacencyArena::kMaxPageCapacity;
-  }
-  return static_cast<uint32_t>(requested);
-}
-
 /// Bytes a page of `capacity` slots occupies in the slab, header included,
 /// rounded so the next page's header stays pointer-aligned.
 size_t PageBytes(uint32_t capacity) {
@@ -33,28 +22,6 @@ size_t PageBytes(uint32_t capacity) {
 }
 
 }  // namespace
-
-uint32_t AdjacencyArena::ResolvePageCapacity(uint32_t requested) {
-  if (requested != 0) return ClampCapacity(requested);
-  // Environment default, resolved once per process (same pattern as
-  // LOOM_HUB_THRESHOLD): lets CI force tiny pages for every suite without
-  // plumbing a knob through each test's construction path.
-  static const uint32_t env_default = [] {
-    const char* s = std::getenv("LOOM_ADJ_PAGE");
-    if (s == nullptr || *s == '\0') return kDefaultPageCapacity;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1 || v > kMaxPageCapacity) {
-      std::fprintf(stderr,
-                   "loom: ignoring LOOM_ADJ_PAGE='%s' (want an integer in "
-                   "[1, %u]); using %u\n",
-                   s, kMaxPageCapacity, kDefaultPageCapacity);
-      return kDefaultPageCapacity;
-    }
-    return static_cast<uint32_t>(v);
-  }();
-  return env_default;
-}
 
 void AdjacencyArena::ReserveEntries(uint64_t expected_entries) {
   if (expected_entries == 0) return;
@@ -93,21 +60,17 @@ AdjacencyPage* AdjacencyArena::NewPage(uint32_t capacity) {
 void AdjacencyArena::Append(VertexId v, VertexId w) {
   assert(v < chains_.size() && "Append on an unreserved chain slot");
   Chain& c = chains_[v];
-  // Single-writer: the writer's own count load needs no ordering.
-  const uint32_t n = c.count.load(std::memory_order_relaxed);
   if (c.tail == nullptr) {
     c.head = c.tail = NewPage(FirstCapacity());
     c.tail_used = 0;
   } else if (c.tail_used == c.tail->capacity) {
     AdjacencyPage* page = NewPage(NextCapacity(c.tail->capacity));
-    c.tail->next = page;  // ordered by the release below
+    c.tail->next = page;
     c.tail = page;
     c.tail_used = 0;
   }
   c.tail->slots()[c.tail_used++] = w;
-  // Publish: everything above becomes visible to readers that acquire the
-  // new count.
-  c.count.store(n + 1, std::memory_order_release);
+  ++c.count;
   ++total_entries_;
 }
 
@@ -121,8 +84,7 @@ void AdjacencyArena::SaveChain(io::CheckpointWriter* w, VertexId v) const {
 void AdjacencyArena::LoadChain(io::CheckpointReader* r, VertexId v) {
   EnsureSlot(v);
   Chain& c = chains_[v];
-  assert(c.count.load(std::memory_order_relaxed) == 0 &&
-         "LoadChain into a non-empty chain");
+  assert(c.count == 0 && "LoadChain into a non-empty chain");
   const uint64_t n = r->U64();
   if (n > std::numeric_limits<uint32_t>::max()) {
     r->Fail("adjacency chain length " + std::to_string(n) +
@@ -147,8 +109,7 @@ void AdjacencyArena::LoadChain(io::CheckpointReader* r, VertexId v) {
     c.tail_used = static_cast<uint32_t>(take);
     capacity = NextCapacity(capacity);
   }
-  // Load runs single-threaded (restore happens before any reader exists).
-  c.count.store(static_cast<uint32_t>(n), std::memory_order_relaxed);
+  c.count = static_cast<uint32_t>(n);
   total_entries_ += n;
 }
 

@@ -4,10 +4,10 @@
 // time; heuristics like "number of neighbours already in partition S" need
 // the adjacency of the streamed-so-far prefix. DynamicGraph provides that:
 // O(1) amortised edge insertion, label assignment on first sight of a
-// vertex, and neighbour iteration. Adjacency lives in a chunk-stable
+// vertex, and neighbour iteration. Adjacency lives in a paged
 // AdjacencyArena (see graph/adjacency_arena.h): no per-vertex heap
-// allocation, and published neighbour pages never move, so a snapshot
-// NeighborRange stays valid while later edges are appended.
+// allocation, and neighbour pages never move once written. One thread
+// appends and reads; nothing reads a graph from another thread.
 
 #ifndef LOOM_GRAPH_DYNAMIC_GRAPH_H_
 #define LOOM_GRAPH_DYNAMIC_GRAPH_H_
@@ -29,9 +29,10 @@ class DynamicGraph {
   DynamicGraph() = default;
 
   /// Optionally pre-sizes internal arrays for `n` vertices.
-  /// `page_entries` caps the arena's page capacity (0 = the LOOM_ADJ_PAGE
-  /// environment default, normally 64; layout-only — neighbour order and
-  /// every derived score are identical for any page size).
+  /// `page_entries` caps the arena's page capacity (0 = 64, the value
+  /// every partitioner uses). It is a test seam: tiny pages force chain
+  /// hops, and neighbour order and every derived score are identical for
+  /// any page size.
   /// `expected_entries` pre-carves arena slab storage for that many
   /// adjacency entries (2m for m undirected edges; 0 = allocate on
   /// demand) — an allocation hint only, never affecting layout or the

@@ -36,8 +36,8 @@ namespace io {
 
 /// Format version this build writes and reads. v2: the session section
 /// dropped the shard progress fields and the shard option keys. v3: it
-/// dropped the "simd" option key.
-inline constexpr uint16_t kCheckpointVersion = 3;
+/// dropped the "simd" option key. v4: it dropped the "adj_page" option key.
+inline constexpr uint16_t kCheckpointVersion = 4;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.
@@ -140,7 +140,9 @@ class CheckpointReader {
   template <typename T>
   void PodVec(std::vector<T>* v) {
     const uint64_t n = U64();
-    CheckRemaining(n * sizeof(T), "vector payload");
+    // Bound the count, not n * sizeof(T): the product wraps for a corrupt n.
+    CheckRemaining(n > Remaining() / sizeof(T) ? UINT64_MAX : n * sizeof(T),
+                   "vector payload");
     v->resize(static_cast<size_t>(n));
     if (n > 0) {
       std::memcpy(v->data(), Cursor(), static_cast<size_t>(n) * sizeof(T));

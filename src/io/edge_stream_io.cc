@@ -29,6 +29,8 @@ constexpr size_t kChecksumOffset = 28;
 constexpr size_t kRecordBytes = 12;
 
 constexpr char kTextMagic[] = "# loom-edge-stream v1";
+// The shortest text record that parses: "E0 1 0 0\n".
+constexpr size_t kMinTextRecordBytes = 9;
 
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -212,6 +214,7 @@ FileEdgeSource::FileEdgeSource(const std::string& path,
   if (!follow_.follow) {
     if (!in_) Fail(path_, "cannot open for reading");
     ReadHeader();
+    CheckDeclaredCount();
     return;
   }
   // Follow mode: the producer may still be creating the file or writing its
@@ -346,6 +349,22 @@ void FileEdgeSource::ReadHeader() {
     }
   }
   data_start_ = in_.tellg();
+}
+
+void FileEdgeSource::CheckDeclaredCount() {
+  in_.seekg(0, std::ios::end);
+  const uint64_t bytes = static_cast<uint64_t>(in_.tellg() - data_start_);
+  in_.seekg(data_start_);
+  const bool binary = info_.format == StreamFormat::kBinary;
+  // The last text record may lack its newline.
+  const uint64_t at_most =
+      binary ? bytes / kRecordBytes : (bytes + 1) / kMinTextRecordBytes;
+  if (info_.edge_count > at_most) {
+    Fail(path_, "truncated: header declares " +
+                    std::to_string(info_.edge_count) +
+                    " edges but the file ends after " +
+                    (binary ? "" : "at most ") + std::to_string(at_most));
+  }
 }
 
 bool FileEdgeSource::Stopped() const {

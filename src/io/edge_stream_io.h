@@ -173,6 +173,10 @@ class FileEdgeSource : public engine::EdgeSource {
 
  private:
   void ReadHeader();  // positions the file at the first edge record
+  /// Offline only (a followed file's count is not a promise): rejects a
+  /// declared edge count the bytes after the header cannot hold, before
+  /// SizeHint sizes anything from it.
+  void CheckDeclaredCount();
   /// Follow-mode batch fill: blocks (polling) until at least one complete
   /// record is available or the stop signal fires (then returns 0).
   size_t ReadFollow(std::span<stream::StreamEdge> out);

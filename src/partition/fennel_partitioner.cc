@@ -9,7 +9,7 @@ namespace partition {
 FennelPartitioner::FennelPartitioner(const PartitionerConfig& config,
                                      double gamma)
     : partitioning_(config.k, config.expected_vertices, config.max_imbalance),
-      seen_(config.expected_vertices, config.adj_page_entries,
+      seen_(config.expected_vertices, /*page_entries=*/0,
             /*expected_entries=*/2 * config.expected_edges),
       gamma_(gamma) {
   const double n = static_cast<double>(

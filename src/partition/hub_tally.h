@@ -34,8 +34,11 @@
 // the partitioning is bit-identical whether the cache is on, off, or set
 // to a different threshold (pinned by the hub differential tests).
 //
-// The cache is derived state: it is never checkpointed; restore paths call
-// Rebuild() after the graph and partition table are back.
+// The cache is derived state and never checkpointed. A restored
+// partitioner starts with an empty cache, which is exact as well: a
+// vertex without a row falls back to the full tally, and NoteEntry
+// materialises a hub again on its next edge, before any decision for that
+// edge reads it.
 
 #ifndef LOOM_PARTITION_HUB_TALLY_H_
 #define LOOM_PARTITION_HUB_TALLY_H_
@@ -53,20 +56,17 @@ namespace partition {
 class HubTallyCache {
  public:
   static constexpr uint32_t kDefaultThreshold = 128;
-  /// Threshold value meaning "never materialise" (env LOOM_HUB_THRESHOLD=0
-  /// also spells this).
+  /// Threshold value meaning "never materialise" (for measuring the cache:
+  /// `--opt hub_threshold=4294967295`).
   static constexpr uint32_t kDisabled = UINT32_MAX;
 
-  /// 0 → LOOM_HUB_THRESHOLD if set (where 0 disables), else
-  /// kDefaultThreshold; anything else is taken as-is.
-  static uint32_t ResolveThreshold(uint32_t requested);
-
+  /// `degree_threshold` 0 means kDefaultThreshold.
   HubTallyCache(uint32_t k, uint32_t degree_threshold)
-      : k_(k), threshold_(ResolveThreshold(degree_threshold)) {}
+      : k_(k),
+        threshold_(degree_threshold == 0 ? kDefaultThreshold
+                                         : degree_threshold) {}
 
   bool enabled() const { return threshold_ != kDisabled; }
-  uint32_t threshold() const { return threshold_; }
-  size_t num_hubs() const { return num_hubs_; }
 
   /// The k per-partition counters for v, or nullptr when v is not a
   /// materialised hub (caller falls back to a full tally). The row holds
@@ -109,16 +109,6 @@ class HubTallyCache {
       }
     });
   }
-
-  /// Drops all materialised rows (threshold kept).
-  void Clear();
-
-  /// Re-derives the cache from a restored graph + partition table:
-  /// materialises every vertex in [0, num_slots) whose visible degree has
-  /// reached the threshold. Produces the same rows a fresh run at this
-  /// stream position would hold.
-  void Rebuild(const graph::DynamicGraph& g, size_t num_slots,
-               const Partitioning& p);
 
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;

@@ -98,7 +98,7 @@ LdgPartitioner::LdgPartitioner(const PartitionerConfig& config)
     // reaches zero at perfect balance), which is why the paper observes only
     // 1-3% imbalance for LDG vs Fennel's/Loom's ~10%.
     : partitioning_(config.k, config.expected_vertices, /*nu=*/1.0),
-      seen_(config.expected_vertices, config.adj_page_entries,
+      seen_(config.expected_vertices, /*page_entries=*/0,
             /*expected_entries=*/2 * config.expected_edges),
       hub_(config.k, config.hub_degree_threshold) {}
 
@@ -140,8 +140,6 @@ bool LdgPartitioner::RestoreState(io::CheckpointReader* r, std::string* error) {
   (void)error;
   partitioning_.LoadFrom(r);
   seen_.LoadFrom(r, "seen_graph");
-  // Hub rows are derived state — never checkpointed, always re-derived.
-  hub_.Rebuild(seen_, seen_.NumSlots(), partitioning_);
   return true;
 }
 

@@ -69,7 +69,7 @@ class LdgPartitioner : public Partitioner {
 
   Partitioning partitioning_;
   graph::DynamicGraph seen_;  // streamed-so-far adjacency
-  HubTallyCache hub_;         // derived from seen_; rebuilt on restore
+  HubTallyCache hub_;         // derived from seen_; refills after restore
 };
 
 }  // namespace partition

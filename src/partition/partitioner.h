@@ -34,11 +34,10 @@ struct PartitionerConfig {
   size_t expected_edges = 0;         // m
   double max_imbalance = 1.1;        // ν: capacity = ν·n/k
 
-  // Storage/caching knobs. Both are LAYOUT/SPEED only — assignments are
-  // bit-identical for every value (pinned by differential tests).
-  // 0 = default: LOOM_ADJ_PAGE / LOOM_HUB_THRESHOLD env, else 64 / 128.
-  uint32_t adj_page_entries = 0;     // adjacency arena page capacity
-  uint32_t hub_degree_threshold = 0; // hub tally cache threshold (env 0 = off)
+  // Hub tally cache threshold (0 = 128; UINT32_MAX disables the cache).
+  // SPEED only — assignments are bit-identical for every value (pinned by
+  // differential tests).
+  uint32_t hub_degree_threshold = 0;
 };
 
 class Partitioner {

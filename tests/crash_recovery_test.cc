@@ -120,6 +120,29 @@ TEST(CheckpointFormatTest, LayoutSkewIsAnError) {
   }
 }
 
+// A corrupt count whose byte size wraps 64 bits (n * 4 == 4 here) must fail
+// the bound check, not reach vector::resize.
+TEST(CheckpointFormatTest, WrappingVectorCountIsRejected) {
+  const std::string path = TempPath("wrap.loomck");
+  io::CheckpointWriter w;
+  w.BeginSection("s");
+  w.U64((uint64_t{1} << 62) + 1);
+  w.U32(7);
+  w.EndSection();
+  w.Commit(path);
+
+  io::CheckpointReader r(path);
+  r.Open("s");
+  std::vector<uint32_t> v;
+  try {
+    r.PodVec(&v);
+    FAIL() << "a count past the section end should throw";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("vector payload"), std::string::npos)
+        << e.what();
+  }
+}
+
 // --------------------------------------------------- kill-point matrix
 
 struct RunOutcome {
@@ -250,6 +273,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::ValuesIn(std::vector<MatrixCase>{
         {"loom_provgen", "loom", datasets::DatasetId::kProvGen, 0.05},
         {"loom_musicbrainz", "loom", datasets::DatasetId::kMusicBrainz, 0.05},
+        // The hub cache is not checkpointed: a resumed run starts with no
+        // rows and must refill them without moving a single decision.
+        {"loom_hub3_musicbrainz", "loom:hub_threshold=3",
+         datasets::DatasetId::kMusicBrainz, 0.05},
         // Edge partitioners: backend_stats carries the whole quality triple
         // (replica_total, max/min part edges, edge_assignment_hash), so the
         // same EXPECT_EQ proves RF/balance/hash survive a kill -9.
@@ -268,13 +295,14 @@ INSTANTIATE_TEST_SUITE_P(
 // Baselines ride the same machinery through their own SaveState paths:
 // hash restores the table alone, ldg/fennel also restore the seen graph
 // (their placement decisions read adjacency, so table-only would diverge).
+// ldg:hub_threshold=3 resumes with an empty hub cache that must refill.
 TEST(BaselineRecoveryTest, TableAndSeenGraphBackendsResumeIdentically) {
   const datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   const uint64_t m = es.size();
-  for (const char* spec : {"hash", "ldg", "fennel"}) {
+  for (const char* spec : {"hash", "ldg", "fennel", "ldg:hub_threshold=3"}) {
     auto baseline_session = MustCreate(spec, ds);
     engine::SpanEdgeSource baseline_source(es);
     baseline_session->IngestSome(baseline_source, m);
@@ -451,10 +479,11 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
 
 // Older files carry a session section this build no longer reads: v1 has
 // three progress fields and two option keys that v2 dropped, v2 has the
-// "simd" option key that v3 dropped. They must fail on the version check,
-// naming both versions, not on a confusing layout or arity error further in.
+// "simd" option key that v3 dropped, v3 has the "adj_page" option key that
+// v4 dropped. They must fail on the version check, naming both versions,
+// not on a confusing layout or arity error further in.
 TEST_F(CorruptionTest, VersionOneCheckpointIsRejectedByVersion) {
-  for (const uint16_t old_version : {1, 2}) {
+  for (const uint16_t old_version : {1, 2, 3}) {
     SCOPED_TRACE("v" + std::to_string(old_version));
     std::vector<char> old = bytes_;
     old[6] = static_cast<char>(old_version);

@@ -39,7 +39,6 @@ TEST(EngineOptionsTest, EveryKeyRoundTripsFromItsStringForm) {
       {"expected_vertices", "123456"},
       {"expected_edges", "654321"},
       {"max_imbalance", "1.25"},
-      {"adj_page", "16"},
       {"hub_threshold", "32"},
       {"window_size", "4000"},
       {"support_threshold", "0.35"},

@@ -177,12 +177,42 @@ TEST(EdgeStreamErrorTest, TruncatedFileIsDetected) {
     }
     std::ofstream(w.path, std::ios::binary | std::ios::trunc) << bytes;
 
-    io::FileEdgeSource source(w.path.string());
     try {
+      io::FileEdgeSource source(w.path.string());
       Drain(source);
       FAIL() << "truncated " << io::ToString(format) << " should throw";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The header's edge count sizes memory downstream (SizeHint), so a count
+// the file cannot hold is rejected when the source is built, before any
+// reader trusts it.
+TEST(EdgeStreamErrorTest, ImpossibleEdgeCountIsRejectedAtOpen) {
+  constexpr uint64_t kClaimed = uint64_t{1} << 40;
+  for (auto format : {io::StreamFormat::kBinary, io::StreamFormat::kText}) {
+    const Written w = WriteDataset(format, "overclaim");
+    std::string bytes = FileBytes(w.path);
+    if (format == io::StreamFormat::kBinary) {
+      std::memcpy(&bytes[8], &kClaimed, sizeof(kClaimed));  // edge_count
+    } else {
+      // The count is the zero-padded 20-digit field ending the "N" line.
+      const size_t eol = bytes.find('\n', bytes.find("\nN ") + 1);
+      const std::string digits = std::to_string(kClaimed);
+      bytes.replace(eol - 20, 20, std::string(20 - digits.size(), '0') + digits);
+    }
+    std::ofstream(w.path, std::ios::binary | std::ios::trunc) << bytes;
+
+    try {
+      io::FileEdgeSource source(w.path.string());
+      FAIL() << io::ToString(format) << ": construction should throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated: header declares " +
+                                           std::to_string(kClaimed) + " edges"),
+                std::string::npos)
           << e.what();
     }
   }

@@ -5,16 +5,15 @@ Partition-quality fields (edge_cut, imbalance, assignment_hash, and for
 edge partitioners replication_factor, edge_balance, edge_assignment_hash)
 are deterministic on fixed seeds and must match EXACTLY — a mismatch means
 a "perf" change altered partitioning behaviour and the script exits
-non-zero. Timing fields (ms, eps) are machine/load dependent: they are
-reported as ratios, with a warning (not a failure) on large throughput
-regressions.
+non-zero. Timing fields (ms, eps) are not compared: bench/e2e is where
+speed is measured, from repeated interleaved runs.
 
 Sections are checked bidirectionally: a section present in one file but
 missing from the other is a FAILURE with an actionable message, never a
 silent skip — so adding a new bench section cannot mask drift in an
 existing one, and a baseline predating a section tells you to re-golden.
 
-Usage: diff_bench.py BASELINE.json NEW.json [--max-regression 0.7]
+Usage: diff_bench.py BASELINE.json NEW.json
 """
 
 import argparse
@@ -76,9 +75,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
     ap.add_argument("new")
-    ap.add_argument("--max-regression", type=float, default=0.7,
-                    help="warn when new eps falls below this fraction "
-                         "of baseline")
     args = ap.parse_args()
 
     with open(args.baseline) as f:
@@ -86,7 +82,7 @@ def main():
     with open(args.new) as f:
         new = json.load(f)
 
-    failures, warnings = [], []
+    failures = []
 
     # Section accounting first: every section must exist on both sides and
     # be one this script covers. Actionable, never a KeyError or a skip.
@@ -114,8 +110,7 @@ def main():
         if name in new_sections:
             index_section(new, name, new_idx)
 
-    print(f"{'dataset':<14} {'system':<16} {'base eps':>12} {'new eps':>12} "
-          f"{'ratio':>7}  quality")
+    print(f"{'dataset':<14} {'system':<16}  quality")
     for key in sorted(base_idx):
         if key not in new_idx:
             failures.append(f"{key}: missing from new results")
@@ -129,29 +124,20 @@ def main():
                 quality_ok = False
                 failures.append(
                     f"{key}: {field} changed {b.get(field)} -> {n.get(field)}")
-        b_eps, n_eps = b.get("eps"), n.get("eps")
-        ratio = (n_eps / b_eps) if b_eps and n_eps is not None \
-            else float("nan")
-        if b_eps and ratio < args.max_regression:
-            warnings.append(f"{key}: throughput regressed to {ratio:.2f}x")
-        print(f"{key[0]:<14} {key[1]:<16} {b_eps or 0:>12.0f} "
-              f"{n_eps or 0:>12.0f} {ratio:>6.2f}x  "
+        print(f"{key[0]:<14} {key[1]:<16}  "
               f"{'ok' if quality_ok else 'CHANGED'}")
     for key in sorted(set(new_idx) - set(base_idx)):
         failures.append(
             f"{key}: in the new results but not the baseline — re-golden if "
             f"this system/dataset cell is newly added")
 
-    for w in warnings:
-        print(f"WARNING: {w}", file=sys.stderr)
     if failures:
         for f_ in failures:
             print(f"FAIL: {f_}", file=sys.stderr)
         print("\npartition quality drifted — a perf change must not alter "
               "assignments on fixed seeds", file=sys.stderr)
         return 1
-    print("\npartition quality identical to baseline"
-          + (f"; {len(warnings)} throughput warning(s)" if warnings else ""))
+    print("\npartition quality identical to baseline")
     return 0
 
 

@@ -19,12 +19,13 @@
 # comparable to the committed baseline, so the quality diff is skipped.
 #
 # In default mode the diff FAILS if partition quality (edge-cut / imbalance
-# / assignment hash) differs from the baseline; throughput changes only
-# warn. The default run also records a file_stream section (loom replayed
-# from a freshly written io::FileEdgeSource binary stream at the paper
-# window — eps, eps_vs_inmemory and the quality triple, which
-# diff_bench.py guards as "loom@file"); the bench itself aborts if the
-# file replay diverges from loom's assignment hash.
+# / assignment hash) differs from the baseline. Timings are recorded but
+# not compared: speed is measured by `python3 bench/e2e/run.py`, from
+# repeated interleaved runs. The default run also records a file_stream
+# section (loom replayed from a freshly written io::FileEdgeSource binary
+# stream at the paper window — eps, eps_vs_inmemory and the quality
+# triple, which diff_bench.py guards as "loom@file"); the bench itself
+# aborts if the file replay diverges from loom's assignment hash.
 # ctest additionally guards the quality triples at tiny scale via the
 # `bench_smoke` test (table2_throughput --smoke vs the committed
 # BENCH_smoke.json) and the multi-source differential via
