@@ -8,8 +8,9 @@ namespace core {
 
 EqualOpportunism::EqualOpportunism(const tpstry::Tpstry* trie,
                                    const graph::DynamicGraph* neighborhood,
-                                   EqualOpportunismConfig config)
-    : trie_(trie), neighborhood_(neighborhood), config_(config) {}
+                                   EqualOpportunismConfig config,
+                                   const partition::HubTallyCache* hub)
+    : trie_(trie), neighborhood_(neighborhood), config_(config), hub_(hub) {}
 
 double EqualOpportunism::RationWith(double size, double smin,
                                     double avg) const {
@@ -114,8 +115,10 @@ AllocationDecision EqualOpportunism::DecideBids(
   const bool use_nbrs =
       neighborhood_ != nullptr && config_.neighbor_bid_weight > 0.0;
   if (use_nbrs) {
-    // The cluster's matches share (hub) vertices; scan each distinct
-    // vertex's adjacency once per eviction, not once per containing match.
+    // The cluster's matches share (hub) vertices; tally each distinct
+    // vertex once per eviction, not once per containing match. A hub's row
+    // already holds its exact tally, so only vertices without one walk
+    // their adjacency.
     nbr_cached_vertices_.clear();
     for (motif::MatchHandle h : me) {
       const motif::Match& m = ml.match(h);
@@ -128,8 +131,14 @@ AllocationDecision EqualOpportunism::DecideBids(
         nbr_cached_vertices_.end());
     nbr_rows_.assign(nbr_cached_vertices_.size() * k, 0);
     for (size_t ci = 0; ci < nbr_cached_vertices_.size(); ++ci) {
-      p.TallyNeighbors(neighborhood_->Neighbors(nbr_cached_vertices_[ci]),
-                       &nbr_rows_[ci * k]);
+      const graph::VertexId v = nbr_cached_vertices_[ci];
+      uint32_t* counts = &nbr_rows_[ci * k];
+      const uint32_t* row = hub_ != nullptr ? hub_->Counts(v) : nullptr;
+      if (row != nullptr) {
+        std::copy(row, row + k, counts);
+      } else {
+        p.TallyNeighbors(neighborhood_->Neighbors(v), counts);
+      }
     }
   }
   for (size_t i = 0; i < me.size(); ++i) {

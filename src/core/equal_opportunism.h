@@ -25,6 +25,7 @@
 
 #include "graph/dynamic_graph.h"
 #include "motif/match_list.h"
+#include "partition/hub_tally.h"
 #include "partition/partitioning.h"
 #include "tpstry/tpstry.h"
 
@@ -62,11 +63,17 @@ struct AllocationDecision {
 class EqualOpportunism {
  public:
   /// `trie` supplies match supports, `neighborhood` the streamed-so-far
-  /// adjacency for the neighbour-bid term (may be nullptr to disable it);
-  /// both must outlive the allocator.
+  /// adjacency for the neighbour-bid term (may be nullptr to disable it).
+  /// `hub`, when given, holds exact per-partition neighbour tallies for
+  /// high-degree vertices of `neighborhood`: the neighbour bid copies a
+  /// vertex's row instead of walking its adjacency. Its rows must track
+  /// `neighborhood` and the Partitioning passed to DecideBids (the owner
+  /// fires OnEdgeVisible/OnAssign before any eviction reads them). All
+  /// three must outlive the allocator.
   EqualOpportunism(const tpstry::Tpstry* trie,
                    const graph::DynamicGraph* neighborhood,
-                   EqualOpportunismConfig config);
+                   EqualOpportunismConfig config,
+                   const partition::HubTallyCache* hub = nullptr);
 
   /// The rationing function l(Si) in [0, 1].
   double Ration(graph::PartitionId si, const partition::Partitioning& p) const;
@@ -106,6 +113,7 @@ class EqualOpportunism {
   const tpstry::Tpstry* trie_;
   const graph::DynamicGraph* neighborhood_;
   EqualOpportunismConfig config_;
+  const partition::HubTallyCache* hub_;
 
   /// Per-eviction scratch (Decide is on the eviction hot path).
   struct SortKey {
@@ -117,7 +125,7 @@ class EqualOpportunism {
   mutable std::vector<SortKey> sort_scratch_;
   mutable std::vector<double> overlap_scratch_;  // me.size() x k tallies
   // Per-vertex neighbour tallies, cached across the cluster's matches (they
-  // share hub vertices; each vertex's adjacency is scanned at most once per
+  // share hub vertices; each vertex's tally is taken at most once per
   // eviction instead of once per containing match).
   mutable std::vector<graph::VertexId> nbr_cached_vertices_;
   mutable std::vector<uint32_t> nbr_rows_;  // k counts per cached vertex

@@ -6,6 +6,20 @@
 namespace loom {
 namespace core {
 
+namespace {
+
+// IngestBatch's look-ahead, in edges. Each per-vertex table is indexed by
+// vertex id, so on a random or BFS-ordered stream every endpoint's first
+// read misses the cache. At kSlotLookahead the endpoints' table slots are
+// prefetched; at kTailLookahead the then-cached chain entry names the
+// arena tail page to prefetch. The distances are fixed, not options: a
+// 16/8 look-ahead that also prefetched neighbours' partitions measured no
+// better than 8/4 (lubm-rand-file eps 0.89-1.10x).
+constexpr size_t kSlotLookahead = 8;
+constexpr size_t kTailLookahead = 4;
+
+}  // namespace
+
 LoomPartitioner::LoomPartitioner(const LoomOptions& options,
                                  const query::Workload& workload,
                                  size_t num_labels)
@@ -29,8 +43,8 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
   }
   matcher_ = std::make_unique<motif::MotifMatcher>(trie_.get(), calc_.get(),
                                                    options.matcher);
-  allocator_ = std::make_unique<EqualOpportunism>(trie_.get(), &seen_,
-                                                  options.equal_opportunism);
+  allocator_ = std::make_unique<EqualOpportunism>(
+      trie_.get(), &seen_, options.equal_opportunism, &hub_);
   const std::vector<bool> mask = trie_->MotifLabelMask(num_labels);
   motif_label_.assign(mask.begin(), mask.end());
   match_list_.ReserveEdgeSpan(options.window_size + 1);
@@ -102,9 +116,28 @@ void LoomPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     admit_scratch_[i] = matcher_->SingleEdgeMotif(batch[i]) != nullptr;
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
+  // The batch is known in advance, so the per-vertex slots a later edge
+  // will touch are requested while earlier edges run. Hints only: they
+  // never change what the pipeline computes.
+  const size_t n = batch.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kSlotLookahead < n) {
+      PrefetchVertexSlots(batch[i + kSlotLookahead].u);
+      PrefetchVertexSlots(batch[i + kSlotLookahead].v);
+    }
+    if (i + kTailLookahead < n) {
+      seen_.PrefetchAppend(batch[i + kTailLookahead].u);
+      seen_.PrefetchAppend(batch[i + kTailLookahead].v);
+    }
     IngestWithAdmission(batch[i], admit_scratch_[i] != 0);
   }
+}
+
+void LoomPartitioner::PrefetchVertexSlots(graph::VertexId v) const {
+  seen_.PrefetchVertex(v);
+  partitioning_.PrefetchVertex(v);
+  hub_.PrefetchVertex(v);
+  match_list_.PrefetchVertex(v);
 }
 
 void LoomPartitioner::IngestWithAdmission(const stream::StreamEdge& e,

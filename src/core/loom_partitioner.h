@@ -77,8 +77,9 @@ class LoomPartitioner : public partition::Partitioner {
 
   /// Hoists the admission-mask probe (memoised per label pair) for the
   /// whole batch before running the per-edge pipeline, so the admission
-  /// memo is walked in one tight pass. Results are bit-identical for every
-  /// batch split.
+  /// memo is walked in one tight pass, and prefetches each edge's
+  /// per-vertex table slots a few edges ahead of its turn. Results are
+  /// bit-identical for every batch split.
   void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   void Finalize() override;
   void FillProgress(engine::ProgressEvent* progress) const override;
@@ -121,6 +122,11 @@ class LoomPartitioner : public partition::Partitioner {
   /// precomputes it).
   void IngestWithAdmission(const stream::StreamEdge& e, bool admitted);
 
+  /// Look-ahead hint: prefetches v's slot in every per-vertex table the
+  /// per-edge pipeline reads (labels and chains, assignment, hub row
+  /// index, matchList posting list).
+  void PrefetchVertexSlots(graph::VertexId v) const;
+
   /// Open-alphabet support: grows the label-value table (chunked, values of
   /// existing labels untouched) and re-fits the admission memo + motif-label
   /// mask when the stream reveals a label beyond the current space. Must run
@@ -144,7 +150,9 @@ class LoomPartitioner : public partition::Partitioner {
   size_t ctor_num_labels_;  // label space at construction (checkpoint id)
   partition::Partitioning partitioning_;
   graph::DynamicGraph seen_;  // streamed-so-far adjacency (for LDG scoring)
-  partition::HubTallyCache hub_;  // derived from seen_; refills after restore
+  // Derived from seen_ and read by LDG and the allocator's neighbour bids;
+  // refills after restore.
+  partition::HubTallyCache hub_;
 
   std::unique_ptr<signature::LabelValues> label_values_;
   std::unique_ptr<signature::SignatureCalculator> calc_;

@@ -105,17 +105,21 @@ RunReport Session::Run(EdgeSource& source) {
 
 size_t Session::IngestSome(EdgeSource& source, size_t max_edges) {
   const size_t batch_cap = std::max<size_t>(config_.drive.batch_size, 1);
-  std::vector<stream::StreamEdge> batch(std::min(batch_cap, max_edges));
+  // One buffer for the session's lifetime: a server calls this once per
+  // short run of edges, so a fresh zero-filled batch per call would cost
+  // an allocation and a fill per run.
+  const size_t buffer = std::min(batch_cap, max_edges);
+  if (batch_.size() < buffer) batch_.resize(buffer);
   size_t done = 0;
   util::Timer timer;
   while (done < max_edges) {
     const size_t want = std::min(batch_cap, max_edges - done);
     const size_t n =
-        source.NextBatch(std::span<stream::StreamEdge>(batch.data(), want));
+        source.NextBatch(std::span<stream::StreamEdge>(batch_.data(), want));
     if (n == 0) break;
     util::Timer batch_timer;
     partitioner_->IngestBatch(
-        std::span<const stream::StreamEdge>(batch.data(), n));
+        std::span<const stream::StreamEdge>(batch_.data(), n));
     fanout_.OnBatch({n, static_cast<uint64_t>(batch_timer.ElapsedMs() * 1e6)});
     done += n;
   }

@@ -196,6 +196,8 @@ class Session {
   std::unique_ptr<partition::Partitioner> partitioner_;
   Fanout fanout_;
   SessionExtension* extension_ = nullptr;
+  /// IngestSome's batch buffer, grown on demand and kept between calls.
+  std::vector<stream::StreamEdge> batch_;
   uint64_t edges_ = 0;
   double ms_ = 0.0;
 };

@@ -60,6 +60,8 @@ AdjacencyPage* AdjacencyArena::NewPage(uint32_t capacity) {
 void AdjacencyArena::Append(VertexId v, VertexId w) {
   assert(v < chains_.size() && "Append on an unreserved chain slot");
   Chain& c = chains_[v];
+  assert((c.tail == nullptr || TailCapacity(c) == c.tail->capacity) &&
+         "chain pages left the FirstCapacity/NextCapacity sequence");
   if (c.tail == nullptr) {
     c.head = c.tail = NewPage(FirstCapacity());
     c.tail_used = 0;

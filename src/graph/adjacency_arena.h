@@ -34,6 +34,7 @@
 
 #include "graph/types.h"
 #include "io/checkpoint.h"
+#include "util/prefetch.h"
 
 namespace loom {
 namespace graph {
@@ -219,6 +220,27 @@ class AdjacencyArena {
     return NeighborRange::OfChain(c.head, c.count);
   }
 
+  /// Look-ahead hint: prefetches v's chain entry. A no-op for v beyond
+  /// the table, which it never grows.
+  void PrefetchChain(VertexId v) const {
+    if (v < chains_.size()) util::PrefetchRead(&chains_[v]);
+  }
+
+  /// Look-ahead hint for an Append to v, issued once PrefetchChain(v) has
+  /// had time to land: reads v's chain entry and prefetches the tail
+  /// page's next write slot, or only the page header (which Append reads,
+  /// and whose `next` it writes) when the tail page is full. A no-op for
+  /// v beyond the table or without entries. Reads no page memory.
+  void PrefetchAppend(VertexId v) const {
+    if (v >= chains_.size()) return;
+    const Chain& c = chains_[v];
+    if (c.tail == nullptr) return;
+    util::PrefetchWrite(c.tail);
+    if (c.tail_used < TailCapacity(c)) {
+      util::PrefetchWrite(c.tail->slots() + c.tail_used);
+    }
+  }
+
   /// Sum of all chain lengths (load-time validation, stats).
   uint64_t TotalEntries() const { return total_entries_; }
 
@@ -248,6 +270,19 @@ class AdjacencyArena {
   uint32_t NextCapacity(uint32_t prev) const {
     const uint32_t doubled = prev * 2;
     return doubled > cap_ ? cap_ : doubled;
+  }
+
+  /// Capacity of c's tail page from c's counters alone: every chain's
+  /// pages follow FirstCapacity/NextCapacity, so the entries held by the
+  /// full pages before the tail fix which page the tail is.
+  uint32_t TailCapacity(const Chain& c) const {
+    uint32_t before = c.count - c.tail_used;
+    uint32_t cap = FirstCapacity();
+    while (cap < cap_ && before >= cap) {
+      before -= cap;
+      cap = NextCapacity(cap);
+    }
+    return cap;
   }
 
   AdjacencyPage* NewPage(uint32_t capacity);

@@ -17,6 +17,7 @@
 #include "graph/adjacency_arena.h"
 #include "graph/types.h"
 #include "io/checkpoint.h"
+#include "util/prefetch.h"
 
 namespace loom {
 namespace graph {
@@ -83,6 +84,18 @@ class DynamicGraph {
 
   /// Number of entries Neighbors(v) would return.
   size_t Degree(VertexId v) const { return arena_.Degree(v); }
+
+  /// Look-ahead hint: prefetches v's label and chain entries. A no-op for
+  /// v beyond the tables, which it never grows.
+  void PrefetchVertex(VertexId v) const {
+    if (v >= labels_.size()) return;
+    util::PrefetchRead(&labels_[v]);
+    arena_.PrefetchChain(v);
+  }
+
+  /// Look-ahead hint for an AddEdge touching v: prefetches the slot v's
+  /// next adjacency entry goes to (AdjacencyArena::PrefetchAppend).
+  void PrefetchAppend(VertexId v) const { arena_.PrefetchAppend(v); }
 
   /// Writes the graph as checkpoint section `name` (labels, adjacency in
   /// insertion order — neighbour order feeds scoring, so it must survive).

@@ -29,6 +29,7 @@
 #include "motif/match_pool.h"
 #include "util/flat_set64.h"
 #include "util/monotone_ring.h"
+#include "util/prefetch.h"
 
 namespace loom {
 namespace motif {
@@ -85,6 +86,12 @@ class MatchList {
   /// dead handles until the next Compact.
   bool HasLiveAt(graph::VertexId v) const;
   bool HasLiveAt(graph::VertexId v);
+
+  /// Look-ahead hint: prefetches v's posting-list entry. A no-op for v
+  /// beyond the index, which it never grows.
+  void PrefetchVertex(graph::VertexId v) const {
+    if (v < by_vertex_.size()) util::PrefetchRead(&by_vertex_[v]);
+  }
 
   /// Kills every match containing edge `e` (called when `e` is assigned to a
   /// permanent partition and leaves Ptemp). The edge's ring slot is freed:

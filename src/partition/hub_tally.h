@@ -49,6 +49,7 @@
 #include "graph/dynamic_graph.h"
 #include "graph/types.h"
 #include "partition/partitioning.h"
+#include "util/prefetch.h"
 
 namespace loom {
 namespace partition {
@@ -77,6 +78,12 @@ class HubTallyCache {
     const uint32_t row = hub_row_[v];
     if (row == kNoRow) return nullptr;
     return &rows_[static_cast<size_t>(row) * k_];
+  }
+
+  /// Look-ahead hint: prefetches v's row index. A no-op for v beyond the
+  /// index, which it never grows.
+  void PrefetchVertex(graph::VertexId v) const {
+    if (v < hub_row_.size()) util::PrefetchRead(&hub_row_[v]);
   }
 
   /// Hook: edge (u,v)'s adjacency entries were just added to `g`. Call

@@ -16,6 +16,7 @@
 #include "graph/adjacency_arena.h"
 #include "graph/types.h"
 #include "io/checkpoint.h"
+#include "util/prefetch.h"
 
 namespace loom {
 namespace partition {
@@ -34,6 +35,12 @@ class Partitioning {
   /// Partition of v, or kNoPartition.
   graph::PartitionId PartitionOf(graph::VertexId v) const {
     return v < assignment_.size() ? assignment_[v] : graph::kNoPartition;
+  }
+
+  /// Look-ahead hint: prefetches v's assignment entry. A no-op for v
+  /// beyond the table, which it never grows.
+  void PrefetchVertex(graph::VertexId v) const {
+    if (v < assignment_.size()) util::PrefetchRead(&assignment_[v]);
   }
 
   bool IsAssigned(graph::VertexId v) const {

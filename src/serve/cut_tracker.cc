@@ -30,12 +30,12 @@ void CutTracker::Append(graph::VertexId v, graph::PartitionId p) {
   if (range.first == range.second) return;
   // Drain the key before re-parking: an emplace can rehash, which would
   // invalidate the range being walked.
-  std::vector<graph::VertexId> others;
+  others_scratch_.clear();
   for (auto it = range.first; it != range.second; ++it) {
-    others.push_back(it->second);
+    others_scratch_.push_back(it->second);
   }
   parked_.erase(v);
-  for (const graph::VertexId other : others) {
+  for (const graph::VertexId other : others_scratch_) {
     const graph::PartitionId po = table_->Get(other);
     if (po != graph::kNoPartition) {
       if (po != p) cut_.fetch_add(1, std::memory_order_relaxed);

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/session.h"
 #include "graph/types.h"
@@ -70,6 +71,8 @@ class CutTracker : public io::AssignmentSink, public engine::SessionExtension {
   /// Parked edges, keyed by the unplaced endpoint they wait on; the value
   /// is the other endpoint.
   std::unordered_multimap<graph::VertexId, graph::VertexId> parked_;
+  /// Append's drained endpoints, reused so a placement does not allocate.
+  std::vector<graph::VertexId> others_scratch_;
   uint64_t pending_count_ = 0;
   std::atomic<uint64_t> cut_{0};
   std::atomic<uint64_t> edges_seen_{0};

@@ -77,6 +77,42 @@ TEST(AdjacencyArenaTest, EmptyAndOutOfRangeChainsAreEmptyRanges) {
   EXPECT_TRUE(arena.Neighbors(999).empty());
 }
 
+// The look-ahead hints read the arena but never write or grow it. They
+// run before every append at every page capacity, so they see untouched
+// slots, ids past NumSlots, edgeless chains, partial tails and full tails
+// (after every append at capacity 1, every fourth at 4, and at counts 4,
+// 12, 28, 60, 124 and 188 at 64).
+// The hinted arena must match an unhinted twin entry for entry.
+TEST(AdjacencyArenaTest, LookaheadHintsNeverChangeTheArena) {
+  const VertexId probes[] = {0, 1, 2, 3, 999, kInvalidVertex};
+  for (const uint32_t cap : {1u, 3u, 4u, 64u}) {
+    AdjacencyArena hinted(cap);
+    AdjacencyArena plain(cap);
+    hinted.Reserve(3);
+    plain.Reserve(3);
+    for (VertexId w = 0; w < 200; ++w) {
+      for (const VertexId v : probes) {
+        hinted.PrefetchChain(v);
+        hinted.PrefetchAppend(v);
+      }
+      ASSERT_EQ(hinted.NumSlots(), 3u) << "cap=" << cap;
+      ASSERT_EQ(hinted.Degree(0), w) << "cap=" << cap;
+      ASSERT_EQ(hinted.Degree(1), 0u) << "cap=" << cap;
+      hinted.Append(0, w);
+      plain.Append(0, w);
+      if (w % 7 == 0) {
+        hinted.Append(2, w);
+        plain.Append(2, w);
+      }
+    }
+    EXPECT_EQ(hinted.TotalEntries(), plain.TotalEntries()) << "cap=" << cap;
+    for (VertexId v = 0; v < 3; ++v) {
+      EXPECT_EQ(hinted.Neighbors(v).ToVector(), plain.Neighbors(v).ToVector())
+          << "cap=" << cap << " v=" << v;
+    }
+  }
+}
+
 // A NeighborRange snapshot taken before further appends must keep seeing
 // exactly the entries the chain held at snapshot time.
 TEST(AdjacencyArenaTest, SnapshotIsStableAcrossLaterAppends) {

@@ -324,10 +324,14 @@ TEST(SessionIngestTest, BatchedRunMatchesPerEdgeIngest) {
             eval::HashAssignment(session->partitioning(), ds.NumVertices()));
 }
 
-// Loom's IngestBatch hoists the admission probe per batch, so how the
-// stream is cut into batches must never reach the output. Every dataset and
-// order, at batch sizes from per-edge to larger than the eviction-heavy
-// window, against a reference batch size none of the legs share.
+// Loom's IngestBatch hoists the admission probe per batch and prefetches
+// a fixed number of edges ahead, so how the stream is cut into batches
+// must never reach the output. Every dataset and order, at batch sizes
+// from per-edge to larger than the eviction-heavy window, against a
+// reference batch size none of the legs share. Sizes 3-9 straddle both
+// look-ahead distances (4 and 8): a hint that read past a batch's end
+// would fail here under ASan, and one that changed a result would move
+// the quality triple.
 double BatchGridScale(datasets::DatasetId id) {
   switch (id) {
     case datasets::DatasetId::kLubm100:
@@ -355,7 +359,8 @@ TEST_P(LoomBatchSplitTest, EveryBatchSizeMatchesTheReferenceSplit) {
   const test_util::Quality reference =
       test_util::DriveSpec("loom", ds, options, order, seed,
                            /*batch_size=*/97);
-  for (const size_t batch : {size_t{1}, size_t{64}, size_t{4096}}) {
+  for (const size_t batch : {size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                             size_t{8}, size_t{9}, size_t{64}, size_t{4096}}) {
     EXPECT_EQ(test_util::DriveSpec("loom", ds, options, order, seed, batch),
               reference)
         << "batch_size=" << batch << " on " << datasets::ToString(dataset)

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datasets/workloads.h"
 #include "graph/dynamic_graph.h"
+#include "partition/hub_tally.h"
+#include "util/rng.h"
 
 namespace loom {
 namespace core {
@@ -137,6 +141,91 @@ TEST_F(EqualOpportunismTest, NeighborBidAttractsClusters) {
   std::vector<motif::MatchHandle> me{m};
   auto decision = eo.Decide(ml_, me, p, /*fallback=*/0);
   EXPECT_EQ(decision.partition, 1u);
+}
+
+// Hub rows feed Eq. 1's neighbour bid: a cluster vertex with a row copies
+// it, one without walks its adjacency. DecideBids must return the same
+// winner, take and match order as an allocator without the cache, on
+// random graphs, placements and clusters. Threshold 1 gives a row to every
+// vertex with an entry, 2 to vertices of degree 2 and up (so clusters mix
+// both kinds), kDisabled to none. The hooks fire in LoomPartitioner's
+// order: OnEdgeVisible after each AddEdge, OnAssign after each placement.
+TEST_F(EqualOpportunismTest, HubRowsDecideLikeAdjacencyWalks) {
+  constexpr uint32_t kParts = 3;
+  constexpr graph::VertexId kVertices = 24;
+  const uint32_t nodes[] = {ab_node_, bc_node_, abc_node_};
+  for (const uint32_t threshold :
+       {1u, 2u, partition::HubTallyCache::kDisabled}) {
+    util::SplitMix64 rng(0xB1D5 + threshold);
+    size_t with_row = 0;
+    size_t without_row = 0;
+    size_t bid_wins = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      graph::DynamicGraph g(kVertices);
+      for (graph::VertexId v = 0; v < kVertices; ++v) g.TouchVertex(v, 0);
+      partition::Partitioning p(kParts, 2 * kVertices);
+      partition::HubTallyCache hub(kParts, threshold);
+      const int num_edges = 4 + static_cast<int>(rng.Next() % 40);
+      for (int i = 0; i < num_edges; ++i) {
+        const auto u = static_cast<graph::VertexId>(rng.Next() % kVertices);
+        const auto v = static_cast<graph::VertexId>(rng.Next() % kVertices);
+        g.AddEdge(u, v);
+        hub.OnEdgeVisible(u, v, g, p);
+        if (rng.Next() % 3 == 0) {
+          const auto w = static_cast<graph::VertexId>(rng.Next() % kVertices);
+          if (!p.IsAssigned(w)) {
+            const auto part =
+                static_cast<graph::PartitionId>(rng.Next() % kParts);
+            hub.OnAssign(w, p.Assign(w, part), g);
+          }
+        }
+      }
+      // A cluster of 1-4 matches sharing evictee edge 0.
+      motif::MatchList ml;
+      std::vector<motif::MatchHandle> me;
+      const int num_matches = 1 + static_cast<int>(rng.Next() % 4);
+      for (int m = 0; m < num_matches; ++m) {
+        motif::MatchHandle h = ml.Acquire();
+        motif::Match& match = ml.match(h);
+        match.edges = {0, static_cast<graph::EdgeId>(100 + m)};
+        const auto a = static_cast<graph::VertexId>(rng.Next() % kVertices);
+        const auto b = static_cast<graph::VertexId>(
+            (a + 1 + rng.Next() % (kVertices - 1)) % kVertices);
+        match.vertices = {std::min(a, b), std::max(a, b)};
+        match.degrees.assign(2, 1);
+        match.node_id = nodes[rng.Next() % 3];
+        ASSERT_TRUE(ml.Commit(h));
+        me.push_back(h);
+        for (const graph::VertexId v : match.vertices) {
+          ++(hub.Counts(v) != nullptr ? with_row : without_row);
+        }
+      }
+      EqualOpportunism with_hub(&trie_, &g, {}, &hub);
+      EqualOpportunism walk_only(&trie_, &g, {});
+      std::vector<motif::MatchHandle> me_hub = me;
+      std::vector<motif::MatchHandle> me_walk = me;
+      const AllocationDecision a = with_hub.DecideBids(ml, me_hub, p);
+      const AllocationDecision b = walk_only.DecideBids(ml, me_walk, p);
+      ASSERT_EQ(a.partition, b.partition)
+          << "threshold=" << threshold << " trial=" << trial;
+      ASSERT_EQ(a.take, b.take)
+          << "threshold=" << threshold << " trial=" << trial;
+      ASSERT_EQ(me_hub, me_walk)
+          << "threshold=" << threshold << " trial=" << trial;
+      if (b.partition != graph::kNoPartition) ++bid_wins;
+    }
+    // The grid must exercise what it claims: both kinds of vertex, and
+    // decisions that a bid (not the caller's fallback) settles.
+    EXPECT_GT(bid_wins, 100u) << "threshold=" << threshold;
+    if (threshold == partition::HubTallyCache::kDisabled) {
+      EXPECT_EQ(with_row, 0u);
+    } else {
+      EXPECT_GT(with_row, 100u) << "threshold=" << threshold;
+    }
+    if (threshold != 1) {
+      EXPECT_GT(without_row, 100u) << "threshold=" << threshold;
+    }
+  }
 }
 
 TEST_F(EqualOpportunismTest, SupportOrderingPrioritisesHighSupport) {

@@ -201,6 +201,34 @@ TEST(DynamicGraphTest, SelfLoopCanonicalisesToSingleEntry) {
   EXPECT_EQ(nbrs[1], 1u);
 }
 
+// The look-ahead hints touch no table: hints on an untouched slot, an
+// edgeless vertex, a vertex whose tail page is full (page capacity 2, two
+// entries) and ids at or past NumSlots leave every size, label and degree
+// as it was.
+TEST(DynamicGraphTest, LookaheadHintsLeaveTheGraphUnchanged) {
+  DynamicGraph g(/*n=*/4, /*page_entries=*/2);
+  g.TouchVertex(0, 3);
+  g.TouchVertex(1, 3);
+  g.TouchVertex(2, 4);  // edgeless; slot 3 stays untouched
+  g.AddEdge(0, 1);
+  g.AddEdge(0, 0);  // vertex 0: two entries, a full two-slot page
+  for (const VertexId v : {0u, 1u, 2u, 3u, 4u, 1000u, kInvalidVertex}) {
+    g.PrefetchVertex(v);
+    g.PrefetchAppend(v);
+  }
+  EXPECT_EQ(g.NumSlots(), 4u);
+  EXPECT_EQ(g.NumVertices(), 3u);
+  EXPECT_EQ(g.NumEdges(), 2u);
+  EXPECT_FALSE(g.Known(3));
+  EXPECT_FALSE(g.Known(4));
+  EXPECT_EQ(g.label(2), 4u);
+  EXPECT_EQ(g.Degree(0), 2u);
+  EXPECT_EQ(g.Degree(1), 1u);
+  EXPECT_EQ(g.Degree(2), 0u);
+  EXPECT_EQ(g.Degree(1000), 0u);
+  EXPECT_EQ(g.Neighbors(0).ToVector(), (std::vector<VertexId>{1, 0}));
+}
+
 TEST(DynamicGraphTest, NeighborOrderIsInsertionOrderAcrossPages) {
   // Page capacity 2 forces chain hops every two entries; the walk must
   // still read back the exact insertion order.

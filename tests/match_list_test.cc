@@ -56,6 +56,24 @@ TEST(MatchListTest, AddAndLookup) {
   EXPECT_FALSE(ml.HasLiveAt(12));
 }
 
+// The posting-list hint grows no index: hints on indexed vertices, on
+// vertices without matches and on ids past the index leave every list as
+// it was.
+TEST(MatchListTest, LookaheadHintLeavesTheIndexUnchanged) {
+  MatchList ml;
+  ASSERT_NE(AddMatch(ml, {0}, {10, 11}, 1), kNullMatch);
+  for (const graph::VertexId v : {0u, 10u, 11u, 12u, 5000u,
+                                  graph::kInvalidVertex}) {
+    ml.PrefetchVertex(v);
+  }
+  EXPECT_EQ(ml.IndexEntriesAt(10), 1u);
+  EXPECT_EQ(ml.IndexEntriesAt(11), 1u);
+  EXPECT_EQ(ml.IndexEntriesAt(0), 0u);
+  EXPECT_EQ(ml.IndexEntriesAt(5000), 0u);
+  EXPECT_EQ(ml.NumLive(), 1u);
+  EXPECT_EQ(ml.LiveAt(10).size(), 1u);
+}
+
 TEST(MatchListTest, DuplicateRejected) {
   MatchList ml;
   EXPECT_NE(AddMatch(ml, {0, 1}, {5, 6, 7}, 2), kNullMatch);

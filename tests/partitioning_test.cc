@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/dynamic_graph.h"
+#include "partition/hub_tally.h"
 #include "partition/partition_metrics.h"
 
 namespace loom {
@@ -55,6 +57,37 @@ TEST(PartitioningTest, GrowsBeyondExpectedVertices) {
   Partitioning p(2, 4);
   EXPECT_EQ(p.Assign(1000, 1), 1u);
   EXPECT_EQ(p.PartitionOf(1000), 1u);
+}
+
+// The look-ahead hints of the partition table and the hub cache grow
+// neither: hints past the assignment table, on unassigned vertices and on
+// vertices with and without a hub row leave both as they were.
+TEST(PartitioningTest, LookaheadHintsLeaveTablesUnchanged) {
+  graph::DynamicGraph g(4);
+  for (graph::VertexId v = 0; v < 4; ++v) g.TouchVertex(v, 0);
+  Partitioning p(2, 4);
+  HubTallyCache hub(2, /*degree_threshold=*/2);
+  g.AddEdge(0, 1);
+  hub.OnEdgeVisible(0, 1, g, p);
+  g.AddEdge(0, 2);
+  hub.OnEdgeVisible(0, 2, g, p);  // vertex 0 reaches degree 2: a row
+  hub.OnAssign(1, p.Assign(1, 1), g);
+  const size_t table = p.assignments().size();
+  for (const graph::VertexId v : {0u, 1u, 2u, 3u, 4u, 4096u,
+                                  graph::kInvalidVertex}) {
+    p.PrefetchVertex(v);
+    hub.PrefetchVertex(v);
+  }
+  EXPECT_EQ(p.assignments().size(), table);
+  EXPECT_EQ(p.NumAssigned(), 1u);
+  EXPECT_EQ(p.PartitionOf(1), 1u);
+  EXPECT_FALSE(p.IsAssigned(4096));
+  ASSERT_NE(hub.Counts(0), nullptr);
+  EXPECT_EQ(hub.Counts(0)[0], 0u);
+  EXPECT_EQ(hub.Counts(0)[1], 1u);
+  for (const graph::VertexId v : {1u, 2u, 3u, 4096u}) {
+    EXPECT_EQ(hub.Counts(v), nullptr) << "v=" << v;
+  }
 }
 
 // ----------------------------------------------------------------- metrics
