@@ -99,7 +99,6 @@ void BM_MatcherOnly(benchmark::State& state, Fixture& (*fixture)()) {
     stream::SlidingWindow window(window_size);
     motif::MatchList ml;
     ml.ReserveEdgeSpan(window_size + 1);
-    uint64_t edges_since_compact = 0;
     for (const auto& e : f.es) {
       if (matcher.SingleEdgeMotif(e) == nullptr) continue;
       window.Push(e);
@@ -107,10 +106,6 @@ void BM_MatcherOnly(benchmark::State& state, Fixture& (*fixture)()) {
       while (window.OverCapacity()) {
         auto oldest = window.PopOldest();
         ml.RemoveMatchesWithEdge(oldest->id);
-      }
-      if (++edges_since_compact >= 1024) {
-        ml.Compact();
-        edges_since_compact = 0;
       }
     }
     admitted = matcher.stats().edges_admitted;

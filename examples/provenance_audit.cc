@@ -74,9 +74,9 @@ int main(int argc, char** argv) {
             << "  match slots recycled by the pool: "
             << lr.Stat("match_allocs_reused") << " (vs "
             << lr.Stat("match_allocs_fresh") << " fresh)\n"
-            << "  match clusters allocated: " << lr.events.cluster_decisions
-            << " (" << lr.events.fallback_decisions << " via LDG fallback, "
-            << lr.events.cluster_edges_assigned << " edges co-located)\n\n";
+            << "  match clusters allocated: " << lr.Stat("clusters_allocated")
+            << " (" << lr.Stat("fallback_clusters") << " via LDG fallback, "
+            << lr.Stat("cluster_edges_assigned") << " edges co-located)\n\n";
 
   query::WorkloadResult lw =
       query::RunWorkload(ds.graph, loom->partitioning(), ds.workload);

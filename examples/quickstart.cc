@@ -64,7 +64,7 @@ int main() {
 
   std::cout << "\nLoom's 2-way partitioning of G ("
             << report.events.vertices_assigned << " vertices assigned, "
-            << report.events.cluster_decisions << " match clusters, "
+            << report.Stat("clusters_allocated") << " match clusters, "
             << report.Stat("matcher_extension_matches") +
                    report.Stat("matcher_join_matches")
             << " multi-edge motif matches):\n";

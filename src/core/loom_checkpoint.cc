@@ -4,7 +4,7 @@
 //   "loom"      — options fingerprint (every knob that steers a decision,
 //                 doubles as bit patterns), label-space ctor/current counts,
 //                 and a TPSTry++ support fingerprint (workload drift check)
-//   "loom_stats"— LoomStats + MatcherStats counters + compaction phase
+//   "loom_stats"— LoomStats + MatcherStats counters
 //   "partition" — the partition table (Partitioning::SaveTo)
 //   "window"    — live sliding-window edges (SlidingWindow::SaveTo)
 //   "matches"   — match pool + postings (MatchList::SaveTo)
@@ -79,7 +79,6 @@ std::vector<Knob> Fingerprint(const LoomOptions& o) {
       {"eo_neighbor_bid_weight", Bits(o.equal_opportunism.neighbor_bid_weight)},
       {"eo_disable_rationing", o.equal_opportunism.disable_rationing ? 1u : 0u},
       {"matcher_max_matches_per_vertex", o.matcher.max_matches_per_vertex},
-      {"compact_interval", o.compact_interval},
   };
 }
 
@@ -103,10 +102,11 @@ bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
   w->BeginSection("loom_stats");
   w->U64(stats_.edges_ingested);
   w->U64(stats_.edges_bypassed);
-  w->U64(stats_.edges_via_window);
+  w->U64(stats_.evictions);
+  w->U64(stats_.empty_cluster_evictions);
   w->U64(stats_.clusters_allocated);
+  w->U64(stats_.fallback_clusters);
   w->U64(stats_.cluster_edges_assigned);
-  w->U64(edges_since_compact_);
   const motif::MatcherStats& m = matcher_->stats();
   w->U64(m.edges_admitted);
   w->U64(m.single_edge_matches);
@@ -166,10 +166,11 @@ bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
   r->Open("loom_stats");
   stats_.edges_ingested = r->U64();
   stats_.edges_bypassed = r->U64();
-  stats_.edges_via_window = r->U64();
+  stats_.evictions = r->U64();
+  stats_.empty_cluster_evictions = r->U64();
   stats_.clusters_allocated = r->U64();
+  stats_.fallback_clusters = r->U64();
   stats_.cluster_edges_assigned = r->U64();
-  edges_since_compact_ = r->U64();
   motif::MatcherStats ms;
   ms.edges_admitted = r->U64();
   ms.single_edge_matches = r->U64();

@@ -160,11 +160,6 @@ void LoomPartitioner::IngestWithAdmission(const stream::StreamEdge& e,
   matcher_->OnEdgeAdded(e, window_, &match_list_);
 
   while (window_.OverCapacity()) EvictOldest();
-
-  if (++edges_since_compact_ >= options_.compact_interval) {
-    match_list_.Compact();
-    edges_since_compact_ = 0;
-  }
 }
 
 void LoomPartitioner::FillProgress(engine::ProgressEvent* progress) const {
@@ -188,21 +183,26 @@ void LoomPartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
                                m.extension_matches);
   stats->counters.emplace_back("matcher_join_matches", m.join_matches);
   stats->counters.emplace_back("matcher_join_attempts", m.join_attempts);
+  stats->counters.emplace_back("evictions", stats_.evictions);
+  stats->counters.emplace_back("empty_cluster_evictions",
+                               stats_.empty_cluster_evictions);
+  stats->counters.emplace_back("clusters_allocated", stats_.clusters_allocated);
+  stats->counters.emplace_back("fallback_clusters", stats_.fallback_clusters);
+  stats->counters.emplace_back("cluster_edges_assigned",
+                               stats_.cluster_edges_assigned);
 }
 
 void LoomPartitioner::EvictOldest() {
   std::optional<stream::StreamEdge> evictee = window_.PopOldest();
   if (!evictee.has_value()) return;
-  ++stats_.edges_via_window;
+  ++stats_.evictions;
 
   // Me: live matches containing the evictee.
   me_scratch_.clear();
   match_list_.CollectLiveWithEdge(evictee->id, &me_scratch_);
-  if (observer() != nullptr) {
-    observer()->OnEviction({evictee->id, me_scratch_.size()});
-  }
   if (me_scratch_.empty()) {
     // Every match the edge belonged to already lost some other edge.
+    ++stats_.empty_cluster_evictions;
     AssignImmediately(*evictee);
     match_list_.RemoveMatchesWithEdge(evictee->id);
     return;
@@ -210,8 +210,7 @@ void LoomPartitioner::EvictOldest() {
 
   AllocationDecision decision =
       allocator_->DecideBids(match_list_, me_scratch_, partitioning_);
-  const bool used_fallback = decision.partition == graph::kNoPartition;
-  if (used_fallback) {
+  if (decision.partition == graph::kNoPartition) {
     // Zero-bid cluster: fall back to LDG's neighbourhood choice for the
     // evictee, so cold-start clusters still land near their assigned
     // neighbours instead of scattering round-robin. Computed lazily — the
@@ -223,6 +222,7 @@ void LoomPartitioner::EvictOldest() {
                              ? partitioning_.LeastLoaded()
                              : fallback;
     decision.take = me_scratch_.size();
+    ++stats_.fallback_clusters;
   }
   ++stats_.clusters_allocated;
 
@@ -241,7 +241,6 @@ void LoomPartitioner::EvictOldest() {
                   to_assign.end());
   assert(!to_assign.empty());
 
-  uint64_t edges_assigned = 0;
   for (graph::EdgeId eid : to_assign) {
     const stream::StreamEdge* se =
         eid == evictee->id ? &*evictee : window_.Find(eid);
@@ -249,18 +248,11 @@ void LoomPartitioner::EvictOldest() {
     AssignVertex(se->u, decision.partition);
     AssignVertex(se->v, decision.partition);
     window_.Remove(eid);
-    ++edges_assigned;
+    ++stats_.cluster_edges_assigned;
   }
-  stats_.cluster_edges_assigned += edges_assigned;
   // Retire every match that lost a constituent edge — including the losing
   // bids in Me (they all contained the evictee).
   for (graph::EdgeId eid : to_assign) match_list_.RemoveMatchesWithEdge(eid);
-
-  if (observer() != nullptr) {
-    observer()->OnClusterDecision({decision.partition, me_scratch_.size(),
-                                   decision.take, edges_assigned,
-                                   used_fallback});
-  }
 }
 
 void LoomPartitioner::UpdateWorkload(const query::Workload& workload,
@@ -287,7 +279,6 @@ void LoomPartitioner::UpdateWorkload(const query::Workload& workload,
 
 void LoomPartitioner::Finalize() {
   while (!window_.empty()) EvictOldest();
-  match_list_.Compact();
   // Sweep vertices whose placement was deferred (motif-labelled endpoints of
   // bypassed edges that never joined an allocated cluster). At this point the
   // full streamed adjacency is available, so LDG's per-vertex choice is

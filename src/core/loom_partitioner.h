@@ -54,18 +54,22 @@ struct LoomOptions {
 
   EqualOpportunismConfig equal_opportunism;
   motif::MatcherConfig matcher;
-
-  /// Compact the matchList every this many admitted edges.
-  size_t compact_interval = 1024;
 };
 
-/// Counters exposed for reports and tests.
+/// Counters exposed for reports and tests. The last five are reported as
+/// final stats under the same names.
 struct LoomStats {
   uint64_t edges_ingested = 0;
-  uint64_t edges_bypassed = 0;      // failed the admission test
-  uint64_t edges_via_window = 0;    // assigned on eviction
+  uint64_t edges_bypassed = 0;  // failed the admission test
+  /// Edges that aged out of the window (not claimed early by another
+  /// edge's cluster).
+  uint64_t evictions = 0;
+  /// Evictions whose edge had no live match left: LDG placed it.
+  uint64_t empty_cluster_evictions = 0;
   uint64_t clusters_allocated = 0;  // equal-opportunism decisions
-  uint64_t cluster_edges_assigned = 0;
+  /// Decisions where every bid was zero and LDG picked the partition.
+  uint64_t fallback_clusters = 0;
+  uint64_t cluster_edges_assigned = 0;  // window edges placed by clusters
 };
 
 class LoomPartitioner : public partition::Partitioner {
@@ -83,8 +87,9 @@ class LoomPartitioner : public partition::Partitioner {
   void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   void Finalize() override;
   void FillProgress(engine::ProgressEvent* progress) const override;
-  /// Match-pool fresh/reused and matcher totals — deterministic counters
-  /// only, keyed "match_allocs_*" / "matcher_*".
+  /// Match-pool fresh/reused, matcher totals and the eviction/cluster
+  /// counters of LoomStats — deterministic counters only, keyed
+  /// "match_allocs_*", "matcher_*" and by LoomStats field name.
   void FillFinalStats(engine::FinalStatsEvent* stats) const override;
 
   /// Workload drift (paper Sec. 6): decays the existing trie supports to
@@ -165,7 +170,6 @@ class LoomPartitioner : public partition::Partitioner {
   std::vector<uint8_t> motif_label_;  // labels that occur in some motif (byte,
                                       // not vector<bool>: probed per edge)
   LoomStats stats_;
-  uint64_t edges_since_compact_ = 0;
 
   // Eviction-path scratch, reused so allocation stays off the hot path.
   std::vector<motif::MatchHandle> me_scratch_;

@@ -27,7 +27,6 @@ core::LoomOptions ToLoomOptions(const EngineOptions& o) {
   lo.equal_opportunism.disable_rationing = o.disable_rationing;
   lo.matcher.max_matches_per_vertex =
       static_cast<size_t>(o.max_matches_per_vertex);
-  lo.compact_interval = static_cast<size_t>(o.compact_interval);
   return lo;
 }
 

@@ -190,15 +190,6 @@ const KeyDesc kKeys[] = {
        o.max_matches_per_vertex = x;
        return true;
      }},
-    {"compact_interval", "uint, >= 1",
-     "loom: compact the match list every this many admitted edges",
-     [](const EngineOptions& o) { return FormatU64(o.compact_interval); },
-     [](EngineOptions& o, std::string_view v) {
-       uint64_t x;
-       if (!ParseU64(v, &x) || x < 1) return false;
-       o.compact_interval = x;
-       return true;
-     }},
     {"fennel_gamma", "float, > 1.0",
      "fennel: objective exponent gamma (paper evaluation: 1.5)",
      [](const EngineOptions& o) { return FormatDouble(o.fennel_gamma); },

@@ -68,7 +68,8 @@ struct EngineOptions {
   /// Matcher cap N (motif::MatcherConfig): step 1 extends at most 2N live
   /// matches across both endpoints, step 2 pairs at most N per endpoint.
   uint64_t max_matches_per_vertex = 64;
-  /// Compact the matchList every this many admitted edges.
+  /// Not an option key and unread by the library (the match list prunes
+  /// itself): bench/e2e/trace.cc's replica still reads it.
   uint64_t compact_interval = 1024;
 
   // ---------------------------------------------------------- fennel knobs

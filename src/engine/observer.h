@@ -9,9 +9,10 @@
 // uniformly across backends.
 //
 // Events are fired synchronously on the ingest path, so implementations
-// must be cheap; a null observer costs one predictable branch. Baseline
-// backends (hash/ldg/fennel) emit only on_assign and on_progress; Loom
-// additionally emits on_eviction and on_cluster_decision.
+// must be cheap; a null observer costs one predictable branch. Vertex
+// backends emit OnAssign, edge backends OnEdgeAssign; the session adds
+// OnBatch, OnProgress and OnFinalStats. Loom's eviction and cluster counts
+// travel as final stats (FinalStatsEvent), not as per-decision events.
 //
 // This header deliberately depends only on graph/types.h (plus standard
 // containers) so every layer (partition, core, eval) can include it
@@ -49,28 +50,6 @@ struct EdgeAssignEvent {
   graph::VertexId u = graph::kInvalidVertex;
   graph::VertexId v = graph::kInvalidVertex;
   graph::PartitionId partition = graph::kNoPartition;
-};
-
-/// An edge left Loom's sliding window by aging out (not by being claimed
-/// early as part of another edge's cluster).
-struct EvictionEvent {
-  graph::EdgeId edge = graph::kInvalidEdge;
-  /// Live matches containing the evictee at eviction time (0 = its matches
-  /// all died earlier; the edge falls back to immediate LDG placement).
-  uint64_t cluster_size = 0;
-};
-
-/// Equal opportunism allocated an evictee's match cluster (Sec. 4, Eq. 3).
-struct ClusterDecisionEvent {
-  graph::PartitionId partition = graph::kNoPartition;
-  /// |Me|: live matches containing the evicted edge.
-  uint64_t cluster_size = 0;
-  /// Length of the support-ordered prefix the winner took.
-  uint64_t take = 0;
-  /// Window edges assigned (and removed) by this decision.
-  uint64_t edges_assigned = 0;
-  /// True when every bid was zero and the LDG fallback picked the partition.
-  bool used_fallback = false;
 };
 
 /// End-of-run ingest progress, fired once by Session::Finish after
@@ -141,38 +120,22 @@ class EngineObserver {
 
   virtual void OnAssign(const AssignEvent&) {}
   virtual void OnEdgeAssign(const EdgeAssignEvent&) {}
-  virtual void OnEviction(const EvictionEvent&) {}
-  virtual void OnClusterDecision(const ClusterDecisionEvent&) {}
   virtual void OnProgress(const ProgressEvent&) {}
   virtual void OnBatch(const BatchEvent&) {}
   virtual void OnFinalStats(const FinalStatsEvent&) {}
 };
 
-/// Ready-made accumulator: counts every event category and keeps the last
-/// progress snapshot. What RunComparison and the examples subscribe instead
-/// of reaching into backend-specific getters.
+/// Ready-made accumulator: counts vertex assignments and keeps the last
+/// progress snapshot and final stats. What RunComparison and the examples
+/// subscribe instead of reaching into backend-specific getters.
 class StatsObserver : public EngineObserver {
  public:
   struct Totals {
     uint64_t vertices_assigned = 0;
-    uint64_t evictions = 0;
-    uint64_t empty_cluster_evictions = 0;  // evictee had no live matches
-    uint64_t cluster_decisions = 0;
-    uint64_t fallback_decisions = 0;
-    uint64_t cluster_edges_assigned = 0;
     ProgressEvent last_progress;
   };
 
   void OnAssign(const AssignEvent&) override { ++totals_.vertices_assigned; }
-  void OnEviction(const EvictionEvent& e) override {
-    ++totals_.evictions;
-    if (e.cluster_size == 0) ++totals_.empty_cluster_evictions;
-  }
-  void OnClusterDecision(const ClusterDecisionEvent& e) override {
-    ++totals_.cluster_decisions;
-    if (e.used_fallback) ++totals_.fallback_decisions;
-    totals_.cluster_edges_assigned += e.edges_assigned;
-  }
   void OnProgress(const ProgressEvent& e) override {
     totals_.last_progress = e;
   }

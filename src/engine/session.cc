@@ -29,16 +29,6 @@ void Session::Fanout::OnEdgeAssign(const EdgeAssignEvent& e) {
   for (EngineObserver* o : observers) o->OnEdgeAssign(e);
 }
 
-void Session::Fanout::OnEviction(const EvictionEvent& e) {
-  stats.OnEviction(e);
-  for (EngineObserver* o : observers) o->OnEviction(e);
-}
-
-void Session::Fanout::OnClusterDecision(const ClusterDecisionEvent& e) {
-  stats.OnClusterDecision(e);
-  for (EngineObserver* o : observers) o->OnClusterDecision(e);
-}
-
 void Session::Fanout::OnProgress(const ProgressEvent& e) {
   stats.OnProgress(e);
   for (EngineObserver* o : observers) o->OnProgress(e);
@@ -159,11 +149,6 @@ bool Session::Checkpoint(const std::string& path, std::string* error) {
     w.U64(edges_);
     const StatsObserver::Totals& t = fanout_.stats.totals();
     w.U64(t.vertices_assigned);
-    w.U64(t.evictions);
-    w.U64(t.empty_cluster_evictions);
-    w.U64(t.cluster_decisions);
-    w.U64(t.fallback_decisions);
-    w.U64(t.cluster_edges_assigned);
     const ProgressEvent& p = t.last_progress;
     w.U64(p.edges_ingested);
     w.U64(p.edges_bypassed);
@@ -206,11 +191,6 @@ bool Session::Resume(const std::string& path, std::string* error) {
     const uint64_t edges = r.U64();
     StatsObserver::Totals t;
     t.vertices_assigned = r.U64();
-    t.evictions = r.U64();
-    t.empty_cluster_evictions = r.U64();
-    t.cluster_decisions = r.U64();
-    t.fallback_decisions = r.U64();
-    t.cluster_edges_assigned = r.U64();
     ProgressEvent& p = t.last_progress;
     p.edges_ingested = r.U64();
     p.edges_bypassed = r.U64();

@@ -59,8 +59,7 @@ struct RunReport {
   double ms = 0.0;
   /// edges / ms, scaled to per-second (0 when nothing was timed).
   double edges_per_sec = 0.0;
-  /// Accumulated event totals (assignments, evictions, cluster decisions,
-  /// last progress snapshot).
+  /// Accumulated event totals (assignments, last progress snapshot).
   StatsObserver::Totals events;
   /// The backend's deterministic end-of-run counters (FinalStatsEvent);
   /// empty for backends that report none.
@@ -170,8 +169,6 @@ class Session {
    public:
     void OnAssign(const AssignEvent& e) override;
     void OnEdgeAssign(const EdgeAssignEvent& e) override;
-    void OnEviction(const EvictionEvent& e) override;
-    void OnClusterDecision(const ClusterDecisionEvent& e) override;
     void OnProgress(const ProgressEvent& e) override;
     void OnBatch(const BatchEvent& e) override;
     void OnFinalStats(const FinalStatsEvent& e) override;

@@ -37,7 +37,11 @@ namespace io {
 /// Format version this build writes and reads. v2: the session section
 /// dropped the shard progress fields and the shard option keys. v3: it
 /// dropped the "simd" option key. v4: it dropped the "adj_page" option key.
-inline constexpr uint16_t kCheckpointVersion = 4;
+/// v5: the session section dropped the five eviction/cluster event totals
+/// and the "compact_interval" option key; "loom" dropped that knob from its
+/// fingerprint; "loom_stats" gained two counters and lost the compaction
+/// phase; "matches" dropped its live and total-added counts.
+inline constexpr uint16_t kCheckpointVersion = 5;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

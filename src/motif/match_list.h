@@ -13,11 +13,13 @@
 // Posting lists hold 4-byte handles (not 16-byte shared_ptrs) and handles of
 // dead matches are skipped via the pool's generation check.
 //
-// Dead handles are pruned opportunistically: each posting list counts its
-// dead entries and compacts itself in place the next time it is iterated
-// past a 50% dead ratio, so memory stays bounded between the matcher's
-// periodic full Compact() calls. Duplicate (same edges, same motif) matches
-// are rejected at Commit via a content-hash set.
+// Dead handles are pruned when a match is killed: each vertex posting list
+// counts its dead entries and compacts itself in place once at least half
+// of it is dead, so a list holding any live match has fewer than 2x as many
+// entries as live matches, and a list with none is empty. Edge posting
+// lists keep their dead handles until their edge leaves the window, which
+// empties them. Reads never prune. Duplicate (same edges, same motif)
+// matches are rejected at Commit via a content-hash set.
 
 #ifndef LOOM_MOTIF_MATCH_LIST_H_
 #define LOOM_MOTIF_MATCH_LIST_H_
@@ -60,32 +62,28 @@ class MatchList {
   // ------------------------------------------------------------- iteration
 
   /// Calls `fn(h)` for each live match containing vertex `v`, in insertion
-  /// order, until `fn` returns false. Prunes the posting list first when it
-  /// is at least half dead; dead handles are skipped, never passed to `fn`.
-  /// `fn` must not mutate this MatchList.
+  /// order, until `fn` returns false. Dead handles are skipped, never passed
+  /// to `fn`. `fn` must not mutate this MatchList.
   template <typename Fn>
-  void ForEachLiveAt(graph::VertexId v, Fn&& fn);
+  void ForEachLiveAt(graph::VertexId v, Fn&& fn) const;
 
   /// Appends the first `limit` live matches containing vertex `v` to `out`
   /// (insertion order preserved; `out` is not cleared; dead handles do not
   /// count towards `limit`). Safe to Commit/Remove while walking the
   /// collected handles.
   void CollectLiveAt(graph::VertexId v, std::vector<MatchHandle>* out,
-                     size_t limit = SIZE_MAX);
+                     size_t limit = SIZE_MAX) const;
 
   /// Same for matches containing window edge `e`.
-  void CollectLiveWithEdge(graph::EdgeId e, std::vector<MatchHandle>* out);
+  void CollectLiveWithEdge(graph::EdgeId e,
+                           std::vector<MatchHandle>* out) const;
 
   /// Convenience snapshot (allocates; tests and cold paths only).
   std::vector<MatchHandle> LiveAt(graph::VertexId v) const;
   std::vector<MatchHandle> LiveWithEdge(graph::EdgeId e) const;
 
-  /// True if any live match contains vertex v (cheaper than LiveAt). The
-  /// non-const overload prunes a mostly-dead list before scanning — hub
-  /// vertices are probed per bypassed edge and would otherwise rescan their
-  /// dead handles until the next Compact.
+  /// True if any live match contains vertex v (cheaper than LiveAt).
   bool HasLiveAt(graph::VertexId v) const;
-  bool HasLiveAt(graph::VertexId v);
 
   /// Look-ahead hint: prefetches v's posting-list entry. A no-op for v
   /// beyond the index, which it never grows.
@@ -104,19 +102,16 @@ class MatchList {
   /// spill into an ordered overflow map, mirroring SlidingWindow).
   void ReserveEdgeSpan(size_t span);
 
-  /// Number of currently live matches.
-  size_t NumLive() const { return live_count_; }
+  /// Live records in the pool: every committed match that is still live,
+  /// plus a record acquired and not yet committed or aborted.
+  size_t NumLive() const { return pool_.NumLive(); }
 
-  /// Total matches ever committed (monotone; for stats).
-  size_t TotalAdded() const { return total_added_; }
-
-  /// Drops dead handles from every posting list. Called periodically by the
-  /// matcher to bound memory (opportunistic pruning covers hot lists in
-  /// between).
-  void Compact();
+  /// Does nothing (posting lists prune themselves when a match is killed):
+  /// bench/e2e/trace.cc's replica still calls it.
+  void Compact() {}
 
   /// Total (live + not-yet-pruned dead) entries in v's posting list; for
-  /// tests asserting the opportunistic-pruning memory bound.
+  /// tests asserting the posting-list bound.
   size_t IndexEntriesAt(graph::VertexId v) const {
     return v < by_vertex_.size() ? by_vertex_[v].items.size() : 0;
   }
@@ -128,51 +123,44 @@ class MatchList {
   /// future handles and fresh/reused counters match the uninterrupted run.
   void SaveTo(io::CheckpointWriter* w) const;
 
-  /// Restores a SaveTo snapshot; requires a fresh MatchList.
+  /// Restores a SaveTo snapshot; requires a fresh MatchList. Rejects (via
+  /// the reader's Fail) a vertex index larger than the section could hold,
+  /// a posting entry that is not a live match at that vertex, and a live
+  /// match naming a vertex outside the restored index.
   void LoadFrom(io::CheckpointReader* r);
 
  private:
-  struct PostingList {
+  struct VertexPostings {
     std::vector<MatchHandle> items;
     uint32_t dead = 0;  // dead handles still in `items`
   };
+  using EdgePostings = std::vector<MatchHandle>;
 
-  /// Compacts `pl` in place when at least half its entries are dead.
-  void PruneIfStale(PostingList* pl);
-  void Prune(PostingList* pl);
-
-  /// Kills a live match: erases its dedup key, bumps the dead counters of
-  /// every posting list that holds it, and releases the pooled record.
+  /// Kills a live match: erases its dedup key, releases the pooled record,
+  /// then counts the dead handle in each of its vertex lists, pruning a list
+  /// once half of it is dead.
   void Kill(MatchHandle h);
 
   /// Extends the edge ring to cover edge id `e` (growing / recycling slots,
   /// spilling keys that fall behind the capped coverage) and returns its
   /// (activated) posting list.
-  PostingList* EnsureEdgeSlot(graph::EdgeId e);
+  EdgePostings* EnsureEdgeSlot(graph::EdgeId e);
 
   MatchPool pool_;
-  std::vector<PostingList> by_vertex_;  // flat, indexed by vertex id
-  /// Vertices/edges whose posting list gained its first dead handle since
-  /// the last Compact — so Compact visits only dirty lists instead of
-  /// sweeping the whole vertex space / edge ring.
-  std::vector<graph::VertexId> dirty_vertices_;
-  std::vector<graph::EdgeId> dirty_edges_;
+  std::vector<VertexPostings> by_vertex_;  // flat, indexed by vertex id
   /// Per-edge posting lists, keyed by edge id (capped ring + overflow spill;
   /// mechanics shared with the sliding window via util::MonotoneRing).
-  util::MonotoneRing<PostingList, graph::EdgeId> by_edge_;
+  util::MonotoneRing<EdgePostings, graph::EdgeId> by_edge_;
   util::FlatSet64 live_keys_;
-  size_t live_count_ = 0;
-  size_t total_added_ = 0;
 };
 
 template <typename Fn>
-void MatchList::ForEachLiveAt(graph::VertexId v, Fn&& fn) {
+void MatchList::ForEachLiveAt(graph::VertexId v, Fn&& fn) const {
   if (v >= by_vertex_.size()) return;
-  PostingList& pl = by_vertex_[v];
-  PruneIfStale(&pl);
-  const size_t bound = pl.items.size();  // appends during iteration excluded
+  const std::vector<MatchHandle>& items = by_vertex_[v].items;
+  const size_t bound = items.size();  // appends during iteration excluded
   for (size_t i = 0; i < bound; ++i) {
-    const MatchHandle h = pl.items[i];
+    const MatchHandle h = items[i];
     if (pool_.IsLive(h) && !fn(h)) return;
   }
 }

@@ -1,5 +1,7 @@
 #include "motif/match_pool.h"
 
+#include <string>
+
 namespace loom {
 namespace motif {
 
@@ -26,7 +28,6 @@ MatchHandle MatchPool::Allocate() {
 
 void MatchPool::SaveTo(io::CheckpointWriter* w) const {
   w->U32(next_index_);
-  w->U64(live_);
   w->U64(fresh_);
   w->U64(reused_);
   w->PodVec(free_);
@@ -47,25 +48,50 @@ void MatchPool::SaveTo(io::CheckpointWriter* w) const {
 
 void MatchPool::LoadFrom(io::CheckpointReader* r) {
   assert(next_index_ == 0 && free_.empty() && "restore into a fresh pool");
-  next_index_ = r->U32();
-  live_ = r->U64();
+  const uint32_t next_index = r->U32();
   fresh_ = r->U64();
   reused_ = r->U64();
   r->PodVec(&free_);
+  // Each slot takes at least 5 bytes (generation + live flag): bound the
+  // slot count by the handle space and by what the section still holds
+  // before allocating any chunk.
+  if (next_index > kMatchIndexMask + 1 || next_index > r->Remaining() / 5) {
+    r->Fail("corrupt match pool: " + std::to_string(next_index) +
+            " slots in a section with " + std::to_string(r->Remaining()) +
+            " bytes left");
+  }
+  next_index_ = next_index;
   const size_t chunks = (next_index_ + kChunkSize - 1) >> kChunkBits;
   for (size_t c = 0; c < chunks; ++c) {
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
   }
+  live_ = 0;
   for (uint32_t idx = 0; idx < next_index_; ++idx) {
     Slot& s = slot(idx);
     s.generation = r->U32();
     s.live = r->U8() != 0;
     if (s.live) {
+      if (s.generation >= kMatchGenerationLimit) {
+        r->Fail("corrupt match pool: live slot " + std::to_string(idx) +
+                " has generation " + std::to_string(s.generation));
+      }
       r->PodVec(&s.match.edges);
       r->PodVec(&s.match.vertices);
       r->PodVec(&s.match.degrees);
       s.match.node_id = r->U32();
+      ++live_;
     }
+  }
+  // Allocate hands out free slots as they are: each must be in range, not
+  // live, not retired and listed once.
+  std::vector<bool> listed(next_index_, false);
+  for (uint32_t idx : free_) {
+    if (idx >= next_index_ || slot(idx).live ||
+        slot(idx).generation >= kMatchGenerationLimit || listed[idx]) {
+      r->Fail("corrupt match pool: free-list entry " + std::to_string(idx) +
+              " is out of range, live, retired or repeated");
+    }
+    listed[idx] = true;
   }
 }
 

@@ -99,7 +99,11 @@ class MatchPool {
   /// uninterrupted run would have, or final stats drift.
   void SaveTo(io::CheckpointWriter* w) const;
 
-  /// Restores a SaveTo snapshot; requires a fresh pool.
+  /// Restores a SaveTo snapshot; requires a fresh pool. The live count is
+  /// recounted from the slots. Rejects (via the reader's Fail) a slot count
+  /// beyond the handle space or the section's bytes, checked before any
+  /// chunk is allocated, and free-list entries that are out of range, live,
+  /// retired or repeated.
   void LoadFrom(io::CheckpointReader* r);
 
  private:

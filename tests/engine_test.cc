@@ -49,7 +49,6 @@ TEST(EngineOptionsTest, EveryKeyRoundTripsFromItsStringForm) {
       {"neighbor_bid_weight", "0.125"},
       {"disable_rationing", "true"},
       {"max_matches_per_vertex", "32"},
-      {"compact_interval", "2048"},
       {"fennel_gamma", "1.7"},
       {"lambda", "2.5"},
       {"epsilon", "0.25"},
@@ -399,14 +398,19 @@ TEST(SessionIngestTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   StatsObserver stats;
   session->AddObserver(&stats);
   auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  session->Run(*source);
+  const RunReport report = session->Run(*source);
 
   const StatsObserver::Totals& t = stats.totals();
   // Every streamed vertex got exactly one OnAssign.
   EXPECT_EQ(t.vertices_assigned, session->partitioning().NumAssigned());
-  EXPECT_GT(t.evictions, 0u);
-  EXPECT_GT(t.cluster_decisions, 0u);
-  EXPECT_GE(t.evictions, t.cluster_decisions);
+  // Evictions and cluster decisions arrive as final stats.
+  EXPECT_EQ(stats.final_stats().counters, report.backend_stats);
+  const uint64_t evictions = report.Stat("evictions");
+  const uint64_t clusters = report.Stat("clusters_allocated");
+  EXPECT_GT(clusters, 0u);
+  EXPECT_EQ(evictions, clusters + report.Stat("empty_cluster_evictions"));
+  EXPECT_LE(report.Stat("fallback_clusters"), clusters);
+  EXPECT_GE(report.Stat("cluster_edges_assigned"), clusters);
   EXPECT_TRUE(t.last_progress.finalizing);
   EXPECT_EQ(t.last_progress.edges_ingested, source->SizeHint());
   EXPECT_GT(t.last_progress.edges_bypassed, 0u);
@@ -421,7 +425,7 @@ TEST(SessionIngestTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   hash->Run(*source);
   EXPECT_EQ(hash_stats.totals().vertices_assigned,
             hash->partitioning().NumAssigned());
-  EXPECT_EQ(hash_stats.totals().evictions, 0u);
+  EXPECT_TRUE(hash_stats.final_stats().counters.empty());
 }
 
 }  // namespace

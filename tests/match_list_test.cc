@@ -1,6 +1,14 @@
 #include "motif/match_list.h"
 
+#include <algorithm>
+#include <deque>
+#include <filesystem>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace loom {
 namespace motif {
@@ -79,7 +87,6 @@ TEST(MatchListTest, DuplicateRejected) {
   EXPECT_NE(AddMatch(ml, {0, 1}, {5, 6, 7}, 2), kNullMatch);
   EXPECT_EQ(AddMatch(ml, {0, 1}, {5, 6, 7}, 2), kNullMatch);
   EXPECT_EQ(ml.NumLive(), 1u);
-  EXPECT_EQ(ml.TotalAdded(), 1u);
 }
 
 TEST(MatchListTest, SameEdgesDifferentMotifCoexist) {
@@ -113,13 +120,12 @@ TEST(MatchListTest, DeadMatchCanBeReAdded) {
   EXPECT_EQ(ml.NumLive(), 1u);
 }
 
-TEST(MatchListTest, CompactPurgesDeadEntries) {
+TEST(MatchListTest, KillingTheLastMatchEmptiesItsVertexLists) {
   MatchList ml;
   for (graph::EdgeId e = 0; e < 10; ++e) {
     AddMatch(ml, {e}, {e * 2, e * 2 + 1}, 1);
   }
   for (graph::EdgeId e = 0; e < 5; ++e) ml.RemoveMatchesWithEdge(e);
-  ml.Compact();
   EXPECT_EQ(ml.NumLive(), 5u);
   for (graph::EdgeId e = 0; e < 5; ++e) {
     EXPECT_TRUE(ml.LiveAt(e * 2).empty());
@@ -135,24 +141,6 @@ TEST(MatchListTest, RemoveUnknownEdgeIsNoop) {
   AddMatch(ml, {3}, {0, 1}, 1);
   ml.RemoveMatchesWithEdge(99);
   EXPECT_EQ(ml.NumLive(), 1u);
-}
-
-TEST(MatchListTest, IterationPrunesMostlyDeadLists) {
-  // Vertex 5 accumulates 32 matches; killing 31 of them leaves dead handles
-  // in the posting list, which the next iteration must prune in place —
-  // memory stays bounded without waiting for a full Compact().
-  MatchList ml;
-  for (graph::EdgeId e = 0; e < 32; ++e) {
-    ASSERT_NE(AddMatch(ml, {e}, {5, 100 + e}, 1), kNullMatch);
-  }
-  EXPECT_EQ(ml.IndexEntriesAt(5), 32u);
-  for (graph::EdgeId e = 0; e < 31; ++e) ml.RemoveMatchesWithEdge(e);
-  EXPECT_EQ(ml.IndexEntriesAt(5), 32u);  // dead handles still parked
-  std::vector<MatchHandle> live;
-  ml.CollectLiveAt(5, &live);
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(ml.match(live[0]).edges, (std::vector<graph::EdgeId>{31}));
-  EXPECT_EQ(ml.IndexEntriesAt(5), 1u);  // pruned during iteration
 }
 
 TEST(MatchListTest, CollectAppendsInInsertionOrder) {
@@ -198,19 +186,6 @@ TEST(MatchListTest, CollectLimitCountsOnlyLiveHandles) {
   EXPECT_EQ(ml.IndexEntriesAt(9), 8u);  // not pruned
 }
 
-TEST(MatchListTest, LimitedCollectStillPrunesMostlyDeadLists) {
-  MatchList ml;
-  std::vector<MatchHandle> all;
-  for (graph::EdgeId e = 0; e < 8; ++e) {
-    all.push_back(AddMatch(ml, {e}, {9, 100 + e}, 1));
-  }
-  for (graph::EdgeId e = 0; e < 4; ++e) ml.RemoveMatchesWithEdge(e);
-  std::vector<MatchHandle> out;
-  ml.CollectLiveAt(9, &out, 1);
-  EXPECT_EQ(out, (std::vector<MatchHandle>{all[4]}));
-  EXPECT_EQ(ml.IndexEntriesAt(9), 4u);  // half dead: pruned before the walk
-}
-
 TEST(MatchListTest, UnlimitedCollectMatchesLiveAt) {
   MatchList ml;
   for (graph::EdgeId e = 0; e < 20; ++e) {
@@ -237,6 +212,137 @@ TEST(MatchListTest, ForEachLiveAtStopsWhenTheVisitorSaysSo) {
     return h != all[2];
   });
   EXPECT_EQ(seen, (std::vector<MatchHandle>{all[0], all[2]}));
+}
+
+// A brute-force model of the match list: live matches in commit order,
+// driven by random Commit/RemoveMatchesWithEdge sequences over a small vertex
+// and edge universe whose vertex 0 is a hub (in most matches). After every
+// step each read agrees with the model, and each vertex list holds fewer
+// than twice as many entries as it has live matches, or none when it has no
+// live match. Halfway through, the list is saved, restored into a fresh one
+// and the run continues on the restored copy.
+TEST(MatchListTest, RandomCommitsAndRemovalsMatchABruteForceModel) {
+  constexpr graph::VertexId kVertices = 10;
+  constexpr size_t kSteps = 1500;
+  struct Live {
+    std::vector<graph::EdgeId> edges;
+    std::vector<graph::VertexId> vertices;
+    uint32_t node;
+  };
+  const std::filesystem::path path =
+      std::filesystem::path(testing::TempDir()) / "match_list_model.loomck";
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    auto ml = std::make_unique<MatchList>();
+    std::vector<std::pair<MatchHandle, Live>> model;  // commit order
+    std::deque<graph::EdgeId> window;  // edges that may still gain matches
+    std::vector<graph::EdgeId> retired;
+    graph::EdgeId next_edge = 0;
+
+    const auto check = [&](size_t step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      ASSERT_EQ(ml->NumLive(), model.size());
+      for (graph::VertexId v = 0; v <= kVertices; ++v) {
+        std::vector<MatchHandle> want;
+        for (const auto& [h, m] : model) {
+          if (std::binary_search(m.vertices.begin(), m.vertices.end(), v)) {
+            want.push_back(h);
+          }
+        }
+        ASSERT_EQ(ml->LiveAt(v), want) << "vertex " << v;
+        ASSERT_EQ(ml->HasLiveAt(v), !want.empty()) << "vertex " << v;
+        for (const size_t limit : {size_t{0}, size_t{1}, size_t{2}, size_t{5},
+                                   SIZE_MAX}) {
+          std::vector<MatchHandle> got{kNullMatch};
+          ml->CollectLiveAt(v, &got, limit);
+          std::vector<MatchHandle> prefix{kNullMatch};
+          prefix.insert(prefix.end(), want.begin(),
+                        want.begin() + static_cast<ptrdiff_t>(
+                                           std::min(limit, want.size())));
+          ASSERT_EQ(got, prefix) << "vertex " << v << " limit " << limit;
+        }
+        const size_t entries = ml->IndexEntriesAt(v);
+        if (want.empty()) {
+          ASSERT_EQ(entries, 0u) << "vertex " << v;
+        } else {
+          ASSERT_LT(entries, 2 * want.size()) << "vertex " << v;
+        }
+      }
+      std::vector<graph::EdgeId> probes(window.begin(), window.end());
+      probes.insert(probes.end(), retired.begin(), retired.end());
+      probes.push_back(next_edge);
+      for (const graph::EdgeId e : probes) {
+        std::vector<MatchHandle> want;
+        for (const auto& [h, m] : model) {
+          if (std::binary_search(m.edges.begin(), m.edges.end(), e)) {
+            want.push_back(h);
+          }
+        }
+        ASSERT_EQ(ml->LiveWithEdge(e), want) << "edge " << e;
+      }
+    };
+
+    for (size_t step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        {
+          io::CheckpointWriter w;
+          ml->SaveTo(&w);
+          w.Commit(path.string());
+        }
+        io::CheckpointReader r(path.string());
+        ml = std::make_unique<MatchList>();
+        ml->LoadFrom(&r);
+        check(step);
+      }
+      if (window.size() < 3 || (window.size() < 8 && rng.Bernoulli(0.3))) {
+        window.push_back(next_edge++);
+      }
+      if (rng.Bernoulli(0.45)) {
+        // Retire an edge: usually the oldest, as the window evicts, else
+        // one claimed early by another edge's cluster.
+        const size_t i = rng.Bernoulli(0.6) ? 0 : rng.Uniform(window.size());
+        const graph::EdgeId e = window[i];
+        window.erase(window.begin() + static_cast<ptrdiff_t>(i));
+        retired.push_back(e);
+        ml->RemoveMatchesWithEdge(e);
+        std::erase_if(model, [e](const auto& entry) {
+          return std::binary_search(entry.second.edges.begin(),
+                                    entry.second.edges.end(), e);
+        });
+      } else {
+        Live m;
+        const size_t num_edges = 1 + rng.Uniform(std::min<size_t>(3, window.size()));
+        while (m.edges.size() < num_edges) {
+          const graph::EdgeId e = window[rng.Uniform(window.size())];
+          if (std::find(m.edges.begin(), m.edges.end(), e) == m.edges.end()) {
+            m.edges.push_back(e);
+          }
+        }
+        std::sort(m.edges.begin(), m.edges.end());
+        if (rng.Bernoulli(0.8)) m.vertices.push_back(0);  // the hub
+        const size_t num_vertices = 1 + rng.Uniform(3);
+        while (m.vertices.size() < num_vertices) {
+          const auto v = static_cast<graph::VertexId>(rng.Uniform(kVertices));
+          if (std::find(m.vertices.begin(), m.vertices.end(), v) ==
+              m.vertices.end()) {
+            m.vertices.push_back(v);
+          }
+        }
+        std::sort(m.vertices.begin(), m.vertices.end());
+        m.node = static_cast<uint32_t>(rng.Uniform(3));
+        const bool duplicate =
+            std::any_of(model.begin(), model.end(), [&m](const auto& entry) {
+              return entry.second.edges == m.edges && entry.second.node == m.node;
+            });
+        const MatchHandle h = AddMatch(*ml, m.edges, m.vertices, m.node);
+        ASSERT_EQ(h == kNullMatch, duplicate) << "step " << step;
+        if (h != kNullMatch) model.emplace_back(h, m);
+      }
+      check(step);
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(MatchListTest, EdgeRingSurvivesSparseGrowingIds) {

@@ -81,13 +81,13 @@ TEST(SessionTest, RunReportIsEventSourcedAndComplete) {
   EXPECT_GT(report.edges_per_sec, 0.0);
   EXPECT_EQ(report.events.vertices_assigned,
             session->partitioning().NumAssigned());
-  EXPECT_GT(report.events.evictions, 0u);
   EXPECT_TRUE(report.events.last_progress.finalizing);
   EXPECT_EQ(report.events.last_progress.edges_ingested, ds.NumEdges());
 
   // Final stats arrived through the observer event, not a getter.
   EXPECT_GT(report.Stat("match_allocs_fresh"), 0u);
   EXPECT_GT(report.Stat("matcher_edges_admitted"), 0u);
+  EXPECT_GT(report.Stat("evictions"), 0u);
   EXPECT_EQ(report.Stat("no_such_counter", 1234u), 1234u);
 }
 
@@ -182,8 +182,6 @@ TEST(SessionTest, StepDrivenAndResumedStreamsMatchOneShotRunBitForBit) {
       EXPECT_EQ(report->backend_stats, run_report.backend_stats);
       EXPECT_EQ(report->events.vertices_assigned,
                 run_report.events.vertices_assigned);
-      EXPECT_EQ(report->events.cluster_decisions,
-                run_report.events.cluster_decisions);
     }
   }
   std::filesystem::remove(path);
@@ -250,7 +248,6 @@ TEST(SessionTest, ExternalObserversSeeTheEventStream) {
 
   EXPECT_EQ(external.totals().vertices_assigned,
             report.events.vertices_assigned);
-  EXPECT_EQ(external.totals().evictions, report.events.evictions);
   EXPECT_EQ(external.final_stats().counters, report.backend_stats);
   EXPECT_FALSE(report.backend_stats.empty());
 }
