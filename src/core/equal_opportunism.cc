@@ -187,7 +187,7 @@ AllocationDecision EqualOpportunism::DecideBids(
       if (overlap <= 0.0) continue;  // Bid() returns exactly 0 here
       total += overlap * residual * sort_scratch_[i].support;
     }
-    total *= l;  // Eq. 3 leading l(Si) -- see sweep note in EXPERIMENTS.md
+    total *= l;  // Eq. 3's leading l(Si)
     if (total > best_total ||
         (total == best_total && total > 0.0 && best != graph::kNoPartition &&
          p.Size(si) < p.Size(best))) {

@@ -103,7 +103,6 @@ bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
   w->U64(stats_.edges_ingested);
   w->U64(stats_.edges_bypassed);
   w->U64(stats_.evictions);
-  w->U64(stats_.empty_cluster_evictions);
   w->U64(stats_.clusters_allocated);
   w->U64(stats_.fallback_clusters);
   w->U64(stats_.cluster_edges_assigned);
@@ -167,7 +166,6 @@ bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
   stats_.edges_ingested = r->U64();
   stats_.edges_bypassed = r->U64();
   stats_.evictions = r->U64();
-  stats_.empty_cluster_evictions = r->U64();
   stats_.clusters_allocated = r->U64();
   stats_.fallback_clusters = r->U64();
   stats_.cluster_edges_assigned = r->U64();

@@ -73,12 +73,9 @@ void LoomPartitioner::AssignVertex(graph::VertexId v, graph::PartitionId p) {
 }
 
 void LoomPartitioner::AssignImmediately(const stream::StreamEdge& e) {
-  // Design note: we also tried registering a placeable endpoint whose
-  // partner is deferred as a "satellite" that waits for the partner's
-  // cluster before being (re-)scored — both unconditionally and only when
-  // LDG had zero placement signal. Both variants degrade quality on 3 of 4
-  // datasets (mass deferral starves the streaming heuristics of placed
-  // neighbours); immediate LDG placement wins. See EXPERIMENTS.md.
+  // A placeable endpoint is placed now even when its partner is deferred:
+  // holding it back for the partner's cluster would starve the streaming
+  // heuristics of placed neighbours.
   const bool place_u = !partitioning_.IsAssigned(e.u) && !IsDeferred(e.u, e.label_u);
   const bool place_v = !partitioning_.IsAssigned(e.v) && !IsDeferred(e.v, e.label_v);
   if (!place_u && !place_v) return;
@@ -184,8 +181,6 @@ void LoomPartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
   stats->counters.emplace_back("matcher_join_matches", m.join_matches);
   stats->counters.emplace_back("matcher_join_attempts", m.join_attempts);
   stats->counters.emplace_back("evictions", stats_.evictions);
-  stats->counters.emplace_back("empty_cluster_evictions",
-                               stats_.empty_cluster_evictions);
   stats->counters.emplace_back("clusters_allocated", stats_.clusters_allocated);
   stats->counters.emplace_back("fallback_clusters", stats_.fallback_clusters);
   stats->counters.emplace_back("cluster_edges_assigned",
@@ -200,13 +195,9 @@ void LoomPartitioner::EvictOldest() {
   // Me: live matches containing the evictee.
   me_scratch_.clear();
   match_list_.CollectLiveWithEdge(evictee->id, &me_scratch_);
-  if (me_scratch_.empty()) {
-    // Every match the edge belonged to already lost some other edge.
-    ++stats_.empty_cluster_evictions;
-    AssignImmediately(*evictee);
-    match_list_.RemoveMatchesWithEdge(evictee->id);
-    return;
-  }
+  // Never empty: the evictee's own single-edge match, committed at
+  // admission, dies only when the evictee is assigned and leaves the window.
+  assert(!me_scratch_.empty());
 
   AllocationDecision decision =
       allocator_->DecideBids(match_list_, me_scratch_, partitioning_);

@@ -56,7 +56,7 @@ struct LoomOptions {
   motif::MatcherConfig matcher;
 };
 
-/// Counters exposed for reports and tests. The last five are reported as
+/// Counters exposed for reports and tests. The last four are reported as
 /// final stats under the same names.
 struct LoomStats {
   uint64_t edges_ingested = 0;
@@ -64,8 +64,6 @@ struct LoomStats {
   /// Edges that aged out of the window (not claimed early by another
   /// edge's cluster).
   uint64_t evictions = 0;
-  /// Evictions whose edge had no live match left: LDG placed it.
-  uint64_t empty_cluster_evictions = 0;
   uint64_t clusters_allocated = 0;  // equal-opportunism decisions
   /// Decisions where every bid was zero and LDG picked the partition.
   uint64_t fallback_clusters = 0;

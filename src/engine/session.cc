@@ -16,6 +16,21 @@ uint64_t RunReport::Stat(std::string_view name, uint64_t fallback) const {
   return FindCounter(backend_stats, name, fallback);
 }
 
+double RunReport::ReplicationFactor() const {
+  const uint64_t vertices_seen = Stat("vertices_seen");
+  return vertices_seen > 0 ? static_cast<double>(Stat("replica_total")) /
+                                 static_cast<double>(vertices_seen)
+                           : 0.0;
+}
+
+double RunReport::EdgeBalance(uint32_t k) const {
+  const uint64_t edge_assignments = Stat("edge_assignments");
+  return edge_assignments > 0
+             ? static_cast<double>(Stat("max_part_edges")) * k /
+                   static_cast<double>(edge_assignments)
+             : 0.0;
+}
+
 void Session::Fanout::OnAssign(const AssignEvent& e) {
   stats.OnAssign(e);
   for (io::AssignmentSink* sink : sinks) sink->Append(e.vertex, e.partition);

@@ -67,6 +67,13 @@ struct RunReport {
 
   /// The named backend counter, or `fallback` if absent.
   uint64_t Stat(std::string_view name, uint64_t fallback = 0) const;
+
+  /// Edge backends' quality, derived from their final-stats counters:
+  /// replica_total / vertices_seen, and max_part_edges * k /
+  /// edge_assignments over `k` parts. Both are 0 for backends that report
+  /// no edge assignments (the vertex partitioners).
+  double ReplicationFactor() const;
+  double EdgeBalance(uint32_t k) const;
 };
 
 /// Extra state a long-lived owner of a Session (e.g. serve::Server's

@@ -103,7 +103,6 @@ std::optional<SystemResult> RunWithSession(const std::string& spec,
       report.edges == 0 ? 0.0
                         : result.partition_ms * 10000.0 /
                               static_cast<double>(report.edges);
-  result.edges_per_sec = report.edges_per_sec;
   result.backend_stats = report.backend_stats;
 
   const partition::Partitioning& partitioning = session->partitioning();
@@ -114,18 +113,9 @@ std::optional<SystemResult> RunWithSession(const std::string& spec,
   // Edge-partitioning backends report their quality triple through the
   // event stream (FillFinalStats counters); vertex backends report no edge
   // counters and keep the zeros.
-  const uint64_t edge_assignments = report.Stat("edge_assignments");
-  if (edge_assignments > 0) {
-    const uint64_t vertices_seen = report.Stat("vertices_seen");
-    result.replication_factor =
-        vertices_seen > 0 ? static_cast<double>(report.Stat("replica_total")) /
-                                static_cast<double>(vertices_seen)
-                          : 0.0;
-    result.edge_balance =
-        static_cast<double>(report.Stat("max_part_edges")) *
-        partitioning.k() / static_cast<double>(edge_assignments);
-    result.edge_assignment_hash = report.Stat("edge_assignment_hash");
-  }
+  result.replication_factor = report.ReplicationFactor();
+  result.edge_balance = report.EdgeBalance(partitioning.k());
+  result.edge_assignment_hash = report.Stat("edge_assignment_hash");
 
   if (run_queries) {
     query::WorkloadResult wr = query::RunWorkload(ds.graph, partitioning,

@@ -68,15 +68,13 @@ struct SystemResult {
   double imbalance = 0.0;
   double partition_ms = 0.0;      // wall time to consume the whole stream
   double ms_per_10k_edges = 0.0;  // Table 2's measure
-  double edges_per_sec = 0.0;     // ingest throughput (stream edges / wall s)
   /// FNV-1a over the per-vertex assignment — lets perf regressions prove
   /// they changed nothing about partition quality on fixed seeds.
   uint64_t assignment_hash = 0;
-  /// Edge-partitioning quality triple (hdrf/dbh only; 0 for vertex
-  /// partitioners, which never report edge counters). Derived from the
-  /// backend's final-stats counters: RF = replica_total / vertices_seen,
-  /// edge balance = max_part_edges * k / edge_assignments, plus the FNV-1a
-  /// hash over the per-edge placements.
+  /// Edge-partitioning quality triple (edge backends only; 0 for vertex
+  /// partitioners, which never report edge counters): RunReport's
+  /// ReplicationFactor() and EdgeBalance(), plus the FNV-1a hash over the
+  /// per-edge placements.
   double replication_factor = 0.0;
   double edge_balance = 0.0;
   uint64_t edge_assignment_hash = 0;
@@ -134,7 +132,8 @@ SystemResult RunSystemTimingOnly(System system, const datasets::Dataset& ds,
                                  const ExperimentConfig& config);
 
 /// Registry-spec variant: times any registered backend, e.g.
-/// "loom:window_size=2000,alpha=0.5" (how run_bench.sh selects backends).
+/// "loom:window_size=2000,alpha=0.5" (table2_throughput runs every cell
+/// through it).
 /// The result's `system` is the matching enum when the spec names a paper
 /// system, else kHash; `label` always carries the spec. Returns nullopt and
 /// fills `*error` for unknown backends / bad overrides.

@@ -40,8 +40,9 @@ namespace io {
 /// v5: the session section dropped the five eviction/cluster event totals
 /// and the "compact_interval" option key; "loom" dropped that knob from its
 /// fingerprint; "loom_stats" gained two counters and lost the compaction
-/// phase; "matches" dropped its live and total-added counts.
-inline constexpr uint16_t kCheckpointVersion = 5;
+/// phase; "matches" dropped its live and total-added counts. v6:
+/// "loom_stats" dropped the empty-cluster eviction count.
+inline constexpr uint16_t kCheckpointVersion = 6;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

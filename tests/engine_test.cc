@@ -408,7 +408,7 @@ TEST(SessionIngestTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   const uint64_t evictions = report.Stat("evictions");
   const uint64_t clusters = report.Stat("clusters_allocated");
   EXPECT_GT(clusters, 0u);
-  EXPECT_EQ(evictions, clusters + report.Stat("empty_cluster_evictions"));
+  EXPECT_EQ(evictions, clusters);
   EXPECT_LE(report.Stat("fallback_clusters"), clusters);
   EXPECT_GE(report.Stat("cluster_edges_assigned"), clusters);
   EXPECT_TRUE(t.last_progress.finalizing);

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/binomial.h"
-#include "util/csv_writer.h"
 #include "util/flat_map64.h"
 #include "util/flat_set64.h"
 #include "util/histogram.h"
@@ -95,22 +94,6 @@ TEST(TableWriterTest, Formatting) {
   EXPECT_EQ(TableWriter::Fmt(2.0, 0), "2");
   EXPECT_EQ(TableWriter::Pct(0.4215, 1), "42.1%");
   EXPECT_EQ(TableWriter::Pct(1.0, 0), "100%");
-}
-
-// -------------------------------------------------------------- csv writer
-
-TEST(CsvWriterTest, EscapesSpecials) {
-  EXPECT_EQ(CsvWriter::Escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::Escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::Escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::Escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvWriterTest, WritesRows) {
-  std::ostringstream os;
-  CsvWriter w(os);
-  w.WriteRow({"a", "b,c", "d"});
-  EXPECT_EQ(os.str(), "a,\"b,c\",d\n");
 }
 
 // ------------------------------------------------------------- string util

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Diff a fresh BENCH_throughput.json against the committed baseline.
 
-Partition-quality fields (edge_cut, imbalance, assignment_hash, and for
-edge partitioners replication_factor, edge_balance, edge_assignment_hash)
-are deterministic on fixed seeds and must match EXACTLY — a mismatch means
-a "perf" change altered partitioning behaviour and the script exits
-non-zero. Timing fields (ms, eps) are not compared: bench/e2e is where
-speed is measured, from repeated interleaved runs.
+Every field the bench writes is deterministic on fixed seeds: the quality
+triples (edge_cut, imbalance, assignment_hash, and for edge partitioners
+replication_factor, edge_balance, edge_assignment_hash) and the backends'
+final-stats counters (Loom's match-pool, matcher, eviction and cluster
+counts; the edge partitioners' raw counts). There are no timings, so every
+record is compared whole, key by key: a changed, missing or extra field
+fails the diff. Speed is measured by bench/e2e, from repeated runs.
 
 Sections are checked bidirectionally: a section present in one file but
 missing from the other is a FAILURE with an actionable message, never a
@@ -30,20 +31,6 @@ KNOWN_SECTIONS = (
     "edge_partitioners",
 )
 
-# Timing-only sections: present in the files, deliberately not diffed.
-IGNORED_SECTIONS = ("window_ops",)
-
-# Deterministic quality fields, exact-compared when present in EITHER
-# record (so a field disappearing is drift too).
-QUALITY_FIELDS = (
-    "edge_cut",
-    "imbalance",
-    "assignment_hash",
-    "replication_factor",
-    "edge_balance",
-    "edge_assignment_hash",
-)
-
 # Top-level scalar keys that are part of the run config, not sections.
 CONFIG_KEYS = ("bench", "scale", "window", "k", "order")
 
@@ -54,7 +41,7 @@ def section_names(doc):
 
 
 def index_section(doc, name, out):
-    """Indexes one section's records as (section:dataset, system) -> record."""
+    """Indexes one section's records as (dataset, system) -> record."""
     if name == "datasets":
         for d in doc.get("datasets", []):
             for s in d.get("systems", []):
@@ -86,8 +73,8 @@ def main():
 
     # Section accounting first: every section must exist on both sides and
     # be one this script covers. Actionable, never a KeyError or a skip.
-    base_sections = section_names(base) - set(IGNORED_SECTIONS)
-    new_sections = section_names(new) - set(IGNORED_SECTIONS)
+    base_sections = section_names(base)
+    new_sections = section_names(new)
     for name in sorted(base_sections - new_sections):
         failures.append(
             f"section '{name}' is in the baseline but missing from the new "
@@ -101,7 +88,7 @@ def main():
     for name in sorted((base_sections | new_sections) - set(KNOWN_SECTIONS)):
         failures.append(
             f"section '{name}' is not covered by diff_bench.py — add it to "
-            f"KNOWN_SECTIONS and index_section so its quality is guarded")
+            f"KNOWN_SECTIONS and index_section so it is compared")
 
     base_idx, new_idx = {}, {}
     for name in KNOWN_SECTIONS:
@@ -110,34 +97,36 @@ def main():
         if name in new_sections:
             index_section(new, name, new_idx)
 
-    print(f"{'dataset':<14} {'system':<16}  quality")
+    print(f"{'dataset':<18} {'system':<28}  record")
     for key in sorted(base_idx):
         if key not in new_idx:
             failures.append(f"{key}: missing from new results")
             continue
         b, n = base_idx[key], new_idx[key]
-        quality_ok = True
-        for field in QUALITY_FIELDS:
-            if field not in b and field not in n:
-                continue
-            if b.get(field) != n.get(field):
-                quality_ok = False
+        same = b == n
+        for field in sorted(set(b) | set(n)):
+            if b.get(field, "<absent>") != n.get(field, "<absent>"):
                 failures.append(
-                    f"{key}: {field} changed {b.get(field)} -> {n.get(field)}")
-        print(f"{key[0]:<14} {key[1]:<16}  "
-              f"{'ok' if quality_ok else 'CHANGED'}")
+                    f"{key}: {field} changed {b.get(field, '<absent>')} -> "
+                    f"{n.get(field, '<absent>')}")
+        print(f"{key[0]:<18} {key[1]:<28}  {'ok' if same else 'CHANGED'}")
     for key in sorted(set(new_idx) - set(base_idx)):
         failures.append(
             f"{key}: in the new results but not the baseline — re-golden if "
             f"this system/dataset cell is newly added")
+    # Whatever lies outside the records (run config, section settings,
+    # dataset edge counts) must match too.
+    if not failures and base != new:
+        failures.append("the files differ outside the per-cell records: run "
+                        "config, section settings or dataset edge counts")
 
     if failures:
         for f_ in failures:
             print(f"FAIL: {f_}", file=sys.stderr)
-        print("\npartition quality drifted — a perf change must not alter "
-              "assignments on fixed seeds", file=sys.stderr)
+        print("\nbench golden drifted — a perf change must not alter "
+              "assignments or counters on fixed seeds", file=sys.stderr)
         return 1
-    print("\npartition quality identical to baseline")
+    print("\nevery record identical to baseline")
     return 0
 
 

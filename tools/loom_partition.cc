@@ -600,19 +600,11 @@ int main(int argc, char** argv) {
       // stats — replication factor (avg replicas per vertex), edge balance
       // (max part load vs perfect spread), and the placement hash.
       if (report.Stat("edge_assignments") > 0) {
-        const uint64_t edges = report.Stat("edge_assignments");
-        const uint64_t seen = report.Stat("vertices_seen");
-        const double rf =
-            seen > 0 ? static_cast<double>(report.Stat("replica_total")) /
-                           static_cast<double>(seen)
-                     : 0.0;
-        const double balance =
-            static_cast<double>(report.Stat("max_part_edges")) *
-            static_cast<double>(p.k()) / static_cast<double>(edges);
         std::cerr << "replication factor: "
-                  << util::TableWriter::Fmt(rf, 3) << " over " << seen
+                  << util::TableWriter::Fmt(report.ReplicationFactor(), 3)
+                  << " over " << report.Stat("vertices_seen")
                   << " vertices, edge balance "
-                  << util::TableWriter::Fmt(balance, 3)
+                  << util::TableWriter::Fmt(report.EdgeBalance(p.k()), 3)
                   << ", edge assignment hash 0x" << std::hex
                   << report.Stat("edge_assignment_hash") << std::dec << "\n";
       }

@@ -1,31 +1,27 @@
 #!/usr/bin/env bash
-# Build Release, run the throughput benches, and diff the fresh
-# BENCH_throughput.json against the committed baseline.
+# Build Release, run table2_throughput (and the google-benchmark micro
+# suite), and diff the fresh BENCH_throughput.json against the committed
+# baseline.
 #
 #   tools/run_bench.sh            # full: table2 + micro_matcher + diff
 #   tools/run_bench.sh --fast     # skip the google-benchmark micro suite
 #
 # Env knobs (see bench/bench_common.h): LOOM_BENCH_SCALE, LOOM_BENCH_WINDOW.
+# A run at other settings is not comparable to the committed baseline, and
+# the diff says so.
 #
-# Backend selection goes through engine::PartitionerRegistry specs: set
-# LOOM_BENCH_SYSTEMS to a ';'-separated list of "name" or
-# "name:key=value,..." strings, e.g.
+# BENCH_throughput.json is a golden with no timings: per dataset and
+# system, the quality triple (edge-cut, imbalance, assignment hash; for
+# the edge partitioners also replication factor, edge balance and edge
+# assignment hash) and the backend's deterministic final-stats counters
+# (Loom's match-pool, matcher, eviction and cluster counts). Its sections
+# are the four paper systems, Loom at the paper window t = 10000, Loom
+# replayed from a binary stream file (the bench itself aborts if the
+# replay's assignments differ from the in-memory source's) and the edge
+# partitioners. tools/diff_bench.py compares every record whole and FAILS
+# on any changed, missing or extra field. Speed is measured by
+# `python3 bench/e2e/run.py`, from repeated interleaved runs.
 #
-#   LOOM_BENCH_SYSTEMS="fennel;loom:window_size=2000,alpha=0.5" \
-#       tools/run_bench.sh --fast
-#
-# Any key accepted by engine::EngineOptions works (loom_partition
-# --help-opts lists them). Custom selections are exploratory: they are not
-# comparable to the committed baseline, so the quality diff is skipped.
-#
-# In default mode the diff FAILS if partition quality (edge-cut / imbalance
-# / assignment hash) differs from the baseline. Timings are recorded but
-# not compared: speed is measured by `python3 bench/e2e/run.py`, from
-# repeated interleaved runs. The default run also records a file_stream
-# section (loom replayed from a freshly written io::FileEdgeSource binary
-# stream at the paper window — eps, eps_vs_inmemory and the quality
-# triple, which diff_bench.py guards as "loom@file"); the bench itself
-# aborts if the file replay diverges from loom's assignment hash.
 # ctest additionally guards the quality triples at tiny scale via the
 # `bench_smoke` test (table2_throughput --smoke vs the committed
 # BENCH_smoke.json) and the multi-source differential via
@@ -51,10 +47,7 @@ if [[ $FAST -eq 0 ]]; then
 fi
 
 echo
-if [[ -n "${LOOM_BENCH_SYSTEMS:-}" ]]; then
-  echo "LOOM_BENCH_SYSTEMS is set (custom backend selection); skipping the"
-  echo "baseline quality diff. Results: $NEW_JSON"
-elif [[ -f BENCH_throughput.json ]]; then
+if [[ -f BENCH_throughput.json ]]; then
   python3 tools/diff_bench.py BENCH_throughput.json "$NEW_JSON"
 else
   echo "no committed BENCH_throughput.json baseline; seeding it from this run"
