@@ -162,35 +162,43 @@ bool IsOk(std::string_view reply) {
          (reply.size() == 2 || reply[2] == ' ');
 }
 
-void LineFramer::Feed(std::string_view bytes) { buf_.append(bytes); }
+void LineFramer::Feed(std::string_view bytes) {
+  // Drop the consumed prefix once per feed, not once per line: a 64 KB
+  // chunk of short lines then costs one pass, not one tail move per line.
+  buf_.erase(0, head_);
+  head_ = 0;
+  buf_.append(bytes);
+}
 
 LineFramer::Result LineFramer::Next(std::string* line) {
   if (discarding_) {
-    const size_t nl = buf_.find('\n');
+    const size_t nl = buf_.find('\n', head_);
     if (nl == std::string::npos) {
       buf_.clear();  // still inside the oversize line; drop and keep waiting
+      head_ = 0;
       return Result::kNeedMore;
     }
-    buf_.erase(0, nl + 1);
+    head_ = nl + 1;
     discarding_ = false;
     return Result::kOversize;
   }
-  const size_t nl = buf_.find('\n');
+  const size_t nl = buf_.find('\n', head_);
   if (nl == std::string::npos) {
-    if (buf_.size() > max_) {
+    if (buf_.size() - head_ > max_) {
       // The line is already over budget with no end in sight: switch to
       // discard mode so buffered bytes stay bounded.
       buf_.clear();
+      head_ = 0;
       discarding_ = true;
     }
     return Result::kNeedMore;
   }
-  if (nl > max_) {
-    buf_.erase(0, nl + 1);
+  if (nl - head_ > max_) {
+    head_ = nl + 1;
     return Result::kOversize;
   }
-  line->assign(buf_, 0, nl);
-  buf_.erase(0, nl + 1);
+  line->assign(buf_, head_, nl - head_);
+  head_ = nl + 1;
   if (!line->empty() && line->back() == '\r') line->pop_back();
   return Result::kLine;
 }

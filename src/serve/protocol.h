@@ -111,6 +111,8 @@ class LineFramer {
 
  private:
   std::string buf_;
+  /// First unconsumed byte of buf_; Feed drops the consumed prefix.
+  size_t head_ = 0;
   size_t max_;
   bool discarding_ = false;
 };

@@ -20,6 +20,9 @@ namespace serve {
 
 namespace {
 
+/// Bytes a connection reads per recv: one chunk, one batch of replies.
+constexpr size_t kRecvBytes = size_t{1} << 16;
+
 bool SendAll(int fd, std::string_view bytes) {
   while (!bytes.empty()) {
     const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
@@ -181,35 +184,61 @@ void Server::Shutdown() {
   }
 }
 
-Server::EnqueueResult Server::EnqueueEdge(const stream::StreamEdge& e,
-                                          const uint64_t* seq,
-                                          uint64_t* cursor) {
+bool Server::EnqueueEdges(std::span<const Command> run,
+                          std::string* replies) {
+  bool queued_since_notify = false;
   std::unique_lock<std::mutex> lock(queue_mutex_);
-  queue_not_full_.wait(lock, [&] {
-    return queued_edges_ < config_.queue_capacity ||
-           stopping_.load(std::memory_order_acquire);
-  });
-  if (cursor != nullptr) *cursor = ingest_accepted_;
-  if (stopping_.load(std::memory_order_acquire)) {
-    return EnqueueResult::kStopping;
+  for (const Command& r : run) {
+    if (queued_edges_ >= config_.queue_capacity &&
+        !stopping_.load(std::memory_order_acquire)) {
+      // Full partway through the run: the decision thread must see what
+      // this run already queued before it can make room.
+      if (queued_since_notify) queue_not_empty_.notify_one();
+      queued_since_notify = false;
+      queue_not_full_.wait(lock, [&] {
+        return queued_edges_ < config_.queue_capacity ||
+               stopping_.load(std::memory_order_acquire);
+      });
+    }
+    if (stopping_.load(std::memory_order_acquire)) {
+      if (replies == nullptr) break;
+      replies->append(ErrReply("server shutting down"));
+      replies->push_back('\n');
+      continue;
+    }
+    // The dedup decision and the accept are one atomic step (same lock
+    // hold): two retries of the same seq racing here must resolve to
+    // exactly one accept, and a capacity wait may have let other accepts
+    // advance the cursor past this seq in the meantime.
+    if (r.has_seq && r.seq != ingest_accepted_) {
+      if (replies == nullptr) continue;
+      const std::string cursor = std::to_string(ingest_accepted_);
+      if (r.seq < ingest_accepted_) {
+        // Already accepted at this position: the re-send is dropped, the
+        // reply tells the client where its next fresh edge goes.
+        replies->append("OK dup seq=" + std::to_string(r.seq) +
+                        " cursor=" + cursor);
+      } else {
+        replies->append(ErrReply("sequence gap: got seq=" +
+                                 std::to_string(r.seq) + ", next expected " +
+                                 cursor + "; re-send from " + cursor));
+      }
+      replies->push_back('\n');
+      continue;
+    }
+    QueueItem item;
+    item.kind = QueueItem::Kind::kEdge;
+    item.edge = r.edge;
+    queue_.push_back(item);
+    ++queued_edges_;
+    ++ingest_accepted_;
+    queued_since_notify = true;
+    if (replies != nullptr) replies->append("OK queued\n");
   }
-  // The dedup decision and the accept must be one atomic step (same lock
-  // hold): two retries of the same seq racing here must resolve to exactly
-  // one accept, and the capacity wait above may have let other accepts
-  // advance the cursor past our seq in the meantime.
-  if (seq != nullptr) {
-    if (*seq < ingest_accepted_) return EnqueueResult::kDuplicate;
-    if (*seq > ingest_accepted_) return EnqueueResult::kGap;
-  }
-  QueueItem item;
-  item.kind = QueueItem::Kind::kEdge;
-  item.edge = e;
-  queue_.push_back(item);
-  ++queued_edges_;
-  ++ingest_accepted_;
-  if (cursor != nullptr) *cursor = ingest_accepted_;
-  queue_not_empty_.notify_one();
-  return EnqueueResult::kAccepted;
+  const bool stopping = stopping_.load(std::memory_order_acquire);
+  lock.unlock();
+  if (queued_since_notify) queue_not_empty_.notify_one();
+  return !stopping;
 }
 
 std::string Server::RoundtripControl(CommandType type) {
@@ -236,39 +265,61 @@ std::string Server::RoundtripControl(CommandType type) {
 }
 
 std::string Server::HandleLine(const std::string& line) {
-  Command c;
-  std::string err;
-  if (!ParseCommand(line, &c, &err)) return ErrReply(err);
-  switch (c.type) {
-    case CommandType::kIngest: {
-      const uint64_t bound = config_.session.options.expected_vertices;
-      if (bound > 0 && (c.edge.u >= bound || c.edge.v >= bound)) {
-        return ErrReply("vertex id out of range (expected_vertices=" +
-                        std::to_string(bound) + ")");
+  LineFramer framer;
+  framer.Feed(line);
+  framer.Feed("\n");
+  std::string reply;
+  HandleLines(&framer, &reply);
+  reply.pop_back();  // the newline
+  return reply;
+}
+
+void Server::HandleLines(LineFramer* framer, std::string* replies) {
+  std::vector<Command> run;
+  std::string line;
+  for (;;) {
+    const LineFramer::Result res = framer->Next(&line);
+    if (res == LineFramer::Result::kNeedMore) break;
+    Command c;
+    std::string err;
+    const bool parsed =
+        res == LineFramer::Result::kLine && ParseCommand(line, &c, &err);
+    if (parsed && c.type == CommandType::kIngest) {
+      err = IngestRangeError(c.edge);
+      if (err.empty()) {
+        run.push_back(c);
+        continue;
       }
-      if (num_labels_ > 0 &&
-          (c.edge.label_u >= num_labels_ || c.edge.label_v >= num_labels_)) {
-        return ErrReply("label id outside the table (" +
-                        std::to_string(num_labels_) + " labels)");
-      }
-      uint64_t cursor = 0;
-      switch (EnqueueEdge(c.edge, c.has_seq ? &c.seq : nullptr, &cursor)) {
-        case EnqueueResult::kAccepted:
-          return "OK queued";
-        case EnqueueResult::kDuplicate:
-          // Already accepted at this position — the re-send is dropped, the
-          // reply tells the client where its next fresh edge goes.
-          return "OK dup seq=" + std::to_string(c.seq) +
-                 " cursor=" + std::to_string(cursor);
-        case EnqueueResult::kGap:
-          return ErrReply("sequence gap: got seq=" + std::to_string(c.seq) +
-                          ", next expected " + std::to_string(cursor) +
-                          "; re-send from " + std::to_string(cursor));
-        case EnqueueResult::kStopping:
-          return ErrReply("server shutting down");
-      }
-      return ErrReply("unreachable");
     }
+    if (!run.empty()) {
+      EnqueueEdges(run, replies);
+      run.clear();
+    }
+    if (res == LineFramer::Result::kOversize) {
+      err = "line exceeds " + std::to_string(kMaxLineBytes) + " bytes";
+    }
+    replies->append(err.empty() ? Execute(c) : ErrReply(err));
+    replies->push_back('\n');
+  }
+  if (!run.empty()) EnqueueEdges(run, replies);
+}
+
+std::string Server::IngestRangeError(const stream::StreamEdge& e) const {
+  const uint64_t bound = config_.session.options.expected_vertices;
+  if (bound > 0 && (e.u >= bound || e.v >= bound)) {
+    return "vertex id out of range (expected_vertices=" +
+           std::to_string(bound) + ")";
+  }
+  if (num_labels_ > 0 &&
+      (e.label_u >= num_labels_ || e.label_v >= num_labels_)) {
+    return "label id outside the table (" + std::to_string(num_labels_) +
+           " labels)";
+  }
+  return {};
+}
+
+std::string Server::Execute(const Command& c) {
+  switch (c.type) {
     case CommandType::kGet: {
       const graph::PartitionId p = table_.Get(c.vertex);
       std::string reply = "OK " + std::to_string(c.vertex) + " ";
@@ -284,6 +335,8 @@ std::string Server::HandleLine(const std::string& line) {
     case CommandType::kShutdown:
       shutdown_requested_.store(true, std::memory_order_release);
       return "OK shutting down";
+    case CommandType::kIngest:
+      break;  // HandleLines queues every INGEST itself
   }
   return ErrReply("unreachable");
 }
@@ -385,7 +438,7 @@ void Server::IngestRun(std::vector<stream::StreamEdge>* run) {
   }
   const std::span<const stream::StreamEdge> span(run->data(), run->size());
   if (ingest_log_ != nullptr) ingest_log_->AppendBatch(span);
-  for (const stream::StreamEdge& e : span) tracker_.AddEdge(e);
+  tracker_.AddEdges(span);
   engine::SpanEdgeSource source(span);
   session_->IngestSome(source, run->size());
   PublishProgress();
@@ -491,35 +544,33 @@ void Server::ListenLoop() {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;
     }
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(&Server::ConnLoop, this, fd);
+    {
+      std::lock_guard<std::mutex> lock(conns_mutex_);
+      if (conn_fds_.size() < config_.max_connections) {
+        conn_fds_.push_back(fd);
+        conn_threads_.emplace_back(&Server::ConnLoop, this, fd);
+        continue;
+      }
+    }
+    // Over the cap: one ERR line and a close, no thread.
+    SendAll(fd, ErrReply("too many connections (max_connections=" +
+                         std::to_string(config_.max_connections) + ")") +
+                    "\n");
+    ::close(fd);
   }
 }
 
 void Server::ConnLoop(int fd) {
   LineFramer framer;
-  char buf[4096];
-  std::string line;
-  bool alive = true;
-  while (alive) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+  std::vector<char> buf(kRecvBytes);
+  std::string replies;
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
     if (n <= 0) break;
-    framer.Feed(std::string_view(buf, static_cast<size_t>(n)));
-    for (;;) {
-      const LineFramer::Result res = framer.Next(&line);
-      if (res == LineFramer::Result::kNeedMore) break;
-      std::string reply =
-          res == LineFramer::Result::kOversize
-              ? ErrReply("line exceeds " + std::to_string(kMaxLineBytes) +
-                         " bytes")
-              : HandleLine(line);
-      reply.push_back('\n');
-      if (!SendAll(fd, reply)) {
-        alive = false;
-        break;
-      }
-    }
+    framer.Feed(std::string_view(buf.data(), static_cast<size_t>(n)));
+    replies.clear();
+    HandleLines(&framer, &replies);
+    if (!SendAll(fd, replies)) break;
   }
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -539,16 +590,14 @@ void Server::TailLoop() {
     const uint64_t cursor = edges_published_.load(std::memory_order_acquire);
     if (cursor > 0) source.SkipTo(cursor);  // resume: skip the decided prefix
     std::vector<stream::StreamEdge> batch(512);
+    std::vector<Command> run(batch.size(),
+                             Command{.type = CommandType::kIngest});
     for (;;) {
       const size_t n = source.NextBatch(batch);
       if (n == 0) return;  // stop signal
-      for (size_t i = 0; i < n; ++i) {
-        // The tail source is the at-least-once path: no seq, no dedup.
-        if (EnqueueEdge(batch[i], nullptr, nullptr) !=
-            EnqueueResult::kAccepted) {
-          return;
-        }
-      }
+      // The tail source is the at-least-once path: no seq, no dedup.
+      for (size_t i = 0; i < n; ++i) run[i].edge = batch[i];
+      if (!EnqueueEdges(std::span(run).first(n), nullptr)) return;
     }
   } catch (const std::exception& e) {
     std::cerr << "loom_serve: tail ingest of '" << config_.tail_path

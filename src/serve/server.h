@@ -17,6 +17,10 @@
 //   * Every INGEST (from any connection, or the tail source) goes through
 //     ONE bounded queue; a full queue blocks the producing connection —
 //     backpressure reaches the client as a stalled write, never as a drop.
+//     A connection handles each received chunk as a whole: every run of
+//     consecutive INGEST lines enters the queue under one lock hold, and
+//     the chunk's replies leave in one write, one line per command in
+//     order. Any other line first flushes the INGESTs before it.
 //   * A single decision thread drains the queue, stamps stream ids in
 //     queue-accept order and feeds the session. Stream position = decision
 //     order, so the same edge sequence produces the same partitioning as
@@ -47,6 +51,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +93,9 @@ struct ServerConfig {
   int tail_poll_ms = 20;
   /// Ingest queue capacity (edges); producers block when full.
   size_t queue_capacity = 1 << 16;
+  /// Connections served at once. A client past the cap gets one ERR line
+  /// and a close, and no thread.
+  size_t max_connections = 256;
   /// Label table for validation and the ingest log header. Not owned; must
   /// outlive the server.
   const graph::LabelRegistry* registry = nullptr;
@@ -140,12 +148,20 @@ class Server {
     return edges_published_.load(std::memory_order_acquire);
   }
 
-  /// One protocol command line -> one reply line. Public so the protocol
-  /// surface is testable without sockets; connection handlers call exactly
-  /// this. Thread-safe.
+  /// One protocol command line (no newline) -> one reply line: the
+  /// one-line case of HandleLines, so the protocol surface is testable
+  /// without sockets and runs the code connections run. Thread-safe.
   std::string HandleLine(const std::string& line);
 
  private:
+  /// Answers every complete line `framer` holds, in order, appending each
+  /// reply and its newline to `*replies`. Each run of consecutive INGEST
+  /// lines is queued by one EnqueueEdges call; any other line (GET, STATS,
+  /// a control command, a malformed, oversize or out-of-range line) first
+  /// flushes the run before it, so stream order is kept. Thread-safe; a
+  /// connection calls it once per received chunk.
+  void HandleLines(LineFramer* framer, std::string* replies);
+
   struct QueueItem {
     enum class Kind : uint8_t { kEdge, kControl } kind = Kind::kEdge;
     stream::StreamEdge edge{};
@@ -155,20 +171,20 @@ class Server {
 
   Server(const ServerConfig& config, const engine::BuildContext& context);
 
-  enum class EnqueueResult : uint8_t {
-    kAccepted,   // queued; the accept cursor advanced
-    kDuplicate,  // seq below the cursor: already applied, dropped
-    kGap,        // seq ahead of the cursor: rejected, client must back-fill
-    kStopping,   // server shutting down
-  };
-
-  /// Queues one edge (blocking while the queue is full). `seq` is the
-  /// client-declared accept-order position from an idempotent INGEST, or
-  /// nullptr for the at-least-once path (tail source, seq-less INGEST).
-  /// `*cursor` is set to the accept cursor observed under the queue lock —
-  /// the position the NEXT edge will take (for kDuplicate/kGap replies).
-  EnqueueResult EnqueueEdge(const stream::StreamEdge& e, const uint64_t* seq,
-                            uint64_t* cursor);
+  /// Queues a run of validated INGEST commands in order under one lock
+  /// hold. Per edge, exactly as a single line: wait while the queue is
+  /// full, refuse once stopping, else the dup/gap decision against the
+  /// accept cursor when the command carries a seq (the tail source and
+  /// seq-less INGEST carry none), else accept. A run that fills the queue
+  /// partway wakes the decision thread before it waits; the run costs one
+  /// notify otherwise. Appends one reply line per edge to `*replies`
+  /// (nullptr: no replies, the tail source). Returns false once the server
+  /// is stopping.
+  bool EnqueueEdges(std::span<const Command> run, std::string* replies);
+  /// The ERR detail for an INGEST whose ids the server cannot take, or "".
+  std::string IngestRangeError(const stream::StreamEdge& e) const;
+  /// The reply to any parsed command but INGEST.
+  std::string Execute(const Command& c);
   std::string RoundtripControl(CommandType type);
   std::string StatsReply();
 
@@ -190,7 +206,7 @@ class Server {
   size_t num_labels_ = 0;
   std::unique_ptr<engine::Session> session_;
   AssignmentTable table_;
-  CutTracker tracker_{&table_};
+  CutTracker tracker_{&table_, config_.session.options.expected_vertices};
   engine::LatencyObserver latency_;
   std::unique_ptr<io::EdgeStreamWriter> ingest_log_;
 

@@ -197,6 +197,28 @@ TEST(ServeLineFramerTest, OversizeDetectedWithinSingleFeed) {
   EXPECT_EQ(line, "STATS");
 }
 
+// Lines already handed out in a feed do not count against the next line's
+// budget, and an over-budget tail after them still switches to discard.
+TEST(ServeLineFramerTest, BudgetCountsOnlyUnconsumedBytes) {
+  LineFramer framer(8);
+  std::string line;
+  framer.Feed("GET 1\nGET 2\n1234");
+  ASSERT_EQ(framer.Next(&line), LineFramer::Result::kLine);
+  ASSERT_EQ(framer.Next(&line), LineFramer::Result::kLine);
+  EXPECT_EQ(line, "GET 2");
+  EXPECT_EQ(framer.Next(&line), LineFramer::Result::kNeedMore);
+  framer.Feed("5678\nGET 3\n012345678");  // a full-budget line, then over
+  ASSERT_EQ(framer.Next(&line), LineFramer::Result::kLine);
+  EXPECT_EQ(line, "12345678");
+  ASSERT_EQ(framer.Next(&line), LineFramer::Result::kLine);
+  EXPECT_EQ(line, "GET 3");
+  EXPECT_EQ(framer.Next(&line), LineFramer::Result::kNeedMore);
+  framer.Feed("9\nSTATS\n");
+  ASSERT_EQ(framer.Next(&line), LineFramer::Result::kOversize);
+  ASSERT_EQ(framer.Next(&line), LineFramer::Result::kLine);
+  EXPECT_EQ(line, "STATS");
+}
+
 TEST(ServeLineFramerTest, MaxSizeLineStillPasses) {
   LineFramer framer(8);
   std::string line;

@@ -15,13 +15,20 @@
 //   * Malformed and oversize lines over a real socket produce ERR replies
 //     and never take down the connection, let alone the server.
 //   * Closed connections give their threads back: 300 sequential
-//     connect/STATS/close calls leave the process's mappings flat.
+//     connect/STATS/close calls leave the process's mappings flat, and a
+//     client past max_connections gets one ERR line and a close.
+//   * A tail-followed stream file reaches the same triple as offline.
+//   * A pipelined chunk of mixed lines in one write gets the same replies,
+//     line for line, as the same lines sent one at a time — also when the
+//     queue fills partway through the chunk.
 //
 // Everything here runs under the ThreadSanitizer ctest leg too — the
 // wait-free AssignmentTable reads and the MPSC queue are exactly the kind
 // of code TSan exists for.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -547,6 +554,241 @@ TEST(ServeServerRobustnessTest, ControlCommandsWorkWithoutSocket) {
   EXPECT_TRUE(IsOk(server->HandleLine("GET 0")));
   EXPECT_FALSE(IsOk(server->HandleLine("GET")));
 }
+
+TEST(ServeServerRobustnessTest, ConnectionsPastTheCapGetErrAndClose) {
+  const Fixture f = MakeFixture("loom");
+  const fs::path dir = TempDir("cap");
+  ServerConfig config;
+  config.socket_path = (dir / "loom.sock").string();
+  config.session = f.session_config;
+  config.registry = &f.ds.registry;
+  config.max_connections = 2;
+  std::string error;
+  auto server = Server::Create(config, test_util::ContextFor(f.ds), &error);
+  ASSERT_NE(server, nullptr) << error;
+  server->Start();
+
+  std::string reply;
+  Client a, b;
+  for (Client* c : {&a, &b}) {
+    ASSERT_TRUE(c->Connect(config.socket_path, &error)) << error;
+    ASSERT_TRUE(c->Roundtrip("STATS", &reply, &error)) << error;
+    ASSERT_TRUE(IsOk(reply)) << reply;
+  }
+  // The third concurrent client: one ERR line, then end of stream. It
+  // sends a command first, so a server that admitted it answers instead
+  // of leaving the read hanging; the send itself may already fail.
+  {
+    Client over;
+    ASSERT_TRUE(over.Connect(config.socket_path, &error)) << error;
+    over.SendLine("STATS", &error);
+    ASSERT_TRUE(over.ReadReply(&reply, &error)) << error;
+    ASSERT_EQ(reply, "ERR too many connections (max_connections=2)");
+    // End of stream: EOF, or a reset when the close found the STATS unread.
+    EXPECT_FALSE(over.ReadReply(&reply, &error)) << reply;
+  }
+  // A slot frees when a client leaves; its thread notices the close
+  // asynchronously, so the newcomer retries until it is admitted.
+  a.Close();
+  bool admitted = false;
+  for (int attempt = 0; attempt < 200 && !admitted; ++attempt) {
+    Client c;
+    ASSERT_TRUE(c.Connect(config.socket_path, &error)) << error;
+    ASSERT_TRUE(c.Roundtrip("STATS", &reply, &error)) << error;
+    admitted = IsOk(reply);
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(admitted);
+  ASSERT_TRUE(b.Roundtrip("STATS", &reply, &error)) << error;
+  EXPECT_TRUE(IsOk(reply)) << reply;
+  server->Shutdown();
+}
+
+TEST(ServeServerTailTest, TailFollowedFileMatchesOffline) {
+  // The tail source queues its 512-edge batches through the same run
+  // enqueue as socket chunks; a 100-edge queue makes every batch wait for
+  // capacity partway through.
+  const Fixture f = MakeFixture("loom");
+  const Triple reference = OfflineReference(f);
+  const fs::path dir = TempDir("tail");
+  const std::string stream_path = (dir / "s.les").string();
+  {
+    io::EdgeStreamWriter writer(stream_path, f.ds.registry,
+                                f.ds.NumVertices(), io::StreamFormat::kBinary);
+    writer.AppendBatch(f.edges);
+    writer.Close();
+  }
+  ServerConfig config;
+  config.session = f.session_config;
+  config.registry = &f.ds.registry;
+  config.tail_path = stream_path;
+  config.tail_poll_ms = 1;
+  config.queue_capacity = 100;
+  std::string error;
+  auto server = Server::Create(config, test_util::ContextFor(f.ds), &error);
+  ASSERT_NE(server, nullptr) << error;
+  server->Start();
+  for (int i = 0; i < 3000 && server->edges_ingested() < f.edges.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(server->edges_ingested(), f.edges.size());
+  EXPECT_TRUE(IsOk(server->HandleLine("FINALIZE")));
+  server->Shutdown();
+  EXPECT_EQ(
+      TripleOf(server->session().partitioning(), f.edges, f.ds.NumVertices()),
+      reference);
+  EXPECT_EQ(server->tracker().cut(), reference.cut);
+}
+
+/// The mixed pipelined chunk: every edge of the first `n` edges INGESTed
+/// (every third without seq), interleaved with dups, gaps, GETs, STATS,
+/// malformed, oversize and out-of-range lines, and a CHECKPOINT and a
+/// SNAPSHOT-QUALITY in the middle. Only the dups and gaps are not accepted,
+/// so the accepted stream is the fixture's first `n` edges in order.
+std::vector<std::string> MixedLines(const Fixture& f, size_t n) {
+  auto ingest = [&](size_t i, bool with_seq, uint64_t seq) {
+    Command c;
+    c.type = CommandType::kIngest;
+    c.edge = f.edges[i];
+    c.has_seq = with_seq;
+    c.seq = seq;
+    return FormatCommand(c);
+  };
+  // A vertex no line mentions: its GET reads "-" whenever it runs.
+  std::vector<bool> mentioned(f.ds.NumVertices(), false);
+  for (size_t i = 0; i < n; ++i) {
+    mentioned[f.edges[i].u] = mentioned[f.edges[i].v] = true;
+  }
+  const size_t absent = static_cast<size_t>(
+      std::find(mentioned.begin(), mentioned.end(), false) -
+      mentioned.begin());
+  EXPECT_LT(absent, mentioned.size());
+
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 17 == 9) lines.push_back(ingest(i - 5, true, i - 5));  // dup
+    if (i % 23 == 11) lines.push_back(ingest(i, true, i + 3));     // gap
+    if (i % 29 == 3) lines.push_back("GET " + std::to_string(absent));
+    if (i % 31 == 7) lines.push_back("STATS");
+    if (i == n / 2) {
+      lines.push_back("CHECKPOINT");
+      // Right after a control no INGEST is in flight, so a GET of a
+      // streamed vertex is deterministic too.
+      lines.push_back("GET " + std::to_string(f.edges[0].u));
+      lines.push_back("SNAPSHOT-QUALITY");
+    }
+    switch (i % 41) {
+      case 5: lines.push_back("INGEST 1 2 0"); break;           // arity
+      case 12: lines.push_back("FROBNICATE"); break;            // verb
+      case 19: lines.push_back(""); break;                      // empty
+      case 26: lines.push_back("INGEST 999999999 1 0 0"); break;  // range
+      case 33: lines.push_back("INGEST 1 2 99 0"); break;       // label
+      case 40: lines.push_back(std::string(2 * kMaxLineBytes, 'x')); break;
+      default: break;
+    }
+    lines.push_back(ingest(i, i % 3 != 0, i));
+  }
+  return lines;
+}
+
+/// STATS carries live counters (queue depth, latency): compare its verb.
+std::string Comparable(const std::string& reply) {
+  return reply.rfind("OK edges=", 0) == 0 ? "OK edges=" : reply;
+}
+
+/// Serves `lines` to a fresh server, one write per line when `pipelined`
+/// is false and all of them in one write when true, then the rest of the
+/// fixture, FINALIZE and SNAPSHOT-QUALITY. Returns the lines' replies plus
+/// the final SNAPSHOT-QUALITY reply, and checks the finished triple
+/// against the offline reference.
+std::vector<std::string> Serve(const Fixture& f, const fs::path& dir,
+                               const std::vector<std::string>& lines,
+                               size_t accepted, bool pipelined,
+                               size_t queue_capacity) {
+  ServerConfig config;
+  config.socket_path = (dir / "loom.sock").string();
+  config.session = f.session_config;
+  config.registry = &f.ds.registry;
+  config.checkpoint_path = (dir / "serve.loomck").string();
+  config.queue_capacity = queue_capacity;
+  std::string error;
+  auto server = Server::Create(config, test_util::ContextFor(f.ds), &error);
+  EXPECT_NE(server, nullptr) << error;
+  if (server == nullptr) return {};
+  server->Start();
+
+  Client client;
+  EXPECT_TRUE(client.Connect(config.socket_path, &error)) << error;
+  std::vector<std::string> replies(lines.size());
+  if (pipelined) {
+    std::string chunk;
+    for (const std::string& line : lines) chunk += line + "\n";
+    chunk.pop_back();  // SendLine appends the last newline
+    EXPECT_TRUE(client.SendLine(chunk, &error)) << error;
+    for (std::string& reply : replies) {
+      EXPECT_TRUE(client.ReadReply(&reply, &error)) << error;
+    }
+  } else {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_TRUE(client.Roundtrip(lines[i], &replies[i], &error)) << error;
+    }
+  }
+  SendRange(&client, f.edges, accepted, f.edges.size());
+  std::string reply;
+  EXPECT_TRUE(client.Roundtrip("FINALIZE", &reply, &error)) << error;
+  EXPECT_TRUE(IsOk(reply)) << reply;
+  EXPECT_TRUE(client.Roundtrip("SNAPSHOT-QUALITY", &reply, &error)) << error;
+  replies.push_back(reply);
+  client.Close();
+  server->Shutdown();
+
+  const Triple reference = OfflineReference(f);
+  EXPECT_EQ(TripleOf(server->session().partitioning(), f.edges,
+                     f.ds.NumVertices()),
+            reference);
+  EXPECT_EQ(server->tracker().cut(), reference.cut);
+  EXPECT_NE(reply.find("cut=" + std::to_string(reference.cut) + " "),
+            std::string::npos)
+      << reply;
+  return replies;
+}
+
+class ServePipelinedChunkTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ServePipelinedChunkTest, OneWriteRepliesEqualOneLineAtATime) {
+  const Fixture f = MakeFixture("loom");
+  const size_t n = std::min<size_t>(240, f.edges.size());
+  const std::vector<std::string> lines = MixedLines(f, n);
+  ASSERT_GE(lines.size(), 200u);
+  const fs::path dir = TempDir("pipelined_" + std::to_string(GetParam()));
+
+  const std::vector<std::string> one_by_one = Serve(
+      f, dir, lines, n, /*pipelined=*/false, ServerConfig{}.queue_capacity);
+  const std::vector<std::string> chunked =
+      Serve(f, dir, lines, n, /*pipelined=*/true, GetParam());
+  ASSERT_EQ(chunked.size(), one_by_one.size());
+  size_t dups = 0, gaps = 0, errs = 0;
+  for (size_t i = 0; i < chunked.size(); ++i) {
+    EXPECT_EQ(Comparable(chunked[i]), Comparable(one_by_one[i]))
+        << "line " << i << ": "
+        << (i < lines.size() ? lines[i].substr(0, 60) : "(final quality)");
+    dups += chunked[i].rfind("OK dup", 0) == 0;
+    gaps += chunked[i].rfind("ERR sequence gap", 0) == 0;
+    errs += !IsOk(chunked[i]);
+  }
+  // The chunk really carried every kind of line.
+  EXPECT_GT(dups, 0u);
+  EXPECT_GT(gaps, 0u);
+  EXPECT_GT(errs, gaps + 5);
+}
+
+// The default queue, and a 4-edge queue that makes the chunk's INGEST runs
+// wait for capacity partway through.
+INSTANTIATE_TEST_SUITE_P(QueueCapacity, ServePipelinedChunkTest,
+                         ::testing::Values(ServerConfig{}.queue_capacity, 4),
+                         [](const auto& info) {
+                           return "capacity" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace serve
