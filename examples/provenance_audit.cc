@@ -4,8 +4,8 @@
 //
 // Demonstrates the per-query view: which query patterns benefit most from
 // Loom's motif-aware placement, and how the motif machinery behaved
-// (admissions, matches, cluster allocations) — the latter observed through
-// the engine's EngineObserver events rather than backend-specific getters.
+// (admissions, matches, cluster allocations) — the latter read from the
+// session's RunReport rather than backend-specific getters.
 //
 // Run:  ./example_provenance_audit [scale]
 
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   cfg.window_size = 4000;
 
   // Both backends run as Sessions over the same replayed lazy EdgeSource;
-  // everything reported below is event-sourced (RunReport) — no backend
+  // everything reported below comes from the RunReport — no backend
   // getters, no downcasts.
   engine::SessionConfig session_config;
   session_config.options = eval::ToEngineOptions(cfg, ds);
@@ -60,12 +60,10 @@ int main(int argc, char** argv) {
   source->Reset();
   fennel->Run(*source);
 
-  const engine::ProgressEvent& final_progress = lr.events.last_progress;
   std::cout << "Loom's motif machinery (via the session's RunReport):\n"
             << "  edges bypassing the window (never motif-matchable): "
-            << final_progress.edges_bypassed << "\n"
-            << "  edges admitted to Ptemp: "
-            << final_progress.edges_ingested - final_progress.edges_bypassed
+            << lr.edges_bypassed << "\n"
+            << "  edges admitted to Ptemp: " << lr.edges - lr.edges_bypassed
             << "\n"
             << "  multi-edge motif matches found: "
             << lr.Stat("matcher_extension_matches") +

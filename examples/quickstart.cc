@@ -5,9 +5,8 @@
 // opens a Session for "loom" (string-addressable options — the same spec
 // a CLI or bench config would pass), inspects the TPSTry++ and its motifs,
 // streams G through a pull-based EdgeSource with an in-memory assignment
-// sink attached, reads the run's behaviour from the event-sourced
-// RunReport, and compares workload ipt against the Hash/LDG/Fennel
-// baselines.
+// sink attached, reads the run's behaviour from the session's RunReport,
+// and compares workload ipt against the Hash/LDG/Fennel baselines.
 //
 // Run:  ./example_quickstart
 
@@ -35,7 +34,7 @@ int main() {
   }
 
   // 2. One Session owns the run: a registry spec (overrides inline, like
-  //    any CLI would pass), typed options, sinks and observers.
+  //    any CLI would pass), typed options and sinks.
   engine::SessionConfig config;
   config.spec = "loom:k=2,window_size=6";
   config.options.expected_vertices = ds.NumVertices();
@@ -63,7 +62,7 @@ int main() {
   const engine::RunReport report = session->Run(*source);
 
   std::cout << "\nLoom's 2-way partitioning of G ("
-            << report.events.vertices_assigned << " vertices assigned, "
+            << report.vertices_assigned << " vertices assigned, "
             << report.Stat("clusters_allocated") << " match clusters, "
             << report.Stat("matcher_extension_matches") +
                    report.Stat("matcher_join_matches")

@@ -160,31 +160,25 @@ void LoomPartitioner::IngestWithAdmission(const stream::StreamEdge& e,
 }
 
 void LoomPartitioner::FillProgress(engine::ProgressEvent* progress) const {
-  // Lifetime totals, so edges_ingested and edges_bypassed stay mutually
-  // consistent even when the stream resumes after a Finalize checkpoint.
-  progress->edges_ingested = stats_.edges_ingested;
+  // A lifetime total: it survives a checkpoint/resume and a Finalize.
   progress->edges_bypassed = stats_.edges_bypassed;
   progress->window_population = window_.size();
 }
 
-void LoomPartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
+void LoomPartitioner::FillFinalStats(engine::StatCounters* stats) const {
   const motif::MatchPool& pool = match_list_.pool();
   const motif::MatcherStats& m = matcher_->stats();
-  stats->counters.emplace_back("match_allocs_fresh", pool.fresh_allocations());
-  stats->counters.emplace_back("match_allocs_reused",
-                               pool.reused_allocations());
-  stats->counters.emplace_back("matcher_edges_admitted", m.edges_admitted);
-  stats->counters.emplace_back("matcher_single_edge_matches",
-                               m.single_edge_matches);
-  stats->counters.emplace_back("matcher_extension_matches",
-                               m.extension_matches);
-  stats->counters.emplace_back("matcher_join_matches", m.join_matches);
-  stats->counters.emplace_back("matcher_join_attempts", m.join_attempts);
-  stats->counters.emplace_back("evictions", stats_.evictions);
-  stats->counters.emplace_back("clusters_allocated", stats_.clusters_allocated);
-  stats->counters.emplace_back("fallback_clusters", stats_.fallback_clusters);
-  stats->counters.emplace_back("cluster_edges_assigned",
-                               stats_.cluster_edges_assigned);
+  stats->emplace_back("match_allocs_fresh", pool.fresh_allocations());
+  stats->emplace_back("match_allocs_reused", pool.reused_allocations());
+  stats->emplace_back("matcher_edges_admitted", m.edges_admitted);
+  stats->emplace_back("matcher_single_edge_matches", m.single_edge_matches);
+  stats->emplace_back("matcher_extension_matches", m.extension_matches);
+  stats->emplace_back("matcher_join_matches", m.join_matches);
+  stats->emplace_back("matcher_join_attempts", m.join_attempts);
+  stats->emplace_back("evictions", stats_.evictions);
+  stats->emplace_back("clusters_allocated", stats_.clusters_allocated);
+  stats->emplace_back("fallback_clusters", stats_.fallback_clusters);
+  stats->emplace_back("cluster_edges_assigned", stats_.cluster_edges_assigned);
 }
 
 void LoomPartitioner::EvictOldest() {

@@ -88,7 +88,7 @@ class LoomPartitioner : public partition::Partitioner {
   /// Match-pool fresh/reused, matcher totals and the eviction/cluster
   /// counters of LoomStats — deterministic counters only, keyed
   /// "match_allocs_*", "matcher_*" and by LoomStats field name.
-  void FillFinalStats(engine::FinalStatsEvent* stats) const override;
+  void FillFinalStats(engine::StatCounters* stats) const override;
 
   /// Workload drift (paper Sec. 6): decays the existing trie supports to
   /// `decay` of their mass and mixes in `workload` (normalised) with weight

@@ -30,94 +30,92 @@ core::LoomOptions ToLoomOptions(const EngineOptions& o) {
   return lo;
 }
 
-void RegisterBuiltins(PartitionerRegistry* r) {
-  r->Register("hash", [](const EngineOptions& o, const BuildContext&,
-                         std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::HashPartitioner>(o.BaseConfig());
-  });
-  r->Register("ldg", [](const EngineOptions& o, const BuildContext&,
-                        std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::LdgPartitioner>(o.BaseConfig());
-  });
-  r->Register("fennel", [](const EngineOptions& o, const BuildContext&,
-                           std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::FennelPartitioner>(o.BaseConfig(),
-                                                          o.fennel_gamma);
-  });
-  r->Register("loom", [](const EngineOptions& o, const BuildContext& ctx,
-                         std::string* error) -> std::unique_ptr<partition::Partitioner> {
-    if (ctx.workload == nullptr) {
-      if (error != nullptr) {
-        *error = "backend 'loom' needs a workload: pass a BuildContext with "
-                 "context.workload set (the TPSTry++ is derived from it)";
-      }
-      return nullptr;
-    }
-    return std::make_unique<core::LoomPartitioner>(
-        ToLoomOptions(o), *ctx.workload, ctx.num_labels);
-  });
-  // Streaming EDGE partitioners (partition/edge/): they place edges, not
-  // vertices, and report the (replication factor, edge balance, edge hash)
-  // quality triple through FillFinalStats.
-  r->Register("hdrf", [](const EngineOptions& o, const BuildContext&,
-                         std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::edge::HdrfPartitioner>(
-        o.BaseConfig(), o.lambda, o.epsilon);
-  });
-  r->Register("dbh", [](const EngineOptions& o, const BuildContext&,
-                        std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::edge::DbhPartitioner>(o.BaseConfig());
-  });
-  r->Register("hep", [](const EngineOptions& o, const BuildContext&,
-                        std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::edge::HepPartitioner>(
-        o.BaseConfig(), o.threshold_factor, o.lambda, o.epsilon);
-  });
-}
+using Factory = std::unique_ptr<partition::Partitioner> (*)(
+    const EngineOptions&, const BuildContext&, std::string* error);
+
+struct Backend {
+  std::string_view name;
+  Factory make;
+};
+
+constexpr Backend kBackends[] = {
+    {"hash",
+     [](const EngineOptions& o, const BuildContext&,
+        std::string*) -> std::unique_ptr<partition::Partitioner> {
+       return std::make_unique<partition::HashPartitioner>(o.BaseConfig());
+     }},
+    {"ldg",
+     [](const EngineOptions& o, const BuildContext&,
+        std::string*) -> std::unique_ptr<partition::Partitioner> {
+       return std::make_unique<partition::LdgPartitioner>(o.BaseConfig());
+     }},
+    {"fennel",
+     [](const EngineOptions& o, const BuildContext&,
+        std::string*) -> std::unique_ptr<partition::Partitioner> {
+       return std::make_unique<partition::FennelPartitioner>(o.BaseConfig(),
+                                                             o.fennel_gamma);
+     }},
+    {"loom",
+     [](const EngineOptions& o, const BuildContext& ctx,
+        std::string* error) -> std::unique_ptr<partition::Partitioner> {
+       if (ctx.workload == nullptr) {
+         if (error != nullptr) {
+           *error = "backend 'loom' needs a workload: pass a BuildContext "
+                    "with context.workload set (the TPSTry++ is derived "
+                    "from it)";
+         }
+         return nullptr;
+       }
+       return std::make_unique<core::LoomPartitioner>(
+           ToLoomOptions(o), *ctx.workload, ctx.num_labels);
+     }},
+    // Streaming EDGE partitioners (partition/edge/): they place edges, not
+    // vertices, and report the (replication factor, edge balance, edge
+    // hash) quality triple through FillFinalStats.
+    {"hdrf",
+     [](const EngineOptions& o, const BuildContext&,
+        std::string*) -> std::unique_ptr<partition::Partitioner> {
+       return std::make_unique<partition::edge::HdrfPartitioner>(
+           o.BaseConfig(), o.lambda, o.epsilon);
+     }},
+    {"dbh",
+     [](const EngineOptions& o, const BuildContext&,
+        std::string*) -> std::unique_ptr<partition::Partitioner> {
+       return std::make_unique<partition::edge::DbhPartitioner>(
+           o.BaseConfig());
+     }},
+    {"hep",
+     [](const EngineOptions& o, const BuildContext&,
+        std::string*) -> std::unique_ptr<partition::Partitioner> {
+       return std::make_unique<partition::edge::HepPartitioner>(
+           o.BaseConfig(), o.threshold_factor, o.lambda, o.epsilon);
+     }},
+};
 
 }  // namespace
 
-PartitionerRegistry& PartitionerRegistry::Global() {
-  static PartitionerRegistry* registry = [] {
-    auto* r = new PartitionerRegistry();
-    RegisterBuiltins(r);
-    return r;
-  }();
-  return *registry;
-}
-
-bool PartitionerRegistry::Register(const std::string& name, Factory factory) {
-  if (Contains(name)) return false;
-  factories_.emplace_back(name, std::move(factory));
-  return true;
-}
-
-bool PartitionerRegistry::Contains(std::string_view name) const {
-  for (const auto& [n, f] : factories_) {
-    if (n == name) return true;
-  }
-  return false;
+const PartitionerRegistry& PartitionerRegistry::Global() {
+  static const PartitionerRegistry registry;
+  return registry;
 }
 
 std::vector<std::string> PartitionerRegistry::Names() const {
   std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [n, f] : factories_) out.push_back(n);
+  for (const Backend& b : kBackends) out.emplace_back(b.name);
   return out;
 }
 
 std::unique_ptr<partition::Partitioner> PartitionerRegistry::Create(
     std::string_view name, const EngineOptions& options,
     const BuildContext& context, std::string* error) const {
-  for (const auto& [n, factory] : factories_) {
-    if (n != name) continue;
-    return factory(options, context, error);
+  for (const Backend& b : kBackends) {
+    if (b.name == name) return b.make(options, context, error);
   }
   if (error != nullptr) {
     std::string known;
-    for (const auto& [n, f] : factories_) {
+    for (const Backend& b : kBackends) {
       if (!known.empty()) known += ", ";
-      known += n;
+      known += b.name;
     }
     *error = "unknown partitioner backend '" + std::string(name) +
              "'; registered backends: " + known;

@@ -16,16 +16,15 @@
 // and every run then goes through engine::Session (session.h), which pulls
 // an EdgeSource into the backend's IngestBatch.
 //
-// Registered backends: the vertex partitioners "hash", "ldg", "fennel",
-// "loom" and the edge partitioners "hdrf", "dbh", "hep" (and anything a
-// client registers at runtime — multi-backend experiments plug in here).
-// One-string construction ("loom:window_size=4000,alpha=0.5") is provided
-// for CLIs and bench configs via BuildPartitioner/ParseBackendSpec.
+// Backends: the vertex partitioners "hash", "ldg", "fennel", "loom" and the
+// edge partitioners "hdrf", "dbh", "hep" — a fixed table, so adding a
+// backend means adding a row in engine.cc. One-string construction
+// ("loom:window_size=4000,alpha=0.5") is provided for CLIs and bench configs
+// via BuildPartitioner/ParseBackendSpec.
 
 #ifndef LOOM_ENGINE_ENGINE_H_
 #define LOOM_ENGINE_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,7 +32,6 @@
 
 #include "engine/edge_source.h"
 #include "engine/engine_options.h"
-#include "engine/observer.h"
 #include "partition/partitioner.h"
 #include "query/query.h"
 
@@ -49,35 +47,22 @@ struct BuildContext {
   size_t num_labels = 0;
 };
 
-/// Name -> factory registry. The built-in backends are pre-registered;
-/// Register() adds experimental backends without touching any call site.
+/// Name -> factory lookup over the fixed table of built-in backends.
 class PartitionerRegistry {
  public:
-  using Factory = std::function<std::unique_ptr<partition::Partitioner>(
-      const EngineOptions&, const BuildContext&, std::string* error)>;
+  /// The process-wide registry.
+  static const PartitionerRegistry& Global();
 
-  /// The process-wide registry with the built-in backends registered.
-  static PartitionerRegistry& Global();
-
-  /// Registers `factory` under `name`. Returns false (registry unchanged)
-  /// if the name is already taken.
-  bool Register(const std::string& name, Factory factory);
-
-  bool Contains(std::string_view name) const;
-
-  /// Registered backend names, registration order (built-ins first).
+  /// Backend names in table order: the vertex family, then the edge family.
   std::vector<std::string> Names() const;
 
   /// Builds backend `name`. Returns nullptr and an actionable `*error`
-  /// (unknown name lists the registered ones; factories report missing
-  /// context) on failure.
+  /// (unknown name lists the known ones; factories report missing context)
+  /// on failure.
   std::unique_ptr<partition::Partitioner> Create(std::string_view name,
                                                  const EngineOptions& options,
                                                  const BuildContext& context,
                                                  std::string* error) const;
-
- private:
-  std::vector<std::pair<std::string, Factory>> factories_;
 };
 
 /// A parsed "name" / "name:key=value,key=value" backend spec string (the

@@ -31,33 +31,6 @@ double RunReport::EdgeBalance(uint32_t k) const {
              : 0.0;
 }
 
-void Session::Fanout::OnAssign(const AssignEvent& e) {
-  stats.OnAssign(e);
-  for (io::AssignmentSink* sink : sinks) sink->Append(e.vertex, e.partition);
-  for (EngineObserver* o : observers) o->OnAssign(e);
-}
-
-void Session::Fanout::OnEdgeAssign(const EdgeAssignEvent& e) {
-  for (io::EdgeAssignmentSink* sink : edge_sinks) {
-    sink->Append(e.edge, e.u, e.v, e.partition);
-  }
-  for (EngineObserver* o : observers) o->OnEdgeAssign(e);
-}
-
-void Session::Fanout::OnProgress(const ProgressEvent& e) {
-  stats.OnProgress(e);
-  for (EngineObserver* o : observers) o->OnProgress(e);
-}
-
-void Session::Fanout::OnBatch(const BatchEvent& e) {
-  for (EngineObserver* o : observers) o->OnBatch(e);
-}
-
-void Session::Fanout::OnFinalStats(const FinalStatsEvent& e) {
-  stats.OnFinalStats(e);
-  for (EngineObserver* o : observers) o->OnFinalStats(e);
-}
-
 std::unique_ptr<Session> Session::Create(const SessionConfig& config,
                                          const BuildContext& context,
                                          std::string* error) {
@@ -83,25 +56,7 @@ Session::Session(const SessionConfig& config,
                  std::unique_ptr<partition::Partitioner> partitioner)
     : config_(config),
       resolved_options_(config.options),
-      partitioner_(std::move(partitioner)) {
-  partitioner_->SetObserver(&fanout_);
-}
-
-Session::~Session() {
-  if (partitioner_ != nullptr) partitioner_->SetObserver(nullptr);
-}
-
-void Session::AddObserver(EngineObserver* observer) {
-  fanout_.observers.push_back(observer);
-}
-
-void Session::AddSink(io::AssignmentSink* sink) {
-  fanout_.sinks.push_back(sink);
-}
-
-void Session::AddEdgeSink(io::EdgeAssignmentSink* sink) {
-  fanout_.edge_sinks.push_back(sink);
-}
+      partitioner_(std::move(partitioner)) {}
 
 RunReport Session::Run(EdgeSource& source) {
   IngestSome(source, SIZE_MAX);
@@ -125,7 +80,8 @@ size_t Session::IngestSome(EdgeSource& source, size_t max_edges) {
     util::Timer batch_timer;
     partitioner_->IngestBatch(
         std::span<const stream::StreamEdge>(batch_.data(), n));
-    fanout_.OnBatch({n, static_cast<uint64_t>(batch_timer.ElapsedMs() * 1e6)});
+    const auto ns = static_cast<uint64_t>(batch_timer.ElapsedMs() * 1e6);
+    latency_.Add(ns / n, n);
     done += n;
   }
   ms_ += timer.ElapsedMs();
@@ -138,37 +94,31 @@ RunReport Session::Finish() {
   partitioner_->Finalize();
   ms_ += timer.ElapsedMs();
 
-  // The one end-of-run tail: a finalizing progress event with lifetime
-  // totals, then the final stats.
-  ProgressEvent progress;
-  progress.edges_ingested = edges_;
-  progress.finalizing = true;
-  partitioner_->FillProgress(&progress);
-  fanout_.OnProgress(progress);
-  FinalStatsEvent final_stats;
-  partitioner_->FillFinalStats(&final_stats);
-  fanout_.OnFinalStats(final_stats);
+  partitioner_->FlushSinks();
 
-  FlushSinks();
-  return MakeReport();
+  RunReport report;
+  report.backend = partitioner_->name();
+  report.edges = edges_;
+  report.ms = ms_;
+  report.edges_per_sec =
+      ms_ > 0.0 ? 1000.0 * static_cast<double>(edges_) / ms_ : 0.0;
+  report.vertices_assigned = partitioning().NumAssigned();
+  ProgressEvent progress;
+  partitioner_->FillProgress(&progress);
+  report.edges_bypassed = progress.edges_bypassed;
+  partitioner_->FillFinalStats(&report.backend_stats);
+  return report;
 }
 
 bool Session::Checkpoint(const std::string& path, std::string* error) {
   // Flush first: every assignment the checkpoint claims as done must be
   // durable in the sinks before the snapshot that claims it is published.
-  FlushSinks();
+  partitioner_->FlushSinks();
   try {
     io::CheckpointWriter w;
     w.BeginSection("session");
     w.Str(partitioner_->name());
     w.U64(edges_);
-    const StatsObserver::Totals& t = fanout_.stats.totals();
-    w.U64(t.vertices_assigned);
-    const ProgressEvent& p = t.last_progress;
-    w.U64(p.edges_ingested);
-    w.U64(p.edges_bypassed);
-    w.U64(p.window_population);
-    w.U8(p.finalizing ? 1 : 0);
     const auto flat = resolved_options_.ToFlat();
     w.U32(static_cast<uint32_t>(flat.size()));
     for (const auto& [key, value] : flat) {
@@ -204,13 +154,6 @@ bool Session::Resume(const std::string& path, std::string* error) {
              "'");
     }
     const uint64_t edges = r.U64();
-    StatsObserver::Totals t;
-    t.vertices_assigned = r.U64();
-    ProgressEvent& p = t.last_progress;
-    p.edges_ingested = r.U64();
-    p.edges_bypassed = r.U64();
-    p.window_population = r.U64();
-    p.finalizing = r.U8() != 0;
     const auto flat = resolved_options_.ToFlat();
     const uint32_t n_options = r.U32();
     if (n_options != flat.size()) {
@@ -234,7 +177,6 @@ bool Session::Resume(const std::string& path, std::string* error) {
     if (!partitioner_->RestoreState(&r, error)) return false;
     if (extension_ != nullptr) extension_->Restore(&r);
     edges_ = edges;
-    fanout_.stats.RestoreTotals(t);
   } catch (const std::exception& e) {
     if (error != nullptr) *error = e.what();
     return false;
@@ -244,23 +186,6 @@ bool Session::Resume(const std::string& path, std::string* error) {
 
 const partition::Partitioning& Session::partitioning() const {
   return partitioner_->partitioning();
-}
-
-void Session::FlushSinks() {
-  for (io::AssignmentSink* sink : fanout_.sinks) sink->Flush();
-  for (io::EdgeAssignmentSink* sink : fanout_.edge_sinks) sink->Flush();
-}
-
-RunReport Session::MakeReport() const {
-  RunReport report;
-  report.backend = partitioner_->name();
-  report.edges = edges_;
-  report.ms = ms_;
-  report.edges_per_sec =
-      ms_ > 0.0 ? 1000.0 * static_cast<double>(edges_) / ms_ : 0.0;
-  report.events = fanout_.stats.totals();
-  report.backend_stats = fanout_.stats.final_stats().counters;
-  return report;
 }
 
 bool CheckpointSessionRotating(Session* session, const std::string& path,

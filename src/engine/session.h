@@ -1,13 +1,13 @@
 // engine::Session — one object that owns a run's lifecycle, and the only
 // ingest path.
 //
-// Session builds a partitioner from a registry spec, wires observers and
-// assignment sinks, pulls an EdgeSource into the backend's IngestBatch and
-// hands back a RunReport assembled PURELY from observer events: there is
-// no backend-specific getter anywhere in the report path (the FDB lesson:
-// evaluate over the engine's own event stream, not over privileged peeks
-// into its internals). The eval harness, tools and examples are all
-// clients.
+// Session builds a partitioner from a registry spec, binds assignment
+// sinks to it, pulls an EdgeSource into the backend's IngestBatch and owns
+// the run's reporting: a per-batch decision-latency histogram while the
+// stream runs, and a RunReport at Finish read from the partition table and
+// the backend's generic FillProgress/FillFinalStats — there is no
+// backend-specific getter anywhere in the report path. The eval harness,
+// tools and examples are all clients.
 //
 //   engine::SessionConfig cfg;
 //   cfg.spec = "loom:window_size=4000";
@@ -35,6 +35,7 @@
 #include "engine/engine.h"
 #include "io/assignment_sink.h"
 #include "partition/partitioner.h"
+#include "util/histogram.h"
 
 namespace loom {
 namespace engine {
@@ -49,7 +50,7 @@ struct SessionConfig {
   DriveConfig drive;
 };
 
-/// What a finished (or checkpointed) run looked like — event-sourced only.
+/// What a finished (or checkpointed) run looked like, built by Finish.
 struct RunReport {
   /// The backend's registry name ("loom", "fennel", ...).
   std::string backend;
@@ -59,9 +60,12 @@ struct RunReport {
   double ms = 0.0;
   /// edges / ms, scaled to per-second (0 when nothing was timed).
   double edges_per_sec = 0.0;
-  /// Accumulated event totals (assignments, last progress snapshot).
-  StatsObserver::Totals events;
-  /// The backend's deterministic end-of-run counters (FinalStatsEvent);
+  /// Vertices with a placement (partitioning().NumAssigned()).
+  uint64_t vertices_assigned = 0;
+  /// Edges that bypassed the window over the run's lifetime (Loom's
+  /// admission test; 0 for every other backend).
+  uint64_t edges_bypassed = 0;
+  /// The backend's deterministic end-of-run counters (FillFinalStats);
   /// empty for backends that report none.
   StatCounters backend_stats;
 
@@ -99,23 +103,19 @@ class Session {
                                          const BuildContext& context,
                                          std::string* error);
 
-  ~Session();
-
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Subscribes an external observer for the session's lifetime (events
-  /// fan out to every subscriber in registration order). Not owned.
-  void AddObserver(EngineObserver* observer);
+  /// Binds an assignment sink to the backend: every vertex placement is
+  /// appended once, and Checkpoint/Finish flush it. Not owned.
+  void AddSink(io::AssignmentSink* sink) { partitioner_->AddSink(sink); }
 
-  /// Binds an assignment sink: every OnAssign placement is appended, and
-  /// Run/Finish flush it. Not owned.
-  void AddSink(io::AssignmentSink* sink);
-
-  /// Binds an EDGE assignment sink: every OnEdgeAssign placement (edge
-  /// backends only — hdrf/dbh; vertex backends never fire it) is appended,
-  /// and Run/Finish flush it. Not owned.
-  void AddEdgeSink(io::EdgeAssignmentSink* sink);
+  /// Binds an EDGE assignment sink to the backend: every edge placement
+  /// (edge backends only — hdrf/dbh/hep) is appended, and Checkpoint/Finish
+  /// flush it. Not owned.
+  void AddEdgeSink(io::EdgeAssignmentSink* sink) {
+    partitioner_->AddEdgeSink(sink);
+  }
 
   /// Attaches checkpoint-extension state (not owned; nullptr detaches):
   /// Checkpoint() appends its sections after the backend's, Resume()
@@ -133,24 +133,23 @@ class Session {
   /// going — Finalize is never implied.
   size_t IngestSome(EdgeSource& source, size_t max_edges);
 
-  /// Checkpoints the stream: finalizes, fires the final progress event
-  /// (edges_ingested = the session-lifetime count, resumed edges included)
-  /// and the final-stats event, flushes sinks and reports.
+  /// Checkpoints the stream: finalizes, flushes sinks and reports (edges =
+  /// the session-lifetime count, resumed edges included).
   RunReport Finish();
 
   /// Snapshots the whole run — session envelope (backend id, stream cursor,
-  /// resolved options fingerprint, event totals) plus the backend's
-  /// SaveState sections — into a LOOMCK file at `path`, committed atomically
-  /// (tmp + fsync + rename), flushing sinks first so everything already
-  /// assigned is durable alongside the checkpoint. Returns false + an
-  /// actionable `*error` on failure; the previous file at `path` (if any) is
-  /// only replaced by a complete new checkpoint, never by a torn one.
+  /// resolved options fingerprint) plus the backend's SaveState sections —
+  /// into a LOOMCK file at `path`, committed atomically (tmp + fsync +
+  /// rename), flushing sinks first so everything already assigned is
+  /// durable alongside the checkpoint. Returns false + an actionable
+  /// `*error` on failure; the previous file at `path` (if any) is only
+  /// replaced by a complete new checkpoint, never by a torn one.
   bool Checkpoint(const std::string& path, std::string* error);
 
   /// Restores a Checkpoint file into this freshly created session (nothing
   /// ingested). On success the session's stream cursor is edges_ingested();
-  /// skip the source to that position and keep driving — assignments,
-  /// events and final stats will be bit-identical to the uninterrupted run.
+  /// skip the source to that position and keep driving — assignments and
+  /// the final report will be bit-identical to the uninterrupted run.
   /// On failure (corruption, version skew, backend/options/label mismatch)
   /// returns false with an actionable `*error` and the session must be
   /// discarded.
@@ -164,33 +163,21 @@ class Session {
   /// backend-specific getter.
   const partition::Partitioning& partitioning() const;
 
+  /// Decision latency: IngestSome records each batch's wall time divided by
+  /// its edge count, once per edge, so quantiles are per decision (batch
+  /// means; drive with batch_size=1 for exact per-edge timing). Lock-free:
+  /// Snapshot() it from any thread while ingest continues. Covers this
+  /// session's batches only (not those before a Resume).
+  const util::Histogram& latency() const { return latency_; }
+
   /// Escape hatch to the underlying backend, for callers that knowingly
   /// step outside the facade (examples poking at Loom's trie, workload
   /// drift via UpdateWorkload). The report path never uses this.
   partition::Partitioner& backend() { return *partitioner_; }
 
  private:
-  /// Fans every event out to the session's stats accumulator, sinks
-  /// (OnAssign) and external observers.
-  class Fanout : public EngineObserver {
-   public:
-    void OnAssign(const AssignEvent& e) override;
-    void OnEdgeAssign(const EdgeAssignEvent& e) override;
-    void OnProgress(const ProgressEvent& e) override;
-    void OnBatch(const BatchEvent& e) override;
-    void OnFinalStats(const FinalStatsEvent& e) override;
-
-    StatsObserver stats;
-    std::vector<io::AssignmentSink*> sinks;
-    std::vector<io::EdgeAssignmentSink*> edge_sinks;
-    std::vector<EngineObserver*> observers;
-  };
-
   Session(const SessionConfig& config,
           std::unique_ptr<partition::Partitioner> partitioner);
-
-  RunReport MakeReport() const;
-  void FlushSinks();
 
   SessionConfig config_;
   /// config_.options with the spec's inline overrides applied — what the
@@ -198,8 +185,8 @@ class Session {
   /// never the raw base options.
   EngineOptions resolved_options_;
   std::unique_ptr<partition::Partitioner> partitioner_;
-  Fanout fanout_;
   SessionExtension* extension_ = nullptr;
+  util::Histogram latency_;
   /// IngestSome's batch buffer, grown on demand and kept between calls.
   std::vector<stream::StreamEdge> batch_;
   uint64_t edges_ = 0;

@@ -8,7 +8,7 @@
 
 // NOTE: deliberately no core/ backend headers and no downcasts to concrete
 // backends in this layer — behavioural counters arrive through
-// engine::Session's RunReport (observer events) only.
+// engine::Session's RunReport only.
 
 namespace loom {
 namespace eval {
@@ -74,7 +74,7 @@ namespace {
 
 /// One (spec, dataset, source) cell through engine::Session: build by
 /// spec, replay the source, and read every behavioural counter from the
-/// session's event-sourced RunReport.
+/// session's RunReport.
 std::optional<SystemResult> RunWithSession(const std::string& spec,
                                            System system,
                                            const datasets::Dataset& ds,
@@ -110,9 +110,9 @@ std::optional<SystemResult> RunWithSession(const std::string& spec,
   result.imbalance = partition::Imbalance(partitioning);
   result.assignment_hash = HashAssignment(partitioning, ds.NumVertices());
 
-  // Edge-partitioning backends report their quality triple through the
-  // event stream (FillFinalStats counters); vertex backends report no edge
-  // counters and keep the zeros.
+  // Edge-partitioning backends report their quality triple through their
+  // FillFinalStats counters; vertex backends report no edge counters and
+  // keep the zeros.
   result.replication_factor = report.ReplicationFactor();
   result.edge_balance = report.EdgeBalance(partitioning.k());
   result.edge_assignment_hash = report.Stat("edge_assignment_hash");

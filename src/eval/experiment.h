@@ -4,9 +4,9 @@
 //
 // Every run goes through engine::Session — construction by registry spec,
 // ingest over a pull-based EdgeSource, and behavioural counters consumed
-// exclusively from the session's RunReport (observer events). This layer
-// holds no backend headers and never downcasts to a concrete backend:
-// what a backend wants reported, it reports through the event stream.
+// exclusively from the session's RunReport. This layer holds no backend
+// headers and never downcasts to a concrete backend: what a backend wants
+// reported, it reports through FillFinalStats.
 
 #ifndef LOOM_EVAL_EXPERIMENT_H_
 #define LOOM_EVAL_EXPERIMENT_H_
@@ -79,7 +79,7 @@ struct SystemResult {
   double edge_balance = 0.0;
   uint64_t edge_assignment_hash = 0;
   /// The backend's deterministic end-of-run counters, verbatim from the
-  /// session's final-stats observer event: Loom reports match-pool
+  /// session's RunReport (FillFinalStats): Loom reports match-pool
   /// fresh/reused and matcher totals under "match_allocs_*"/"matcher_*";
   /// backends that report nothing leave it empty. No more per-backend
   /// magic-zero fields.

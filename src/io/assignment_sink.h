@@ -1,10 +1,11 @@
 // Assignment sinks: where a run's vertex placements land.
 //
-// Partitioners report each placement exactly once through the observer
-// on_assign path (partition/partitioner.h, AssignAndNotify); a sink is the
-// durable end of that pipe. engine::Session forwards every AssignEvent to
-// its bound sinks, so a run can persist assignments while streaming —
-// nothing buffers the full vertex set unless the sink chooses to.
+// A partitioner appends each vertex placement exactly once to every sink
+// bound to it (partition/partitioner.h, AddSink and AssignAndNotify);
+// engine::Session::AddSink binds a sink to its backend and flushes it at
+// checkpoints and at Finish. A run can therefore persist assignments while
+// streaming — nothing buffers the full vertex set unless the sink chooses
+// to.
 //
 // Implementations:
 //   * FileAssignmentSink   — "<vertex>\t<partition>" lines in assignment
@@ -21,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/observer.h"
 #include "graph/types.h"
 
 namespace loom {
@@ -74,26 +74,11 @@ class MemoryAssignmentSink : public AssignmentSink {
   std::vector<std::pair<graph::VertexId, graph::PartitionId>> assignments_;
 };
 
-/// Observer adapter: forwards OnAssign events into a sink. Session feeds
-/// its sinks through its own fan-out; a caller holding a bare partitioner
-/// can attach one with SetObserver.
-class AssignmentSinkObserver : public engine::EngineObserver {
- public:
-  explicit AssignmentSinkObserver(AssignmentSink* sink) : sink_(sink) {}
-
-  void OnAssign(const engine::AssignEvent& e) override {
-    sink_->Append(e.vertex, e.partition);
-  }
-
- private:
-  AssignmentSink* sink_;
-};
-
 // ---------------------------------------------------------------- edges
-// Edge-partitioning backends (partition/edge/: hdrf, dbh) place EDGES, so
-// their durable output is one line per edge, not per vertex. These mirror
-// the vertex sinks one-for-one; Session forwards OnEdgeAssign events the
-// same way it forwards OnAssign.
+// Edge-partitioning backends (partition/edge/: hdrf, dbh, hep) place EDGES,
+// so their durable output is one line per edge, not per vertex. These
+// mirror the vertex sinks one-for-one and bind the same way
+// (Partitioner::AddEdgeSink, Session::AddEdgeSink).
 
 /// Receives (edge, u, v, partition) placements in stream order.
 class EdgeAssignmentSink {
@@ -147,20 +132,6 @@ class MemoryEdgeAssignmentSink : public EdgeAssignmentSink {
 
  private:
   std::vector<Record> records_;
-};
-
-/// Observer adapter: forwards OnEdgeAssign events into an edge sink.
-class EdgeAssignmentSinkObserver : public engine::EngineObserver {
- public:
-  explicit EdgeAssignmentSinkObserver(EdgeAssignmentSink* sink)
-      : sink_(sink) {}
-
-  void OnEdgeAssign(const engine::EdgeAssignEvent& e) override {
-    sink_->Append(e.edge, e.u, e.v, e.partition);
-  }
-
- private:
-  EdgeAssignmentSink* sink_;
 };
 
 }  // namespace io

@@ -41,8 +41,10 @@ namespace io {
 /// and the "compact_interval" option key; "loom" dropped that knob from its
 /// fingerprint; "loom_stats" gained two counters and lost the compaction
 /// phase; "matches" dropped its live and total-added counts. v6:
-/// "loom_stats" dropped the empty-cluster eviction count.
-inline constexpr uint16_t kCheckpointVersion = 6;
+/// "loom_stats" dropped the empty-cluster eviction count. v7: the session
+/// section dropped the assignment count and the progress snapshot (the
+/// partition table and the backend's own sections hold both).
+inline constexpr uint16_t kCheckpointVersion = 7;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

@@ -72,6 +72,40 @@ bool ReadRaw(std::istream& is, T* value) {
 /// keep throwing std::runtime_error straight through.
 struct RetryableHeader {};
 
+/// Decodes `n` packed binary records into `out`, stamping stream ids from
+/// `first_id` on.
+void DecodeRecords(const char* records, size_t n, uint64_t first_id,
+                   stream::StreamEdge* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const char* rec = records + i * kRecordBytes;
+    stream::StreamEdge& e = out[i];
+    std::memcpy(&e.u, rec, 4);
+    std::memcpy(&e.v, rec + 4, 4);
+    std::memcpy(&e.label_u, rec + 8, 2);
+    std::memcpy(&e.label_v, rec + 10, 2);
+    e.id = static_cast<graph::EdgeId>(first_id + i);
+  }
+}
+
+/// Parses one text data line into `*e` with stream id `id`. Returns false
+/// for a blank or comment line (no edge); throws on a malformed one.
+bool ParseEdgeLine(const std::string& path, const std::string& line,
+                   uint64_t id, stream::StreamEdge* e) {
+  if (line.empty() || line[0] == '#') return false;
+  unsigned long long u = 0, v = 0, lu = 0, lv = 0;
+  std::istringstream ls(line);
+  char tag = 0;
+  if (!(ls >> tag >> u >> v >> lu >> lv) || tag != 'E') {
+    Fail(path, "malformed edge line: '" + line + "'");
+  }
+  e->u = static_cast<graph::VertexId>(u);
+  e->v = static_cast<graph::VertexId>(v);
+  e->label_u = static_cast<graph::LabelId>(lu);
+  e->label_v = static_cast<graph::LabelId>(lv);
+  e->id = static_cast<graph::EdgeId>(id);
+  return true;
+}
+
 }  // namespace
 
 bool ParseStreamFormat(std::string_view name, StreamFormat* out) {
@@ -392,15 +426,7 @@ size_t FileEdgeSource::ReadFollow(std::span<stream::StreamEdge> out) {
                 static_cast<std::streamoff>((pos_ + complete) * kRecordBytes));
       if (!in_) Fail(path_, "seek failed while tailing");
       if (complete > 0) {
-        for (size_t i = 0; i < complete; ++i) {
-          const char* rec = buffer_.data() + i * kRecordBytes;
-          stream::StreamEdge& e = out[i];
-          std::memcpy(&e.u, rec, 4);
-          std::memcpy(&e.v, rec + 4, 4);
-          std::memcpy(&e.label_u, rec + 8, 2);
-          std::memcpy(&e.label_v, rec + 10, 2);
-          e.id = static_cast<graph::EdgeId>(pos_ + i);
-        }
+        DecodeRecords(buffer_.data(), complete, pos_, out.data());
         return complete;
       }
       if (Stopped()) return 0;
@@ -422,19 +448,9 @@ size_t FileEdgeSource::ReadFollow(std::span<stream::StreamEdge> out) {
       Poll();
       continue;
     }
-    if (line.empty() || line[0] == '#') continue;
-    stream::StreamEdge& e = out[produced];
-    unsigned long long u = 0, v = 0, lu = 0, lv = 0;
-    std::istringstream ls(line);
-    char tag = 0;
-    if (!(ls >> tag >> u >> v >> lu >> lv) || tag != 'E') {
-      Fail(path_, "malformed edge line: '" + line + "'");
+    if (!ParseEdgeLine(path_, line, pos_ + produced, &out[produced])) {
+      continue;
     }
-    e.u = static_cast<graph::VertexId>(u);
-    e.v = static_cast<graph::VertexId>(v);
-    e.label_u = static_cast<graph::LabelId>(lu);
-    e.label_v = static_cast<graph::LabelId>(lv);
-    e.id = static_cast<graph::EdgeId>(pos_ + produced);
     ++produced;
     if (produced == out.size()) return produced;
   }
@@ -466,34 +482,15 @@ size_t FileEdgeSource::NextBatch(std::span<stream::StreamEdge> out) {
                       "file ends after " +
                       std::to_string(pos_ + got / kRecordBytes));
     }
-    for (size_t i = 0; i < want; ++i) {
-      const char* rec = buffer_.data() + i * kRecordBytes;
-      stream::StreamEdge& e = out[i];
-      std::memcpy(&e.u, rec, 4);
-      std::memcpy(&e.v, rec + 4, 4);
-      std::memcpy(&e.label_u, rec + 8, 2);
-      std::memcpy(&e.label_v, rec + 10, 2);
-      e.id = static_cast<graph::EdgeId>(pos_ + i);
-    }
+    DecodeRecords(buffer_.data(), want, pos_, out.data());
     checksum_ = FnvMix(checksum_, buffer_.data(), buffer_.size());
     produced = want;
   } else {
     std::string line;
     while (produced < want && std::getline(in_, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      stream::StreamEdge& e = out[produced];
-      unsigned long long u = 0, v = 0, lu = 0, lv = 0;
-      std::istringstream ls(line);
-      char tag = 0;
-      if (!(ls >> tag >> u >> v >> lu >> lv) || tag != 'E') {
-        Fail(path_, "malformed edge line: '" + line + "'");
+      if (ParseEdgeLine(path_, line, pos_ + produced, &out[produced])) {
+        ++produced;
       }
-      e.u = static_cast<graph::VertexId>(u);
-      e.v = static_cast<graph::VertexId>(v);
-      e.label_u = static_cast<graph::LabelId>(lu);
-      e.label_v = static_cast<graph::LabelId>(lv);
-      e.id = static_cast<graph::EdgeId>(pos_ + produced);
-      ++produced;
     }
     if (produced < want) {
       Fail(path_, "truncated: header declares " +

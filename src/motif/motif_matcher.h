@@ -81,7 +81,7 @@ class MotifMatcher {
 
   /// Overwrites the running counters (checkpoint restore only; the memo
   /// tables are pure caches and rebuild themselves, but the counters feed
-  /// FinalStatsEvent and must survive).
+  /// the backend's final stats and must survive).
   void RestoreStats(const MatcherStats& stats) { stats_ = stats; }
 
   /// Processes an edge that has just been pushed into `window` (it must

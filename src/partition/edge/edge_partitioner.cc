@@ -62,11 +62,11 @@ void EdgePartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
     edge_hash_ = (edge_hash_ ^ p) * 0x100000001b3ULL;  // FNV-1a, placements
 
     // Primary vertex placement: first replica part wins, routed through
-    // AssignAndNotify so OnAssign/sinks/eval see edge backends uniformly.
+    // AssignAndNotify so vertex sinks and eval see edge backends uniformly.
     AssignAndNotify(&partitioning_, e.u, p);
     if (e.v != e.u) AssignAndNotify(&partitioning_, e.v, p);
 
-    if (observer() != nullptr) observer()->OnEdgeAssign({e.id, e.u, e.v, p});
+    NotifyEdge(e, p);
   }
 }
 
@@ -138,18 +138,18 @@ uint32_t EdgePartitioner::ReplicaCount(graph::VertexId v) const {
   return count;
 }
 
-void EdgePartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
+void EdgePartitioner::FillFinalStats(engine::StatCounters* stats) const {
   uint64_t max_load = 0, min_load = loads_.empty() ? 0 : loads_[0];
   for (uint64_t l : loads_) {
     max_load = std::max(max_load, l);
     min_load = std::min(min_load, l);
   }
-  stats->counters.emplace_back("edge_assignments", edges_assigned_);
-  stats->counters.emplace_back("vertices_seen", vertices_seen_);
-  stats->counters.emplace_back("replica_total", replica_total_);
-  stats->counters.emplace_back("max_part_edges", max_load);
-  stats->counters.emplace_back("min_part_edges", min_load);
-  stats->counters.emplace_back("edge_assignment_hash", edge_hash_);
+  stats->emplace_back("edge_assignments", edges_assigned_);
+  stats->emplace_back("vertices_seen", vertices_seen_);
+  stats->emplace_back("replica_total", replica_total_);
+  stats->emplace_back("max_part_edges", max_load);
+  stats->emplace_back("min_part_edges", min_load);
+  stats->emplace_back("edge_assignment_hash", edge_hash_);
 }
 
 bool EdgePartitioner::SaveState(io::CheckpointWriter* w,

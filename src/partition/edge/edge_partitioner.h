@@ -13,7 +13,7 @@
 // read, the per-part edge loads, a running FNV-1a hash over the per-edge
 // placements (the edge-stream analogue of partition::AssignmentHash), and a
 // "primary" vertex Partitioning — each vertex's FIRST replica part — routed
-// through AssignAndNotify so OnAssign events, assignment sinks, eval's
+// through AssignAndNotify so vertex assignment sinks, eval's
 // edge-cut/imbalance readouts and the bench quality triple keep working
 // unchanged for edge backends. Subclasses implement one virtual,
 // PlaceEdge(), and inherit ingest bookkeeping, deterministic final stats
@@ -43,7 +43,7 @@ class EdgePartitioner : public Partitioner {
 
   /// Per edge: updates partial degrees, asks the subclass for a placement,
   /// then commits: replica sets, part load, edge hash, primary vertex
-  /// placement (AssignAndNotify) and the OnEdgeAssign observer event.
+  /// placement (AssignAndNotify) and the edge sinks (NotifyEdge).
   void IngestBatch(std::span<const stream::StreamEdge> batch) final;
 
   /// Edge partitioners buffer nothing; Finalize is a no-op (trivially
@@ -56,7 +56,7 @@ class EdgePartitioner : public Partitioner {
   /// replica_total, max/min_part_edges and edge_assignment_hash — the raw
   /// integers eval derives the (replication factor, edge balance, edge
   /// hash) quality triple from.
-  void FillFinalStats(engine::FinalStatsEvent* stats) const override;
+  void FillFinalStats(engine::StatCounters* stats) const override;
 
   bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
   bool RestoreState(io::CheckpointReader* r, std::string* error) override;

@@ -152,12 +152,11 @@ graph::PartitionId HepPartitioner::PlaceEdge(const stream::StreamEdge& e) {
   return p;
 }
 
-void HepPartitioner::FillFinalStats(engine::FinalStatsEvent* stats) const {
+void HepPartitioner::FillFinalStats(engine::StatCounters* stats) const {
   EdgePartitioner::FillFinalStats(stats);
-  stats->counters.emplace_back("hep_high_degree_vertices",
-                               high_degree_.Count());
-  stats->counters.emplace_back("hep_core_edges", core_edges_);
-  stats->counters.emplace_back("hep_fallback_edges", fallback_edges_);
+  stats->emplace_back("hep_high_degree_vertices", high_degree_.Count());
+  stats->emplace_back("hep_core_edges", core_edges_);
+  stats->emplace_back("hep_fallback_edges", fallback_edges_);
 }
 
 void HepPartitioner::SaveExtra(io::CheckpointWriter* w) const {

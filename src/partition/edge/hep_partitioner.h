@@ -64,7 +64,7 @@ class HepPartitioner final : public EdgePartitioner {
 
   /// Adds hep's split counters (high_degree_vertices, core_edges,
   /// fallback_edges) to the shared edge counters.
-  void FillFinalStats(engine::FinalStatsEvent* stats) const override;
+  void FillFinalStats(engine::StatCounters* stats) const override;
 
  protected:
   graph::PartitionId PlaceEdge(const stream::StreamEdge& e) override;

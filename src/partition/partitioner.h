@@ -1,21 +1,23 @@
 // The common interface every streaming partitioner implements: consume a
 // stream of labelled edges in batches, finalize, expose the resulting
-// vertex partitioning, and report decisions to an optional
-// engine::EngineObserver.
+// vertex partitioning, append each placement to the bound assignment
+// sinks, and report its progress gauges and end-of-run counters.
 //
-// Construction goes through engine::PartitionerRegistry ("hash", "ldg",
-// "fennel", "loom", "hdrf", "dbh", "hep" + any user-registered backend)
-// for everything outside src/ internals and unit tests; see
-// engine/engine.h. Runs go through engine::Session, which pulls an
-// EdgeSource into IngestBatch.
+// Construction goes through engine::PartitionerRegistry (the fixed set
+// "hash", "ldg", "fennel", "loom", "hdrf", "dbh", "hep") for everything
+// outside src/ internals and unit tests; see engine/engine.h. Runs go
+// through engine::Session, which pulls an EdgeSource into IngestBatch and
+// builds the run's report.
 
 #ifndef LOOM_PARTITION_PARTITIONER_H_
 #define LOOM_PARTITION_PARTITIONER_H_
 
 #include <span>
 #include <string>
+#include <vector>
 
-#include "engine/observer.h"
+#include "engine/run_stats.h"
+#include "io/assignment_sink.h"
 #include "io/checkpoint.h"
 #include "partition/partitioning.h"
 #include "stream/stream_edge.h"
@@ -59,10 +61,10 @@ class Partitioner {
   ///
   /// Contract (all backends): Finalize is IDEMPOTENT — calling it again
   /// with no intervening Ingest leaves the partitioning bit-identical and
-  /// fires no further observer events. It is also not terminal: Ingest may
-  /// be called after Finalize (an online stream has no real end; finalize
-  /// is a checkpoint), after which the backend resumes buffering and a
-  /// later Finalize drains again. Pinned by PartitionerContractTest.
+  /// appends nothing further to the sinks. It is also not terminal: Ingest
+  /// may be called after Finalize (an online stream has no real end;
+  /// finalize is a checkpoint), after which the backend resumes buffering
+  /// and a later Finalize drains again. Pinned by PartitionerContractTest.
   virtual void Finalize() {}
 
   /// The (possibly still partial, before Finalize) partitioning.
@@ -71,29 +73,40 @@ class Partitioner {
   /// Short name for reports (the registry name: "hash", "loom", "hdrf", ...).
   virtual std::string name() const = 0;
 
-  /// Subscribes `observer` to this partitioner's decision events (nullptr
-  /// to unsubscribe). Not owned; must outlive the partitioner or be reset.
-  void SetObserver(engine::EngineObserver* observer) { observer_ = observer; }
-  engine::EngineObserver* observer() const { return observer_; }
+  /// Binds a vertex assignment sink: every placement is appended once, in
+  /// assignment order. Not owned; must outlive any further ingest.
+  void AddSink(io::AssignmentSink* sink) { sinks_.push_back(sink); }
 
-  /// Fills backend-specific ProgressEvent fields (bypassed edges, window
-  /// population); Session::Finish stamps edges_ingested first and fires
-  /// the event. Baselines track nothing extra and keep the zeros.
+  /// Binds an EDGE assignment sink: edge backends (hdrf/dbh/hep) append
+  /// every edge's placement, in stream order; vertex backends never do.
+  /// Not owned; must outlive any further ingest.
+  void AddEdgeSink(io::EdgeAssignmentSink* sink) {
+    edge_sinks_.push_back(sink);
+  }
+
+  /// Flushes every bound sink (the durability point).
+  void FlushSinks() {
+    for (io::AssignmentSink* sink : sinks_) sink->Flush();
+    for (io::EdgeAssignmentSink* sink : edge_sinks_) sink->Flush();
+  }
+
+  /// Fills the live progress gauges (bypassed edges, window population).
+  /// Baselines track nothing extra and keep the zeros.
   virtual void FillProgress(engine::ProgressEvent*) const {}
 
   /// Appends this backend's deterministic end-of-run counters (name ->
-  /// value, stable order) to `stats`; Session::Finish fires the event
-  /// after Finalize. Only values that are identical across reruns on fixed
-  /// seeds belong here — reports and bench baselines diff them. Baselines
-  /// have nothing to report.
-  virtual void FillFinalStats(engine::FinalStatsEvent*) const {}
+  /// value, stable order) to `stats`; Session::Finish reads them after
+  /// Finalize. Only values that are identical across reruns on fixed seeds
+  /// belong here — reports and bench baselines diff them. Baselines have
+  /// nothing to report.
+  virtual void FillFinalStats(engine::StatCounters*) const {}
 
   /// Writes everything this backend needs to resume the stream from the
   /// current position into `w` (one or more backend-owned sections).
   ///
   /// Contract: restoring the snapshot into a FRESH instance constructed
   /// with the same options/context, then ingesting the remaining stream
-  /// suffix, must produce assignments, observer events and final stats
+  /// suffix, must produce assignments, progress gauges and final stats
   /// BIT-IDENTICAL to the uninterrupted run (pinned by
   /// tests/crash_recovery_test.cc). The default covers backends whose only
   /// resume-relevant state is the partition table (hash; the stateless
@@ -115,20 +128,28 @@ class Partitioner {
   /// report "unsupported").
   virtual Partitioning* MutablePartitioning() { return nullptr; }
 
-  /// First-writer-wins assignment that reports the placement actually used
-  /// (after capacity diversion) to the observer. All backends route their
-  /// vertex placements through this so OnAssign fires exactly once per
-  /// vertex, uniformly.
+  /// First-writer-wins assignment that appends the placement actually used
+  /// (after capacity diversion) to every vertex sink. All backends route
+  /// their vertex placements through this so each vertex reaches the sinks
+  /// exactly once, uniformly.
   graph::PartitionId AssignAndNotify(Partitioning* p, graph::VertexId v,
                                      graph::PartitionId target) {
     if (p->IsAssigned(v)) return p->PartitionOf(v);
     const graph::PartitionId actual = p->Assign(v, target);
-    if (observer_ != nullptr) observer_->OnAssign({v, actual});
+    for (io::AssignmentSink* sink : sinks_) sink->Append(v, actual);
     return actual;
   }
 
+  /// Appends one edge's placement to every edge sink (edge backends).
+  void NotifyEdge(const stream::StreamEdge& e, graph::PartitionId p) {
+    for (io::EdgeAssignmentSink* sink : edge_sinks_) {
+      sink->Append(e.id, e.u, e.v, p);
+    }
+  }
+
  private:
-  engine::EngineObserver* observer_ = nullptr;
+  std::vector<io::AssignmentSink*> sinks_;
+  std::vector<io::EdgeAssignmentSink*> edge_sinks_;
 };
 
 }  // namespace partition

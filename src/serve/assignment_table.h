@@ -55,8 +55,8 @@ class AssignmentTable : public io::AssignmentSink {
   /// that observes the slot also observes everything the decision preceded.
   void Publish(graph::VertexId v, graph::PartitionId p);
 
-  /// io::AssignmentSink — lets a Session fan OnAssign placements straight
-  /// into the table.
+  /// io::AssignmentSink — the session's backend appends each placement
+  /// straight into the table.
   void Append(graph::VertexId v, graph::PartitionId p) override {
     Publish(v, p);
   }

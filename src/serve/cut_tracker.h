@@ -4,9 +4,10 @@
 // holds the graph — edges arrive, get ingested, and are gone — so the cut
 // must be maintained as the stream flows: an edge whose endpoints are both
 // placed resolves immediately; an edge with an unplaced endpoint parks on
-// that endpoint and resolves when its OnAssign placement arrives (window
-// backends defer decisions, so "edge ingested" and "endpoints placed" are
-// separated by up to a window's worth of stream).
+// that endpoint and resolves when the tracker, bound as an assignment sink,
+// receives that endpoint's placement (window backends defer decisions, so
+// "edge ingested" and "endpoints placed" are separated by up to a window's
+// worth of stream).
 //
 // Layout: every vertex owns the head of a singly linked list of the edges
 // parked on it. The heads live in lazily allocated 64K-slot chunks (like

@@ -1,26 +1,40 @@
 #include "serve/protocol.h"
 
+#include <array>
 #include <charconv>
-#include <vector>
 
 namespace loom {
 namespace serve {
 
 namespace {
 
-/// Splits on single spaces. Empty fields (leading / trailing / doubled
-/// spaces) yield empty tokens, which the arity checks below reject — the
-/// wire format is exact, not whitespace-tolerant.
-std::vector<std::string_view> SplitFields(std::string_view line) {
-  std::vector<std::string_view> out;
+/// A line's fields: the first kMax of them, and how many there were in
+/// all. No command takes more than six, so the arity checks reject every
+/// line whose fields were not all kept, and report the true count.
+struct Fields {
+  static constexpr size_t kMax = 8;
+  std::array<std::string_view, kMax> field;
+  size_t count = 0;
+
+  std::string_view operator[](size_t i) const { return field[i]; }
+  size_t size() const { return count; }
+};
+
+/// Splits on single spaces, without allocating (one call per served line).
+/// Empty fields (leading / trailing / doubled spaces) yield empty tokens,
+/// which the arity checks below reject — the wire format is exact, not
+/// whitespace-tolerant.
+Fields SplitFields(std::string_view line) {
+  Fields out;
   size_t start = 0;
   for (;;) {
     const size_t space = line.find(' ', start);
-    if (space == std::string_view::npos) {
-      out.push_back(line.substr(start));
-      return out;
+    const size_t end = space == std::string_view::npos ? line.size() : space;
+    if (out.count < Fields::kMax) {
+      out.field[out.count] = line.substr(start, end - start);
     }
-    out.push_back(line.substr(start, space - start));
+    ++out.count;
+    if (space == std::string_view::npos) return out;
     start = space + 1;
   }
 }
@@ -55,8 +69,7 @@ bool ParseLabel(std::string_view token, graph::LabelId* out,
   return true;
 }
 
-bool CheckArity(const std::vector<std::string_view>& fields, size_t want,
-                std::string* error) {
+bool CheckArity(const Fields& fields, size_t want, std::string* error) {
   if (fields.size() == want) return true;
   *error = std::string(fields[0]) + " takes " + std::to_string(want - 1) +
            " argument(s), got " + std::to_string(fields.size() - 1);
@@ -74,7 +87,7 @@ bool ParseCommand(std::string_view line, Command* out, std::string* error) {
     *error = "line exceeds " + std::to_string(kMaxLineBytes) + " bytes";
     return false;
   }
-  const std::vector<std::string_view> fields = SplitFields(line);
+  const Fields fields = SplitFields(line);
   const std::string_view verb = fields[0];
   if (verb == "INGEST") {
     // 4 payload fields, plus an optional trailing sequence number.

@@ -71,7 +71,7 @@ std::unique_ptr<Server> Server::Create(const ServerConfig& config,
       std::cerr << "loom_serve: primary checkpoint rejected, resumed from "
                 << config.resume_path << ".prev\n";
     }
-    // Re-seed the read path: restored placements never fire OnAssign.
+    // Re-seed the read path: restored placements never reach the sinks.
     const std::span<const graph::PartitionId> restored =
         server->session_->partitioning().assignments();
     for (size_t v = 0; v < restored.size(); ++v) {
@@ -90,7 +90,6 @@ std::unique_ptr<Server> Server::Create(const ServerConfig& config,
   }
   server->session_->AddSink(&server->table_);
   server->session_->AddSink(&server->tracker_);  // after the table: it reads it
-  server->session_->AddObserver(&server->latency_);
   if (!config.ingest_log_path.empty()) {
     if (config.registry == nullptr) {
       *error = "ingest log requires config.registry (the label table for "
@@ -354,7 +353,7 @@ std::string Server::StatsReply() {
          " cut=" + std::to_string(tracker_.cut()) +
          " window=" +
          std::to_string(window_population_.load(std::memory_order_relaxed)) +
-         " latency[" + latency_.histogram().Snapshot().Summary() + "]";
+         " latency[" + session_->latency().Snapshot().Summary() + "]";
 }
 
 void Server::DecisionLoop() {

@@ -26,9 +26,10 @@
 //     order, so the same edge sequence produces the same partitioning as
 //     loom_partition over the same file — that is the service's core
 //     equivalence invariant, proven by tests/serve_server_test.cc.
-//   * GET and STATS never touch the session: placements fan out through the
-//     sink path into a wait-free AssignmentTable, counters are published
-//     atomics. A lookup can never block ingest, and vice versa.
+//   * GET and STATS never lock the session: placements land through the
+//     sink path in a wait-free AssignmentTable, counters are published
+//     atomics and the session's latency histogram is lock-free. A lookup
+//     can never block ingest, and vice versa.
 //   * CHECKPOINT / FINALIZE / SNAPSHOT-QUALITY must observe a consistent
 //     stream prefix, so they ride the same queue as edges and execute on
 //     the decision thread, in order, replying through a promise.
@@ -56,7 +57,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/latency_observer.h"
 #include "engine/session.h"
 #include "graph/label_registry.h"
 #include "io/edge_stream_io.h"
@@ -103,8 +103,8 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Builds the session (resuming per config), wires table/tracker/latency
-  /// observer and the ingest log. Returns nullptr + actionable `*error` on
+  /// Builds the session (resuming per config), binds the table and tracker
+  /// sinks and opens the ingest log. Returns nullptr + actionable `*error` on
   /// any failure. No threads yet — callers may AddSink on session() first.
   static std::unique_ptr<Server> Create(const ServerConfig& config,
                                         const engine::BuildContext& context,
@@ -207,7 +207,6 @@ class Server {
   std::unique_ptr<engine::Session> session_;
   AssignmentTable table_;
   CutTracker tracker_{&table_, config_.session.options.expected_vertices};
-  engine::LatencyObserver latency_;
   std::unique_ptr<io::EdgeStreamWriter> ingest_log_;
 
   // Queue (mutex + condvars; capacity applies to edges — control items are

@@ -4,8 +4,8 @@
 // point, restored from its last LOOMCK checkpoint into a fresh process
 // state, and driven to the end must finish bit-identically to the run
 // that was never interrupted — same assignments (quality triple), same
-// deterministic backend counters (FinalStatsEvent), same observer event
-// totals. And the failure half: every corrupted, truncated or
+// deterministic backend counters (FillFinalStats), same report totals.
+// And the failure half: every corrupted, truncated or
 // version/configuration-skewed checkpoint must be REJECTED with an
 // actionable error — a checkpoint that loads and silently diverges is the
 // one unacceptable outcome. The two-slot rotation means rejection of the
@@ -150,7 +150,9 @@ TEST(CheckpointFormatTest, WrappingVectorCountIsRejected) {
 struct RunOutcome {
   test_util::Quality quality;
   engine::StatCounters backend_stats;
-  engine::StatsObserver::Totals totals;
+  uint64_t edges = 0;
+  uint64_t vertices_assigned = 0;
+  uint64_t edges_bypassed = 0;
 };
 
 engine::SessionConfig ConfigFor(const std::string& spec,
@@ -188,7 +190,7 @@ void SkipEdges(engine::EdgeSource& source, uint64_t n) {
 RunOutcome Outcome(engine::Session& session, const engine::RunReport& report,
                    const datasets::Dataset& ds) {
   return {test_util::QualityOf(session.backend(), ds), report.backend_stats,
-          report.events};
+          report.edges, report.vertices_assigned, report.edges_bypassed};
 }
 
 // Everything deterministic must match.
@@ -196,16 +198,9 @@ void ExpectSameOutcome(const RunOutcome& resumed, const RunOutcome& baseline,
                        const std::string& label) {
   EXPECT_EQ(resumed.quality, baseline.quality) << label;
   EXPECT_EQ(resumed.backend_stats, baseline.backend_stats) << label;
-  const engine::StatsObserver::Totals& a = resumed.totals;
-  const engine::StatsObserver::Totals& b = baseline.totals;
-  EXPECT_EQ(a.vertices_assigned, b.vertices_assigned) << label;
-  EXPECT_EQ(a.last_progress.edges_ingested, b.last_progress.edges_ingested)
-      << label;
-  EXPECT_EQ(a.last_progress.edges_bypassed, b.last_progress.edges_bypassed)
-      << label;
-  EXPECT_EQ(a.last_progress.window_population,
-            b.last_progress.window_population)
-      << label;
+  EXPECT_EQ(resumed.edges, baseline.edges) << label;
+  EXPECT_EQ(resumed.vertices_assigned, baseline.vertices_assigned) << label;
+  EXPECT_EQ(resumed.edges_bypassed, baseline.edges_bypassed) << label;
 }
 
 struct MatrixCase {
@@ -487,10 +482,11 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
 // "simd" option key that v3 dropped, v3 has the "adj_page" option key that
 // v4 dropped, v4 has the eviction/cluster totals and the "compact_interval"
 // key that v5 dropped, v5 has the empty-cluster eviction count that v6
+// dropped, v6 has the assignment count and progress snapshot that v7
 // dropped. They must fail on the version check, naming both versions, not
 // on a confusing layout or arity error further in.
 TEST_F(CorruptionTest, VersionOneCheckpointIsRejectedByVersion) {
-  for (const uint16_t old_version : {1, 2, 3, 4, 5}) {
+  for (const uint16_t old_version : {1, 2, 3, 4, 5, 6}) {
     SCOPED_TRACE("v" + std::to_string(old_version));
     std::vector<char> old = bytes_;
     old[6] = static_cast<char>(old_version);

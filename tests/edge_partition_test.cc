@@ -55,9 +55,9 @@ PartitionerConfig ConfigFor(const datasets::Dataset& ds, uint32_t k = 8) {
 }
 
 engine::StatCounters FinalStatsOf(const Partitioner& p) {
-  engine::FinalStatsEvent stats;
+  engine::StatCounters stats;
   p.FillFinalStats(&stats);
-  return stats.counters;
+  return stats;
 }
 
 std::string TempPath(const std::string& name) {
@@ -156,17 +156,16 @@ TEST(EdgePartitionRegistryTest, EveryFloatOptionKeyRejectsNonFinite) {
 // Everything FillFinalStats reports must be exactly recomputable from the
 // per-edge placement log: replica sets, part loads, replication factor,
 // max/min loads and the FNV-1a placement hash. A MemoryEdgeAssignmentSink
-// (fed through the OnEdgeAssign observer event, the same path loom_partition
-// --edge-out uses) records the log.
+// bound with AddEdgeSink (the same path loom_partition --edge-out uses)
+// records the log. The partitioner is not ingested again after the sink
+// goes out of scope.
 
 void CheckBruteForce(EdgePartitioner* p,
                      const std::vector<stream::StreamEdge>& es, uint32_t k) {
   io::MemoryEdgeAssignmentSink sink;
-  io::EdgeAssignmentSinkObserver observer(&sink);
-  p->SetObserver(&observer);
+  p->AddEdgeSink(&sink);
   for (const stream::StreamEdge& e : es) p->Ingest(e);
   p->Finalize();
-  p->SetObserver(nullptr);
 
   ASSERT_EQ(sink.records().size(), es.size());
 
@@ -641,14 +640,14 @@ TEST(EdgePartitionCheckpointTest, CounterDesyncIsRejected) {
 
 // ------------------------------------------------------------ split-merge
 
-// Records a live run's per-edge placements through the same observer path
+// Records a live run's per-edge placements through the same edge-sink path
 // Session uses, so the offline rebalancer is tested against exactly what
-// `--edge-out` would have written.
+// `--edge-out` would have written. The partitioner is not ingested again
+// after the sink goes out of scope.
 std::vector<EdgeAssignmentRecord> RecordRun(
     EdgePartitioner* p, const std::vector<stream::StreamEdge>& es) {
   io::MemoryEdgeAssignmentSink sink;
-  io::EdgeAssignmentSinkObserver observer(&sink);
-  p->SetObserver(&observer);
+  p->AddEdgeSink(&sink);
   for (const stream::StreamEdge& e : es) p->Ingest(e);
   p->Finalize();
   std::vector<EdgeAssignmentRecord> records;

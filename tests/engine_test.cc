@@ -2,7 +2,7 @@
 // and error reporting, registry construction (bit-identical to direct
 // construction), backend spec parsing, pull-based edge sources, batched
 // Session ingest (including loom's batch-split invariance), and the
-// observer event stream.
+// session's run report.
 
 #include "engine/engine.h"
 
@@ -153,21 +153,6 @@ TEST(PartitionerRegistryTest, LoomWithoutWorkloadFailsWithActionableError) {
   EXPECT_NE(error.find("workload"), std::string::npos) << error;
 }
 
-TEST(PartitionerRegistryTest, RegisterRejectsDuplicatesAcceptsNew) {
-  PartitionerRegistry registry;  // fresh, no builtins
-  auto factory = [](const EngineOptions& o, const BuildContext&,
-                    std::string*) -> std::unique_ptr<partition::Partitioner> {
-    return std::make_unique<partition::HashPartitioner>(o.BaseConfig());
-  };
-  EXPECT_TRUE(registry.Register("mine", factory));
-  EXPECT_FALSE(registry.Register("mine", factory));
-  EXPECT_TRUE(registry.Contains("mine"));
-  std::string error;
-  auto p = registry.Create("mine", EngineOptions(), {}, &error);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->name(), "hash");
-}
-
 TEST(PartitionerRegistryTest,
      RegistryBuiltPartitionersMatchDirectConstructionBitForBit) {
   // The Fig. 1 dataset, streamed BFS through (a) directly-constructed
@@ -282,7 +267,7 @@ TEST(EdgeSourceTest, GraphSourceMatchesMaterializedStream) {
   }
 }
 
-// ------------------------------------------ session ingest and observers
+// ---------------------------------------------- session ingest and reports
 
 std::unique_ptr<Session> MustCreateSession(const std::string& spec,
                                            const EngineOptions& options,
@@ -386,7 +371,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(SessionIngestTest, ObserverSeesAssignmentsEvictionsAndProgress) {
+TEST(SessionIngestTest, ReportCarriesAssignmentsEvictionsAndProgress) {
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
   eval::ExperimentConfig cfg;
@@ -395,37 +380,33 @@ TEST(SessionIngestTest, ObserverSeesAssignmentsEvictionsAndProgress) {
   auto session = MustCreateSession("loom", options, ds);
   ASSERT_NE(session, nullptr);
 
-  StatsObserver stats;
-  session->AddObserver(&stats);
   auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
   const RunReport report = session->Run(*source);
 
-  const StatsObserver::Totals& t = stats.totals();
-  // Every streamed vertex got exactly one OnAssign.
-  EXPECT_EQ(t.vertices_assigned, session->partitioning().NumAssigned());
+  EXPECT_EQ(report.vertices_assigned, session->partitioning().NumAssigned());
   // Evictions and cluster decisions arrive as final stats.
-  EXPECT_EQ(stats.final_stats().counters, report.backend_stats);
   const uint64_t evictions = report.Stat("evictions");
   const uint64_t clusters = report.Stat("clusters_allocated");
   EXPECT_GT(clusters, 0u);
   EXPECT_EQ(evictions, clusters);
   EXPECT_LE(report.Stat("fallback_clusters"), clusters);
   EXPECT_GE(report.Stat("cluster_edges_assigned"), clusters);
-  EXPECT_TRUE(t.last_progress.finalizing);
-  EXPECT_EQ(t.last_progress.edges_ingested, source->SizeHint());
-  EXPECT_GT(t.last_progress.edges_bypassed, 0u);
-  EXPECT_EQ(t.last_progress.window_population, 0u);  // drained by Finalize
+  EXPECT_EQ(report.edges, source->SizeHint());
+  EXPECT_GT(report.edges_bypassed, 0u);
+  EXPECT_LT(report.edges_bypassed, report.edges);
+  ProgressEvent progress;
+  session->backend().FillProgress(&progress);
+  EXPECT_EQ(progress.edges_bypassed, report.edges_bypassed);
+  EXPECT_EQ(progress.window_population, 0u);  // drained by Finalize
 
-  // Baselines emit assigns through the same channel.
+  // Baselines report through the same fields.
   auto hash = MustCreateSession("hash", options, ds);
   ASSERT_NE(hash, nullptr);
-  StatsObserver hash_stats;
-  hash->AddObserver(&hash_stats);
   source->Reset();
-  hash->Run(*source);
-  EXPECT_EQ(hash_stats.totals().vertices_assigned,
-            hash->partitioning().NumAssigned());
-  EXPECT_TRUE(hash_stats.final_stats().counters.empty());
+  const RunReport hash_report = hash->Run(*source);
+  EXPECT_EQ(hash_report.vertices_assigned, hash->partitioning().NumAssigned());
+  EXPECT_EQ(hash_report.edges_bypassed, 0u);
+  EXPECT_TRUE(hash_report.backend_stats.empty());
 }
 
 }  // namespace

@@ -562,17 +562,5 @@ TEST(AssignmentSinkTest, FileSinkUnwritablePathThrows) {
                std::runtime_error);
 }
 
-TEST(AssignmentSinkTest, ObserverAdapterForwardsOnAssign) {
-  io::MemoryAssignmentSink sink;
-  io::AssignmentSinkObserver observer(&sink);
-  engine::AssignEvent e;
-  e.vertex = 11;
-  e.partition = 3;
-  observer.OnAssign(e);
-  ASSERT_EQ(sink.assignments().size(), 1u);
-  EXPECT_EQ(sink.assignments()[0].first, 11u);
-  EXPECT_EQ(sink.assignments()[0].second, 3u);
-}
-
 }  // namespace
 }  // namespace loom

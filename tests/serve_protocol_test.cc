@@ -124,6 +124,21 @@ TEST(ServeProtocolTest, MalformedIngestVariants) {
   ParseErr("GET 1 2");                // too many
 }
 
+TEST(ServeProtocolTest, ArityErrorsCountEveryField) {
+  // The parser keeps only the first few fields but counts them all, so a
+  // long line is rejected with its true argument count.
+  std::string ingest = "INGEST";
+  for (int i = 1; i <= 19; ++i) ingest.append(" ").append(std::to_string(i));
+  EXPECT_EQ(ParseErr(ingest),
+            "INGEST takes 4 or 5 argument(s) (u v label_u label_v [seq]), "
+            "got 19");
+  std::string get = "GET";
+  for (int i = 0; i < 20; ++i) get += " 1";
+  EXPECT_EQ(ParseErr(get), "GET takes 1 argument(s), got 20");
+  EXPECT_EQ(ParseErr("STATS 1 2 3 4 5 6 7 8 9"),
+            "STATS takes 0 argument(s), got 9");
+}
+
 TEST(ServeProtocolTest, ErrAndOkReplies) {
   EXPECT_EQ(ErrReply("boom"), "ERR boom");
   EXPECT_TRUE(IsOk("OK queued"));

@@ -1,9 +1,9 @@
 // engine::Session coverage: run lifecycle (Run vs IngestSome+Finish vs a
-// checkpoint/resume, bit identical for every backend), event-sourced
-// RunReports (totals, final stats, no backend getters anywhere), sink
-// fan-out, spec error reporting — plus the eval harness's generic
-// backend_stats satellite (SystemResult carries whatever the backend
-// reported, nothing else).
+// checkpoint/resume, bit identical for every backend), RunReports (totals,
+// final stats, no backend getters anywhere), sinks bound to the backend,
+// the decision-latency histogram, spec error reporting — plus the eval
+// harness's generic backend_stats (SystemResult carries whatever the
+// backend reported, nothing else).
 
 #include <algorithm>
 #include <filesystem>
@@ -69,7 +69,7 @@ TEST(SessionTest, CreateReportsActionableErrors) {
   EXPECT_NE(error.find("workload"), std::string::npos) << error;
 }
 
-TEST(SessionTest, RunReportIsEventSourcedAndComplete) {
+TEST(SessionTest, RunReportIsComplete) {
   const datasets::Dataset& ds = TestDataset();
   auto session = MustCreate("loom", ds);
   auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
@@ -79,12 +79,11 @@ TEST(SessionTest, RunReportIsEventSourcedAndComplete) {
   EXPECT_EQ(report.edges, ds.NumEdges());
   EXPECT_GT(report.ms, 0.0);
   EXPECT_GT(report.edges_per_sec, 0.0);
-  EXPECT_EQ(report.events.vertices_assigned,
-            session->partitioning().NumAssigned());
-  EXPECT_TRUE(report.events.last_progress.finalizing);
-  EXPECT_EQ(report.events.last_progress.edges_ingested, ds.NumEdges());
+  EXPECT_EQ(report.vertices_assigned, session->partitioning().NumAssigned());
+  EXPECT_GT(report.edges_bypassed, 0u);
+  EXPECT_EQ(session->latency().Snapshot().Count(), report.edges);
 
-  // Final stats arrived through the observer event, not a getter.
+  // Final stats arrived through the generic FillFinalStats, not a getter.
   EXPECT_GT(report.Stat("match_allocs_fresh"), 0u);
   EXPECT_GT(report.Stat("matcher_edges_admitted"), 0u);
   EXPECT_GT(report.Stat("evictions"), 0u);
@@ -98,28 +97,9 @@ TEST(SessionTest, BaselinesReportNoBackendStats) {
     auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
     const RunReport report = session->Run(*source);
     EXPECT_TRUE(report.backend_stats.empty()) << spec;
-    EXPECT_EQ(report.events.vertices_assigned,
-              session->partitioning().NumAssigned())
+    EXPECT_EQ(report.vertices_assigned, session->partitioning().NumAssigned())
         << spec;
-  }
-}
-
-TEST(SessionTest, SinksReceiveEveryAssignmentExactlyOnce) {
-  const datasets::Dataset& ds = TestDataset();
-  auto session = MustCreate("loom", ds);
-  io::MemoryAssignmentSink sink;
-  session->AddSink(&sink);
-  auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  session->Run(*source);
-
-  const partition::Partitioning& p = session->partitioning();
-  EXPECT_EQ(sink.assignments().size(), p.NumAssigned());
-  std::vector<bool> seen(ds.NumVertices(), false);
-  for (const auto& [vertex, partition] : sink.assignments()) {
-    ASSERT_LT(vertex, ds.NumVertices());
-    EXPECT_FALSE(seen[vertex]) << "vertex " << vertex << " assigned twice";
-    seen[vertex] = true;
-    EXPECT_EQ(partition, p.PartitionOf(vertex)) << vertex;
+    EXPECT_EQ(report.edges_bypassed, 0u) << spec;
   }
 }
 
@@ -128,7 +108,8 @@ TEST(SessionTest, StepDrivenAndResumedStreamsMatchOneShotRunBitForBit) {
   // Run; uneven IngestSome steps then Finish; and half the stream, a
   // checkpoint, a resume into a fresh session, then Run over the rest.
   // Each must end with the same assignments, counters and lifetime edge
-  // count — the final progress event included.
+  // count. The one-shot run's sinks must record each placement exactly
+  // once and agree with the partition table.
   const datasets::Dataset& ds = TestDataset();
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
@@ -141,8 +122,38 @@ TEST(SessionTest, StepDrivenAndResumedStreamsMatchOneShotRunBitForBit) {
     SCOPED_TRACE(spec);
     auto one_shot = MustCreate(spec, ds);
     ASSERT_NE(one_shot, nullptr);
+    io::MemoryAssignmentSink sink;
+    io::MemoryEdgeAssignmentSink edge_sink;
+    one_shot->AddSink(&sink);
+    const bool edge_backend = spec == "hdrf" || spec == "dbh" || spec == "hep";
+    if (edge_backend) one_shot->AddEdgeSink(&edge_sink);
     SpanEdgeSource source_a(es);
     const RunReport run_report = one_shot->Run(source_a);
+
+    const partition::Partitioning& p = one_shot->partitioning();
+    EXPECT_EQ(run_report.vertices_assigned, p.NumAssigned());
+    EXPECT_EQ(sink.assignments().size(), p.NumAssigned());
+    std::vector<bool> seen(ds.NumVertices(), false);
+    for (const auto& [vertex, partition] : sink.assignments()) {
+      ASSERT_LT(vertex, ds.NumVertices());
+      EXPECT_FALSE(seen[vertex]) << "vertex " << vertex << " recorded twice";
+      seen[vertex] = true;
+      EXPECT_EQ(partition, p.PartitionOf(vertex)) << vertex;
+    }
+    if (edge_backend) {
+      // One record per edge in stream order; their placements hash to the
+      // backend's own FNV-1a edge assignment hash.
+      ASSERT_EQ(edge_sink.records().size(), m);
+      uint64_t edge_hash = 0xcbf29ce484222325ULL;
+      for (size_t i = 0; i < m; ++i) {
+        const io::MemoryEdgeAssignmentSink::Record& r = edge_sink.records()[i];
+        EXPECT_EQ(r.edge, es[i].id);
+        EXPECT_EQ(r.u, es[i].u);
+        EXPECT_EQ(r.v, es[i].v);
+        edge_hash = (edge_hash ^ r.partition) * 0x100000001b3ULL;
+      }
+      EXPECT_EQ(run_report.Stat("edge_assignment_hash"), edge_hash);
+    }
 
     auto stepped = MustCreate(spec, ds);
     SpanEdgeSource source_b(es);
@@ -175,14 +186,17 @@ TEST(SessionTest, StepDrivenAndResumedStreamsMatchOneShotRunBitForBit) {
           std::tuple{"one-shot", one_shot.get(), &run_report}}) {
       SCOPED_TRACE(leg);
       EXPECT_EQ(report->edges, m);
-      EXPECT_EQ(report->events.last_progress.edges_ingested, m);
-      EXPECT_TRUE(report->events.last_progress.finalizing);
       EXPECT_EQ(eval::HashAssignment(session->partitioning(), ds.NumVertices()),
                 hash);
       EXPECT_EQ(report->backend_stats, run_report.backend_stats);
-      EXPECT_EQ(report->events.vertices_assigned,
-                run_report.events.vertices_assigned);
+      EXPECT_EQ(report->vertices_assigned, run_report.vertices_assigned);
+      EXPECT_EQ(report->edges_bypassed, run_report.edges_bypassed);
     }
+    // The latency histogram holds one sample per edge this session
+    // ingested: the resumed session only saw the suffix.
+    EXPECT_EQ(one_shot->latency().Snapshot().Count(), m);
+    EXPECT_EQ(stepped->latency().Snapshot().Count(), m);
+    EXPECT_EQ(resumed->latency().Snapshot().Count(), m - m / 2);
   }
   std::filesystem::remove(path);
 }
@@ -236,20 +250,6 @@ TEST(SessionTest, CheckpointFlushesSinksExactlyOnce) {
                         << " times";
   }
   std::filesystem::remove(path);
-}
-
-TEST(SessionTest, ExternalObserversSeeTheEventStream) {
-  const datasets::Dataset& ds = TestDataset();
-  auto session = MustCreate("loom", ds);
-  StatsObserver external;
-  session->AddObserver(&external);
-  auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  const RunReport report = session->Run(*source);
-
-  EXPECT_EQ(external.totals().vertices_assigned,
-            report.events.vertices_assigned);
-  EXPECT_EQ(external.final_stats().counters, report.backend_stats);
-  EXPECT_FALSE(report.backend_stats.empty());
 }
 
 // ------------------------------------------------- eval satellite checks

@@ -26,8 +26,9 @@
 // through an io::AssignmentSink bound to the session (--out/
 // --output-assignments write the familiar "<vertex>\t<partition>" lines;
 // stdout when neither is given), and the progress/final-stats lines come
-// from the session's observer events. Edge backends (hdrf, dbh, hep) can
-// also stream per-edge placements to --edge-out as "<u>\t<v>\t<partition>".
+// from the session's latency histogram and RunReport. Edge backends (hdrf,
+// dbh, hep) can also stream per-edge placements to --edge-out as
+// "<u>\t<v>\t<partition>".
 //
 // A third, offline mode rebalances a RECORDED edge assignment instead of
 // streaming anything:
@@ -49,7 +50,6 @@
 
 #include <fstream>
 
-#include "engine/latency_observer.h"
 #include "engine/session.h"
 #include "graph/graph_io.h"
 #include "io/assignment_sink.h"
@@ -513,18 +513,14 @@ int main(int argc, char** argv) {
                      "checkpointed)\n";
       }
     }
-    engine::LatencyObserver latency;
-    if (args.progress) session->AddObserver(&latency);
-
     std::signal(SIGINT, HandleStopSignal);
     std::signal(SIGTERM, HandleStopSignal);
 
     // Step the stream in slices (checkpoint-sized when --checkpoint is set,
     // a polling granule otherwise), rotating a snapshot after each full
-    // slice; the last (short) slice runs straight into Finish. Run() and
-    // IngestSome+Finish fire the same events in the same order, so reports
-    // are identical either way. The slice boundary is also where
-    // SIGINT/SIGTERM is honoured.
+    // slice; the last (short) slice runs straight into Finish. Run() is
+    // IngestSome+Finish, so reports are identical either way. The slice
+    // boundary is also where SIGINT/SIGTERM is honoured.
     const uint64_t slice = args.checkpoint_path.empty()
                                ? uint64_t{1} << 16
                                : args.checkpoint_every;
@@ -538,7 +534,7 @@ int main(int argc, char** argv) {
       if (args.progress && n > 0) {
         std::cerr << "progress: " << session->edges_ingested()
                   << " edges, latency["
-                  << latency.histogram().Snapshot().Summary() << "]\n";
+                  << session->latency().Snapshot().Summary() << "]\n";
       }
       if (n < slice) break;
       if (!args.checkpoint_path.empty()) {
@@ -576,19 +572,16 @@ int main(int argc, char** argv) {
     std::cerr << "partitioned " << report.edges << " edges in "
               << util::TableWriter::Fmt(report.ms, 0) << " ms ("
               << report.backend << ", k=" << session->partitioning().k()
-              << ", " << report.events.vertices_assigned
-              << " vertices assigned)\n";
+              << ", " << report.vertices_assigned << " vertices assigned)\n";
     if (args.progress) {
       std::cerr << "decision latency (ns/edge, batch means): "
-                << latency.histogram().Snapshot().Summary() << "\n";
+                << session->latency().Snapshot().Summary() << "\n";
     }
     // Assignment lines stream out in placement order and cover exactly the
     // vertices the stream touched — call out any the graph declared but the
     // stream never reached (isolated vertices have no placement).
-    if (!from_file &&
-        report.events.vertices_assigned < expected_vertices) {
-      std::cerr << "note: "
-                << expected_vertices - report.events.vertices_assigned
+    if (!from_file && report.vertices_assigned < expected_vertices) {
+      std::cerr << "note: " << expected_vertices - report.vertices_assigned
                 << " of " << expected_vertices
                 << " vertices never appeared in the stream (isolated?) and "
                    "have no assignment line\n";
