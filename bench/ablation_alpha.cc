@@ -22,9 +22,8 @@ int main() {
   auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
 
   eval::ExperimentConfig base;
-  base.window_size = bench::BenchWindow();
-  eval::SystemResult fennel =
-      eval::RunSystem(eval::System::kFennel, ds, *source, base);
+  base.options.window_size = bench::BenchWindow();
+  eval::SystemResult fennel = eval::RunSystem("fennel", ds, *source, base);
   std::cout << "dataset " << ds.meta.name
             << ", fennel ipt = " << util::TableWriter::Fmt(fennel.weighted_ipt, 0)
             << "\n\n";
@@ -33,9 +32,8 @@ int main() {
     util::TableWriter t({"alpha", "loom ipt", "vs fennel", "imbalance"});
     for (double alpha : {1.0 / 6, 1.0 / 3, 0.5, 2.0 / 3, 5.0 / 6, 1.0}) {
       eval::ExperimentConfig cfg = base;
-      cfg.alpha = alpha;
-      eval::SystemResult r =
-          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
+      cfg.options.alpha = alpha;
+      eval::SystemResult r = eval::RunSystem("loom", ds, *source, cfg);
       t.AddRow({util::TableWriter::Fmt(alpha, 3),
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt),
@@ -50,9 +48,8 @@ int main() {
     util::TableWriter t({"variant", "loom ipt", "vs fennel", "imbalance"});
     for (bool disable : {false, true}) {
       eval::ExperimentConfig cfg = base;
-      cfg.disable_rationing = disable;
-      eval::SystemResult r =
-          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
+      cfg.options.disable_rationing = disable;
+      eval::SystemResult r = eval::RunSystem("loom", ds, *source, cfg);
       t.AddRow({disable ? "greedy (no rationing)" : "rationed (paper)",
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt),
@@ -67,9 +64,8 @@ int main() {
     util::TableWriter t({"neighbor bid β", "loom ipt", "vs fennel"});
     for (double beta : {0.0, 0.1, 0.25, 0.5, 1.0}) {
       eval::ExperimentConfig cfg = base;
-      cfg.neighbor_bid_weight = beta;
-      eval::SystemResult r =
-          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
+      cfg.options.neighbor_bid_weight = beta;
+      eval::SystemResult r = eval::RunSystem("loom", ds, *source, cfg);
       t.AddRow({util::TableWriter::Fmt(beta, 2),
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt)});

@@ -39,10 +39,8 @@ int main() {
     if (!mid.checkpoints.empty()) ptemp_share /= mid.checkpoints.size();
 
     eval::ExperimentConfig cfg;
-    cfg.order = stream::StreamOrder::kRandom;
-    cfg.window_size = window;
-    eval::SystemResult end =
-        eval::RunSystem(eval::System::kLoom, ds, source, cfg);
+    cfg.options = options;
+    eval::SystemResult end = eval::RunSystem("loom", ds, source, cfg);
 
     t.AddRow({std::to_string(window),
               util::TableWriter::Fmt(mid.mean_weighted_ipt, 0),

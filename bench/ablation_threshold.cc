@@ -22,16 +22,14 @@ int main() {
         engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
 
     eval::ExperimentConfig base;
-    base.window_size = bench::BenchWindow();
-    eval::SystemResult fennel =
-        eval::RunSystem(eval::System::kFennel, ds, *source, base);
+    base.options.window_size = bench::BenchWindow();
+    eval::SystemResult fennel = eval::RunSystem("fennel", ds, *source, base);
 
     util::TableWriter t({"T", "loom ipt", "vs fennel", "partition ms/10k"});
     for (double threshold : thresholds) {
       eval::ExperimentConfig cfg = base;
-      cfg.support_threshold = threshold;
-      eval::SystemResult r =
-          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
+      cfg.options.support_threshold = threshold;
+      eval::SystemResult r = eval::RunSystem("loom", ds, *source, cfg);
       t.AddRow({util::TableWriter::Pct(threshold, 0),
                 util::TableWriter::Fmt(r.weighted_ipt, 0),
                 util::TableWriter::Pct(r.weighted_ipt / fennel.weighted_ipt),

@@ -27,8 +27,8 @@ int main() {
       datasets::Dataset ds = datasets::MakeDataset(id, bench::BenchScale());
       eval::ExperimentConfig cfg;
       cfg.order = order;
-      cfg.k = 8;
-      cfg.window_size = bench::BenchWindow();
+      cfg.options.k = 8;
+      cfg.options.window_size = bench::BenchWindow();
       results.push_back(eval::RunComparison(ds, cfg));
     }
     eval::PrintRelativeIptTable(results, std::cout);

@@ -20,8 +20,8 @@ int main() {
       datasets::Dataset ds = datasets::MakeDataset(id, bench::BenchScale());
       eval::ExperimentConfig cfg;
       cfg.order = stream::StreamOrder::kBreadthFirst;
-      cfg.k = k;
-      cfg.window_size = bench::BenchWindow();
+      cfg.options.k = k;
+      cfg.options.window_size = bench::BenchWindow();
       results.push_back(eval::RunComparison(ds, cfg));
     }
     eval::PrintRelativeIptTable(results, std::cout);

@@ -27,10 +27,8 @@ int main() {
     std::vector<std::string> row = {ds.meta.name};
     for (size_t w : windows) {
       eval::ExperimentConfig cfg;
-      cfg.order = stream::StreamOrder::kRandom;
-      cfg.window_size = w;
-      eval::SystemResult r =
-          eval::RunSystem(eval::System::kLoom, ds, *source, cfg);
+      cfg.options.window_size = w;
+      eval::SystemResult r = eval::RunSystem("loom", ds, *source, cfg);
       row.push_back(util::TableWriter::Fmt(r.weighted_ipt, 0));
     }
     t.AddRow(std::move(row));

@@ -9,7 +9,7 @@
 
 #include "datasets/dataset_registry.h"
 #include "datasets/workloads.h"
-#include "eval/experiment.h"
+#include "engine/engine.h"
 #include "motif/match_list.h"
 #include "motif/motif_matcher.h"
 #include "signature/label_values.h"
@@ -48,12 +48,21 @@ Fixture& GetMusicBrainzFixture() {
   return f;
 }
 
-void RunSystemBench(benchmark::State& state, eval::System system) {
+void RunSystemBench(benchmark::State& state, std::string_view backend) {
   Fixture& f = GetFixture();
-  eval::ExperimentConfig cfg;
-  cfg.window_size = 2000;
+  engine::EngineOptions options;
+  options.expected_vertices = f.ds.NumVertices();
+  options.expected_edges = f.ds.NumEdges();
+  options.window_size = 2000;
+  const engine::BuildContext context{&f.ds.workload, f.ds.registry.size()};
   for (auto _ : state) {
-    auto p = eval::MakePartitioner(system, f.ds, cfg);
+    std::string error;
+    auto p = engine::PartitionerRegistry::Global().Create(backend, options,
+                                                          context, &error);
+    if (p == nullptr) {
+      state.SkipWithError("unknown backend");
+      return;
+    }
     for (const auto& e : f.es) p->Ingest(e);
     p->Finalize();
     benchmark::DoNotOptimize(p->partitioning().NumAssigned());
@@ -62,18 +71,12 @@ void RunSystemBench(benchmark::State& state, eval::System system) {
                           static_cast<int64_t>(f.es.size()));
 }
 
-void BM_IngestHash(benchmark::State& state) {
-  RunSystemBench(state, eval::System::kHash);
-}
-void BM_IngestLdg(benchmark::State& state) {
-  RunSystemBench(state, eval::System::kLdg);
-}
+void BM_IngestHash(benchmark::State& state) { RunSystemBench(state, "hash"); }
+void BM_IngestLdg(benchmark::State& state) { RunSystemBench(state, "ldg"); }
 void BM_IngestFennel(benchmark::State& state) {
-  RunSystemBench(state, eval::System::kFennel);
+  RunSystemBench(state, "fennel");
 }
-void BM_IngestLoom(benchmark::State& state) {
-  RunSystemBench(state, eval::System::kLoom);
-}
+void BM_IngestLoom(benchmark::State& state) { RunSystemBench(state, "loom"); }
 
 BENCHMARK(BM_IngestHash)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IngestLdg)->Unit(benchmark::kMillisecond);

@@ -3,7 +3,7 @@
 // Prints |V|, |E|, |LV| and a description for every dataset at reproduction
 // scale, mirroring the paper's Table 1 (whose absolute sizes refer to the
 // full original datasets; our generators preserve the relative ordering and
-// the label alphabets — see DESIGN.md).
+// the label alphabets).
 
 #include <iostream>
 

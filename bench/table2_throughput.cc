@@ -27,14 +27,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,22 +49,13 @@ namespace {
 
 using namespace loom;
 
-/// One cell through eval's runner at `window` and k = 8. Exits the
-/// process on a bad spec: every spec here is fixed, so that is a harness
-/// bug.
-eval::SystemResult RunCell(const std::string& spec,
-                           const datasets::Dataset& ds,
+/// One cell through eval's runner at `window` and k = 8, without queries.
+/// A bad spec throws: every spec here is fixed, so that is a harness bug.
+eval::SystemResult RunCell(std::string_view spec, const datasets::Dataset& ds,
                            engine::EdgeSource& source, size_t window) {
   eval::ExperimentConfig cfg;
-  cfg.window_size = window;
-  std::string error;
-  std::optional<eval::SystemResult> r =
-      eval::RunBackendTimingOnly(spec, ds, source, cfg, &error);
-  if (!r.has_value()) {
-    std::cerr << "table2: " << error << "\n";
-    std::exit(2);
-  }
-  return std::move(*r);
+  cfg.options.window_size = window;
+  return eval::RunSystem(spec, ds, source, cfg, /*run_queries=*/false);
 }
 
 std::unique_ptr<engine::EdgeSource> BfsSource(const datasets::Dataset& ds) {
@@ -191,9 +181,8 @@ int main(int argc, char** argv) {
     eval::ComparisonResult cmp;
     cmp.dataset = ds.meta.name;
     cmp.stream_edges = source->SizeHint();
-    for (auto s : eval::AllSystems()) {
-      cmp.systems.push_back(
-          RunCell(eval::ToString(s), ds, *source, bench::BenchWindow()));
+    for (std::string_view spec : eval::kPaperSystems) {
+      cmp.systems.push_back(RunCell(spec, ds, *source, bench::BenchWindow()));
     }
     results.push_back(std::move(cmp));
   }
@@ -202,8 +191,8 @@ int main(int argc, char** argv) {
   // Loom's slowdown factor vs Fennel (paper: avg 2-3x, range 1.5-7.1).
   std::cout << "\nLoom / Fennel slowdown factors: ";
   for (const auto& r : results) {
-    const auto* loom = r.Find(eval::System::kLoom);
-    const auto* fennel = r.Find(eval::System::kFennel);
+    const auto* loom = r.Find("loom");
+    const auto* fennel = r.Find("fennel");
     std::cout << r.dataset << "="
               << util::TableWriter::Fmt(
                      loom->ms_per_10k_edges /

@@ -14,7 +14,6 @@
 
 #include "datasets/dataset_registry.h"
 #include "engine/session.h"
-#include "eval/experiment.h"
 #include "query/workload_runner.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
@@ -34,17 +33,16 @@ int main(int argc, char** argv) {
   std::cout << "PROV provenance graph: " << ds.NumVertices() << " vertices, "
             << ds.NumEdges() << " edges (Entity / Activity / Agent)\n\n";
 
-  eval::ExperimentConfig cfg;
-  cfg.k = 8;
-  cfg.window_size = 4000;
-
   // Both backends run as Sessions over the same replayed lazy EdgeSource;
   // everything reported below comes from the RunReport — no backend
   // getters, no downcasts.
   engine::SessionConfig session_config;
-  session_config.options = eval::ToEngineOptions(cfg, ds);
+  session_config.options.k = 8;
+  session_config.options.window_size = 4000;
+  session_config.options.expected_vertices = ds.NumVertices();
+  session_config.options.expected_edges = ds.NumEdges();
   engine::BuildContext context{&ds.workload, ds.registry.size()};
-  auto source = engine::MakeEdgeSource(ds, cfg.order, cfg.stream_seed);
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
   std::string error;
 
   session_config.spec = "loom";

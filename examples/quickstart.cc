@@ -83,8 +83,8 @@ int main() {
   // 5. Compare against Hash / LDG / Fennel on the same stream (the eval
   //    harness opens a Session per system under the hood).
   eval::ExperimentConfig cfg;
-  cfg.k = 2;
-  cfg.window_size = 6;
+  cfg.options.k = 2;
+  cfg.options.window_size = 6;
   eval::ComparisonResult cmp = eval::RunComparison(ds, cfg);
   std::cout << "\nAll systems (ipt as % of Hash):\n";
   eval::PrintRelativeIptTable({cmp}, std::cout);

@@ -45,12 +45,12 @@ int main(int argc, char** argv) {
   }
 
   eval::ExperimentConfig cfg;
-  cfg.k = 8;
-  cfg.window_size = 4000;
+  cfg.options.k = 8;
+  cfg.options.window_size = 4000;
   cfg.order = stream::StreamOrder::kBreadthFirst;
 
-  std::cout << "\nStreaming through each partitioner (k = " << cfg.k
-            << ", window = " << cfg.window_size << ")...\n";
+  std::cout << "\nStreaming through each partitioner (k = " << cfg.options.k
+            << ", window = " << cfg.options.window_size << ")...\n";
   util::Timer timer;
   eval::ComparisonResult cmp = eval::RunComparison(ds, cfg);
   std::cout << "  done in " << util::TableWriter::Fmt(timer.ElapsedSeconds(), 1)
@@ -59,15 +59,15 @@ int main(int argc, char** argv) {
   util::TableWriter t({"system", "weighted ipt", "vs hash", "edge cut",
                        "imbalance", "ms / 10k edges"});
   for (const auto& r : cmp.systems) {
-    t.AddRow({eval::ToString(r.system), util::TableWriter::Fmt(r.weighted_ipt, 0),
+    t.AddRow({r.label, util::TableWriter::Fmt(r.weighted_ipt, 0),
               util::TableWriter::Pct(r.ipt_vs_hash),
               std::to_string(r.edge_cut), util::TableWriter::Pct(r.imbalance),
               util::TableWriter::Fmt(r.ms_per_10k_edges, 1)});
   }
   t.Print(std::cout);
 
-  const auto* loom_r = cmp.Find(eval::System::kLoom);
-  const auto* fennel_r = cmp.Find(eval::System::kFennel);
+  const auto* loom_r = cmp.Find("loom");
+  const auto* fennel_r = cmp.Find("fennel");
   std::cout << "\nLoom answers the recommendation workload with "
             << util::TableWriter::Pct(
                    1.0 - loom_r->weighted_ipt / fennel_r->weighted_ipt)

@@ -30,55 +30,10 @@ double EqualOpportunism::Ration(graph::PartitionId si,
   // the *average* partition size — a Smin-relative bound would mute almost
   // every partition whenever one partition briefly lags. (The paper's own
   // worked example exceeds b·Smin yet still bids, so the strict reading of
-  // Eq. 2's piecewise α is inconsistent with its use; see DESIGN.md.)
+  // Eq. 2's piecewise α is inconsistent with its use.)
   const double avg = std::max(
       static_cast<double>(p.NumAssigned()) / static_cast<double>(p.k()), 1.0);
   return RationWith(size, smin, avg);
-}
-
-double EqualOpportunism::Bid(graph::PartitionId si, const motif::Match& match,
-                             const partition::Partitioning& p) const {
-  // N(Si, Ek): match vertices already resident in Si...
-  double overlap = 0.0;
-  for (graph::VertexId v : match.vertices) {
-    if (p.PartitionOf(v) == si) overlap += 1.0;
-  }
-  // ...generalised (as the paper notes of LDG's N) with a discounted count
-  // of the match vertices' already-assigned neighbours in Si, so a cluster
-  // is also drawn toward its satellite structure (recordings, venues, ...).
-  if (neighborhood_ != nullptr && config_.neighbor_bid_weight > 0.0) {
-    uint32_t nbrs = 0;
-    for (graph::VertexId v : match.vertices) {
-      for (graph::VertexId w : neighborhood_->Neighbors(v)) {
-        if (p.PartitionOf(w) == si) ++nbrs;
-      }
-    }
-    overlap += config_.neighbor_bid_weight * static_cast<double>(nbrs);
-  }
-  if (overlap <= 0.0) return 0.0;
-  const double residual =
-      1.0 - static_cast<double>(p.Size(si)) / static_cast<double>(p.Capacity());
-  const double support = trie_->NormalizedSupport(match.node_id);
-  return overlap * residual * support;
-}
-
-AllocationDecision EqualOpportunism::Decide(const motif::MatchList& ml,
-                                            std::vector<motif::MatchHandle>& me,
-                                            const partition::Partitioning& p,
-                                            graph::PartitionId fallback) const {
-  AllocationDecision decision = DecideBids(ml, me, p);
-  if (decision.partition == graph::kNoPartition) {
-    // Cold start / no overlap anywhere: seed the cluster where the caller's
-    // neighbourhood heuristic points (falling back to least-loaded if that
-    // partition is full). The whole cluster is seeded together — rationing
-    // exists to stop *bid-winning* partitions hoarding matches, not to break
-    // up a cluster that nobody bid on (doing so would orphan the evictee's
-    // match partners and void their co-location).
-    decision.partition =
-        p.AtCapacity(fallback) ? p.LeastLoaded() : fallback;
-    decision.take = me.size();
-  }
-  return decision;
 }
 
 AllocationDecision EqualOpportunism::DecideBids(
@@ -108,8 +63,8 @@ AllocationDecision EqualOpportunism::DecideBids(
 
   // Eq. 1's N(Si, Ek) for every (match, partition) pair in a single
   // adjacency pass per match: tally resident match vertices and (discounted)
-  // their assigned neighbours into a me.size() x k table. Bit-identical to
-  // calling Bid() per pair, k times cheaper.
+  // their assigned neighbours into a me.size() x k table, so no
+  // (partition, match) pair walks an adjacency of its own.
   const uint32_t k = p.k();
   overlap_scratch_.assign(me.size() * k, 0.0);
   const bool use_nbrs =
@@ -184,7 +139,7 @@ AllocationDecision EqualOpportunism::DecideBids(
     double total = 0.0;
     for (size_t i = 0; i < count; ++i) {
       const double overlap = overlap_scratch_[i * k + si];
-      if (overlap <= 0.0) continue;  // Bid() returns exactly 0 here
+      if (overlap <= 0.0) continue;  // Eq. 1's bid is exactly 0 here
       total += overlap * residual * sort_scratch_[i].support;
     }
     total *= l;  // Eq. 3's leading l(Si)

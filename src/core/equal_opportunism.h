@@ -16,7 +16,7 @@
 // its prose ("inversely correlated with Si's size") and worked example
 // (l = 1/1.33 · 1/1.5 = 1/2) both require the reciprocal; we implement the
 // reciprocal and treat Smin = 0 (empty partitions exist) as Smin = 1 to keep
-// the ratio defined. See DESIGN.md "ambiguities".
+// the ratio defined.
 
 #ifndef LOOM_CORE_EQUAL_OPPORTUNISM_H_
 #define LOOM_CORE_EQUAL_OPPORTUNISM_H_
@@ -53,10 +53,10 @@ struct EqualOpportunismConfig {
 /// What to do with the evictee's match cluster.
 struct AllocationDecision {
   graph::PartitionId partition = graph::kNoPartition;
-  /// Length of the support-ordered prefix of Me the winner bid on (Decide
-  /// sorts the caller's cluster in place); exactly those matches' edges are
-  /// assigned to `partition`. Remaining matches are implicitly dropped
-  /// (their shared edge e is leaving the window).
+  /// Length of the support-ordered prefix of Me the winner bid on
+  /// (DecideBids sorts the caller's cluster in place); exactly those
+  /// matches' edges are assigned to `partition`. Remaining matches are
+  /// implicitly dropped (their shared edge e is leaving the window).
   size_t take = 0;
 };
 
@@ -81,32 +81,16 @@ class EqualOpportunism {
   /// Decides the winning partition and the prefix of matches it takes. `me`
   /// is the (unordered) set of live match handles (resolved through `ml`)
   /// containing the evicted edge; it is sorted support-descending IN PLACE
-  /// (no copy — eviction is the partitioner's second-hottest path). Never
-  /// returns kNoPartition: when every bid is zero (cold start, or none of
-  /// the cluster's vertices are resident anywhere yet) `fallback` wins —
-  /// callers pass an LDG-style choice for the evictee so cluster seeding
-  /// still uses neighbourhood information.
-  AllocationDecision Decide(const motif::MatchList& ml,
-                            std::vector<motif::MatchHandle>& me,
-                            const partition::Partitioning& p,
-                            graph::PartitionId fallback) const;
-
-  /// Decide without the fallback step: partition stays kNoPartition when no
-  /// positive bid exists, so the caller can compute its (expensive,
-  /// adjacency-scanning) fallback lazily. Sorts `me` like Decide.
+  /// (no copy — eviction is the partitioner's second-hottest path). The
+  /// partition stays kNoPartition when no positive bid exists (cold start,
+  /// or none of the cluster's vertices are resident anywhere yet), so the
+  /// caller can compute its (expensive, adjacency-scanning) fallback lazily.
   AllocationDecision DecideBids(const motif::MatchList& ml,
                                 std::vector<motif::MatchHandle>& me,
                                 const partition::Partitioning& p) const;
 
  private:
-  /// Eq. 1: vertex overlap, residual-capacity weighted, support weighted.
-  /// Kept for tests/ablations; Decide uses the batched per-partition tally
-  /// below (bit-identical arithmetic, one adjacency pass per match instead
-  /// of one per (partition, match) pair).
-  double Bid(graph::PartitionId si, const motif::Match& match,
-             const partition::Partitioning& p) const;
-
-  /// Ration with Smin and the b-cutoff's average hoisted out (Decide
+  /// Ration with Smin and the b-cutoff's average hoisted out (DecideBids
   /// computes them once per eviction instead of once per partition).
   double RationWith(double size, double smin, double avg) const;
 
@@ -115,7 +99,7 @@ class EqualOpportunism {
   EqualOpportunismConfig config_;
   const partition::HubTallyCache* hub_;
 
-  /// Per-eviction scratch (Decide is on the eviction hot path).
+  /// Per-eviction scratch (DecideBids is on the eviction hot path).
   struct SortKey {
     double support;
     size_t num_edges;

@@ -100,7 +100,6 @@ bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
   w->EndSection();
 
   w->BeginSection("loom_stats");
-  w->U64(stats_.edges_ingested);
   w->U64(stats_.edges_bypassed);
   w->U64(stats_.evictions);
   w->U64(stats_.clusters_allocated);
@@ -124,7 +123,7 @@ bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
 bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
                                    std::string* error) {
   (void)error;
-  assert(stats_.edges_ingested == 0 && "restore into a fresh backend");
+  assert(seen_.NumEdges() == 0 && "restore into a fresh backend");
   r->Open("loom");
   const uint64_t ctor_labels = r->U64();
   const uint64_t grown_labels = r->U64();
@@ -163,7 +162,6 @@ bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
   r->Close();
 
   r->Open("loom_stats");
-  stats_.edges_ingested = r->U64();
   stats_.edges_bypassed = r->U64();
   stats_.evictions = r->U64();
   stats_.clusters_allocated = r->U64();

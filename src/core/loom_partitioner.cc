@@ -139,7 +139,6 @@ void LoomPartitioner::PrefetchVertexSlots(graph::VertexId v) const {
 
 void LoomPartitioner::IngestWithAdmission(const stream::StreamEdge& e,
                                           bool admitted) {
-  ++stats_.edges_ingested;
   seen_.TouchVertex(e.u, e.label_u);
   seen_.TouchVertex(e.v, e.label_v);
   seen_.AddEdge(e.u, e.v);  // before any placement: endpoints see each other
@@ -200,7 +199,10 @@ void LoomPartitioner::EvictOldest() {
     // evictee, so cold-start clusters still land near their assigned
     // neighbours instead of scattering round-robin. Computed lazily — the
     // LDG scan walks both endpoints' full adjacency (hubs are expensive)
-    // and is wasted whenever a positive bid wins.
+    // and is wasted whenever a positive bid wins. The whole cluster is
+    // seeded together: rationing exists to stop bid-winning partitions
+    // hoarding matches, not to break up a cluster nobody bid on (that would
+    // orphan the evictee's match partners and void their co-location).
     const graph::PartitionId fallback = partition::LdgHeuristic::Choose(
         *evictee, seen_, partitioning_, /*had_signal=*/nullptr, &hub_);
     decision.partition = partitioning_.AtCapacity(fallback)

@@ -59,7 +59,6 @@ struct LoomOptions {
 /// Counters exposed for reports and tests. The last four are reported as
 /// final stats under the same names.
 struct LoomStats {
-  uint64_t edges_ingested = 0;
   uint64_t edges_bypassed = 0;  // failed the admission test
   /// Edges that aged out of the window (not claimed early by another
   /// edge's cluster).

@@ -7,7 +7,7 @@
 // deterministic synthetic generator that preserves what Loom's behaviour
 // depends on: the label alphabet (|LV| = 8/3/12/15), the schema's edge types
 // (so the workload queries actually match), heavy-tailed degree, and the
-// relative dataset ordering by size. DESIGN.md documents this substitution.
+// relative dataset ordering by size.
 
 #ifndef LOOM_DATASETS_SCHEMA_H_
 #define LOOM_DATASETS_SCHEMA_H_

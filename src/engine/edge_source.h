@@ -50,7 +50,7 @@ class EdgeSource {
 
   /// Total elements this source will produce, if known (0 = unknown); used
   /// to size expected_edges and progress reporting.
-  virtual size_t SizeHint() const { return 0; }
+  virtual size_t SizeHint() const = 0;
 
   /// Rewinds to the first element.
   virtual void Reset() = 0;

@@ -259,17 +259,6 @@ bool EngineOptions::Set(std::string_view key, std::string_view value,
   return false;
 }
 
-std::string EngineOptions::Get(std::string_view key, bool* found) const {
-  for (const KeyDesc& d : kKeys) {
-    if (d.name == key) {
-      if (found != nullptr) *found = true;
-      return d.get(*this);
-    }
-  }
-  if (found != nullptr) *found = false;
-  return "";
-}
-
 bool EngineOptions::ApplyOverrides(const std::vector<std::string>& overrides,
                                    std::string* error) {
   for (const std::string& kv : overrides) {

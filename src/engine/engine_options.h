@@ -10,10 +10,10 @@
 // range, and the list of known keys) instead of silently falling back to a
 // default.
 //
-// Every key round-trips: Get() returns a canonical string form that Set()
-// parses back to the identical value (doubles use shortest-round-trip
-// formatting). Backends simply ignore keys they have no use for — "hash"
-// reads only k/expected_vertices, "loom" reads everything.
+// Every key round-trips: ToFlat() lists each key's canonical string form,
+// which Set() parses back to the identical value (doubles use
+// shortest-round-trip formatting). Backends simply ignore keys they have no
+// use for — "hash" reads only k/expected_vertices, "loom" reads everything.
 
 #ifndef LOOM_ENGINE_ENGINE_OPTIONS_H_
 #define LOOM_ENGINE_ENGINE_OPTIONS_H_
@@ -93,11 +93,6 @@ struct EngineOptions {
   /// (and fills `*error` with an actionable message) on an unknown key, a
   /// malformed value, or an out-of-range value.
   bool Set(std::string_view key, std::string_view value, std::string* error);
-
-  /// Canonical string form of the field addressed by `key` (parses back to
-  /// the identical value via Set). Empty string and `*found = false` for
-  /// unknown keys.
-  std::string Get(std::string_view key, bool* found = nullptr) const;
 
   /// Applies a list of "key=value" overrides in order (CLI / bench-config
   /// form). Stops at the first error.

@@ -43,8 +43,10 @@ namespace io {
 /// phase; "matches" dropped its live and total-added counts. v6:
 /// "loom_stats" dropped the empty-cluster eviction count. v7: the session
 /// section dropped the assignment count and the progress snapshot (the
-/// partition table and the backend's own sections hold both).
-inline constexpr uint16_t kCheckpointVersion = 7;
+/// partition table and the backend's own sections hold both). v8:
+/// "loom_stats" dropped the ingested-edge count (the session's cursor
+/// holds it).
+inline constexpr uint16_t kCheckpointVersion = 8;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

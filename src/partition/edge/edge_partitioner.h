@@ -103,8 +103,6 @@ class EdgePartitioner : public Partitioner {
     return true;
   }
 
-  Partitioning* MutablePartitioning() override { return &partitioning_; }
-
   uint32_t k() const { return partitioning_.k(); }
 
   /// Streamed-so-far degree of v (0 for never-seen vertices).

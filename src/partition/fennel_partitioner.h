@@ -33,9 +33,6 @@ class FennelPartitioner : public Partitioner {
   bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
   bool RestoreState(io::CheckpointReader* r, std::string* error) override;
 
- protected:
-  Partitioning* MutablePartitioning() override { return &partitioning_; }
-
  private:
   /// Greedy placement of a single vertex.
   graph::PartitionId ChooseFor(graph::VertexId v) const;

@@ -28,5 +28,19 @@ void HashPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
   }
 }
 
+bool HashPartitioner::SaveState(io::CheckpointWriter* w,
+                                std::string* error) const {
+  (void)error;
+  partitioning_.SaveTo(w);
+  return true;
+}
+
+bool HashPartitioner::RestoreState(io::CheckpointReader* r,
+                                   std::string* error) {
+  (void)error;
+  partitioning_.LoadFrom(r);
+  return true;
+}
+
 }  // namespace partition
 }  // namespace loom

@@ -21,8 +21,9 @@ class HashPartitioner : public Partitioner {
   /// The stateless placement rule, exposed for tests.
   graph::PartitionId HashPlace(graph::VertexId v) const;
 
- protected:
-  Partitioning* MutablePartitioning() override { return &partitioning_; }
+  /// Table only: the placement rule reads nothing else.
+  bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
+  bool RestoreState(io::CheckpointReader* r, std::string* error) override;
 
  private:
   Partitioning partitioning_;

@@ -61,9 +61,6 @@ class LdgPartitioner : public Partitioner {
   bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
   bool RestoreState(io::CheckpointReader* r, std::string* error) override;
 
- protected:
-  Partitioning* MutablePartitioning() override { return &partitioning_; }
-
  private:
   void AssignVertex(graph::VertexId v, graph::PartitionId target);
 

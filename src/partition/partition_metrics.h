@@ -26,7 +26,7 @@ bool FullyAssigned(const graph::LabeledGraph& g, const Partitioning& p);
 
 /// FNV-1a over the first `num_vertices` assignments — the "assignment hash"
 /// leg of the quality triple every differential suite and bench baseline
-/// compares (eval::HashAssignment delegates here; loom_serve's
+/// compares (eval's SystemResult::assignment_hash; loom_serve's
 /// SNAPSHOT-QUALITY reports the same function so socket-fed runs can be
 /// diffed bit-for-bit against offline ones).
 uint64_t AssignmentHash(const Partitioning& p, size_t num_vertices);

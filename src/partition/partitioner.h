@@ -108,26 +108,18 @@ class Partitioner {
   /// with the same options/context, then ingesting the remaining stream
   /// suffix, must produce assignments, progress gauges and final stats
   /// BIT-IDENTICAL to the uninterrupted run (pinned by
-  /// tests/crash_recovery_test.cc). The default covers backends whose only
-  /// resume-relevant state is the partition table (hash; the stateless
-  /// placement rule needs nothing else). Returns false + `*error` for
-  /// backends that cannot snapshot.
-  virtual bool SaveState(io::CheckpointWriter* w, std::string* error) const;
+  /// tests/crash_recovery_test.cc). Returns false + `*error` for backends
+  /// that cannot snapshot.
+  virtual bool SaveState(io::CheckpointWriter* w, std::string* error) const = 0;
 
   /// Restores a SaveState snapshot. Must be called on a fresh instance
   /// (nothing ingested); returns false + an actionable `*error` on any
   /// mismatch (backend, options fingerprint, label space) — the instance
   /// may not be used after a failed restore. Structural corruption throws
   /// from the reader before this is reached.
-  virtual bool RestoreState(io::CheckpointReader* r, std::string* error);
+  virtual bool RestoreState(io::CheckpointReader* r, std::string* error) = 0;
 
  protected:
-  /// Hook for the default SaveState/RestoreState: the backend's mutable
-  /// partition table, or nullptr when the backend cannot be checkpointed
-  /// through the table-only path (it must then override both virtuals or
-  /// report "unsupported").
-  virtual Partitioning* MutablePartitioning() { return nullptr; }
-
   /// First-writer-wins assignment that appends the placement actually used
   /// (after capacity diversion) to every vertex sink. All backends route
   /// their vertex placements through this so each vertex reaches the sinks

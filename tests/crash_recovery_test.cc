@@ -486,7 +486,7 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
 // dropped. They must fail on the version check, naming both versions, not
 // on a confusing layout or arity error further in.
 TEST_F(CorruptionTest, VersionOneCheckpointIsRejectedByVersion) {
-  for (const uint16_t old_version : {1, 2, 3, 4, 5, 6}) {
+  for (const uint16_t old_version : {1, 2, 3, 4, 5, 6, 7}) {
     SCOPED_TRACE("v" + std::to_string(old_version));
     std::vector<char> old = bytes_;
     old[6] = static_cast<char>(old_version);

@@ -16,10 +16,10 @@
 #include "core/loom_partitioner.h"
 #include "datasets/dataset_registry.h"
 #include "engine/session.h"
-#include "eval/experiment.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
+#include "partition/partition_metrics.h"
 #include "stream/stream_order.h"
 #include "test_util.h"
 
@@ -186,8 +186,8 @@ TEST(PartitionerRegistryTest,
     }
     d->Finalize();
     r->Finalize();
-    EXPECT_EQ(eval::HashAssignment(d->partitioning(), ds.NumVertices()),
-              eval::HashAssignment(r->partitioning(), ds.NumVertices()))
+    EXPECT_EQ(partition::AssignmentHash(d->partitioning(), ds.NumVertices()),
+              partition::AssignmentHash(r->partitioning(), ds.NumVertices()))
         << d->name();
   }
 }
@@ -289,9 +289,7 @@ TEST(SessionIngestTest, BatchedRunMatchesPerEdgeIngest) {
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
 
-  eval::ExperimentConfig cfg;
-  cfg.window_size = 256;
-  const EngineOptions options = eval::ToEngineOptions(cfg, ds);
+  const EngineOptions options = test_util::OptionsFor(ds, 8, 256);
 
   // Per-edge reference.
   auto reference = test_util::MakeBackend("loom", options, ds);
@@ -304,8 +302,9 @@ TEST(SessionIngestTest, BatchedRunMatchesPerEdgeIngest) {
   SpanEdgeSource source(es);
   const RunReport report = session->Run(source);
   EXPECT_EQ(report.edges, es.size());
-  EXPECT_EQ(eval::HashAssignment(reference->partitioning(), ds.NumVertices()),
-            eval::HashAssignment(session->partitioning(), ds.NumVertices()));
+  EXPECT_EQ(
+      partition::AssignmentHash(reference->partitioning(), ds.NumVertices()),
+      partition::AssignmentHash(session->partitioning(), ds.NumVertices()));
 }
 
 // Loom's IngestBatch hoists the admission probe per batch and prefetches
@@ -374,9 +373,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SessionIngestTest, ReportCarriesAssignmentsEvictionsAndProgress) {
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  eval::ExperimentConfig cfg;
-  cfg.window_size = 64;  // small window forces evictions
-  const EngineOptions options = eval::ToEngineOptions(cfg, ds);
+  // A small window forces evictions.
+  const EngineOptions options = test_util::OptionsFor(ds, 8, 64);
   auto session = MustCreateSession("loom", options, ds);
   ASSERT_NE(session, nullptr);
 

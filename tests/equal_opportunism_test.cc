@@ -108,23 +108,24 @@ TEST_F(EqualOpportunismTest, DecideFollowsVertexOverlap) {
   p.Assign(20, 0);  // balance the sizes so rations are equal
   auto m = MakeMatch({0}, {10, 11}, ab_node_);
   std::vector<motif::MatchHandle> me{m};
-  auto decision = eo.Decide(ml_, me, p, /*fallback=*/0);
+  auto decision = eo.DecideBids(ml_, me, p);
   EXPECT_EQ(decision.partition, 1u);
   ASSERT_EQ(decision.take, 1u);
   EXPECT_EQ(me[0], m);
 }
 
-TEST_F(EqualOpportunismTest, DecideFallsBackWhenNoOverlap) {
+// No partition holds a match vertex or a neighbour: no positive bid, so the
+// caller's fallback (LoomPartitioner::EvictOldest's LDG choice) decides.
+TEST_F(EqualOpportunismTest, NoOverlapLeavesNoWinner) {
   EqualOpportunismConfig cfg;
   cfg.neighbor_bid_weight = 0.0;
   EqualOpportunism eo(&trie_, &seen_, cfg);
   partition::Partitioning p(4, 100);
   auto m = MakeMatch({0}, {10, 11}, ab_node_);
   std::vector<motif::MatchHandle> me{m};
-  auto decision = eo.Decide(ml_, me, p, /*fallback=*/3);
-  EXPECT_EQ(decision.partition, 3u);
-  // Fallback takes the whole cluster.
-  EXPECT_EQ(decision.take, 1u);
+  auto decision = eo.DecideBids(ml_, me, p);
+  EXPECT_EQ(decision.partition, graph::kNoPartition);
+  EXPECT_EQ(decision.take, 0u);
 }
 
 TEST_F(EqualOpportunismTest, NeighborBidAttractsClusters) {
@@ -139,7 +140,7 @@ TEST_F(EqualOpportunismTest, NeighborBidAttractsClusters) {
   p.Assign(6, 0);
   auto m = MakeMatch({0}, {10, 11}, ab_node_);
   std::vector<motif::MatchHandle> me{m};
-  auto decision = eo.Decide(ml_, me, p, /*fallback=*/0);
+  auto decision = eo.DecideBids(ml_, me, p);
   EXPECT_EQ(decision.partition, 1u);
 }
 
@@ -238,17 +239,17 @@ TEST_F(EqualOpportunismTest, SupportOrderingPrioritisesHighSupport) {
   auto low = MakeMatch({0, 1}, {10, 11, 12}, abc_node_);
   auto high = MakeMatch({0}, {10, 11}, ab_node_);
   std::vector<motif::MatchHandle> me{low, high};
-  auto decision = eo.Decide(ml_, me, p, 0);
+  auto decision = eo.DecideBids(ml_, me, p);
   ASSERT_GE(decision.take, 1u);
   EXPECT_EQ(me[0], high);
 }
 
-TEST_F(EqualOpportunismTest, EmptyClusterUsesFallback) {
+TEST_F(EqualOpportunismTest, EmptyClusterLeavesNoWinner) {
   EqualOpportunism eo(&trie_, &seen_, {});
   partition::Partitioning p(2, 100);
   std::vector<motif::MatchHandle> me;
-  auto decision = eo.Decide(ml_, me, p, 1);
-  EXPECT_EQ(decision.partition, 1u);
+  auto decision = eo.DecideBids(ml_, me, p);
+  EXPECT_EQ(decision.partition, graph::kNoPartition);
   EXPECT_EQ(decision.take, 0u);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "datasets/dataset_registry.h"
 #include "eval/report.h"
@@ -13,34 +15,16 @@ namespace {
 
 ExperimentConfig FastConfig() {
   ExperimentConfig cfg;
-  cfg.window_size = 256;
+  cfg.options.window_size = 256;
   cfg.executor.max_seeds = 300;
   return cfg;
-}
-
-TEST(ExperimentTest, SystemNames) {
-  EXPECT_EQ(ToString(System::kHash), "hash");
-  EXPECT_EQ(ToString(System::kLdg), "ldg");
-  EXPECT_EQ(ToString(System::kFennel), "fennel");
-  EXPECT_EQ(ToString(System::kLoom), "loom");
-  EXPECT_EQ(AllSystems().size(), 4u);
-}
-
-TEST(ExperimentTest, MakePartitionerProducesEverySystem) {
-  auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
-  for (System s : AllSystems()) {
-    auto p = MakePartitioner(s, ds, FastConfig());
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->name(), ToString(s));
-    EXPECT_EQ(p->partitioning().k(), 8u);
-  }
 }
 
 TEST(ExperimentTest, RunSystemProducesCompleteResult) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
   auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
-  SystemResult r = RunSystem(System::kLdg, ds, *source, FastConfig());
-  EXPECT_EQ(r.system, System::kLdg);
+  SystemResult r = RunSystem("ldg", ds, *source, FastConfig());
+  EXPECT_EQ(r.label, "ldg");
   EXPECT_GT(r.weighted_ipt, 0.0);
   EXPECT_GT(r.edge_cut, 0u);
   EXPECT_GE(r.partition_ms, 0.0);
@@ -51,25 +35,58 @@ TEST(ExperimentTest, TimingOnlySkipsQueries) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
   auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
   SystemResult r =
-      RunSystemTimingOnly(System::kHash, ds, *source, FastConfig());
+      RunSystem("hash", ds, *source, FastConfig(), /*run_queries=*/false);
   EXPECT_EQ(r.weighted_ipt, 0.0);
   EXPECT_EQ(r.matches, 0u);
   EXPECT_GT(r.ms_per_10k_edges, 0.0);
 }
 
+// Table 2's edge-partitioner cells: the label is the spec as given, and the
+// edge quality pair comes from the backend's final-stats counters.
+TEST(ExperimentTest, EdgeBackendReportsEdgeQuality) {
+  auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
+  SystemResult r = RunSystem("hdrf:lambda=1.1", ds, *source, FastConfig(),
+                             /*run_queries=*/false);
+  EXPECT_EQ(r.label, "hdrf:lambda=1.1");
+  EXPECT_GT(r.replication_factor, 0.0);
+  EXPECT_GT(r.edge_balance, 0.0);
+  EXPECT_NE(r.edge_assignment_hash, 0u);
+}
+
+TEST(ExperimentTest, BadSpecThrowsWithRegisteredBackends) {
+  auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.02);
+  auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
+  try {
+    RunSystem("no-such-backend", ds, *source, FastConfig());
+    FAIL() << "an unknown backend must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("no-such-backend"), std::string::npos) << what;
+    for (const std::string& name :
+         engine::PartitionerRegistry::Global().Names()) {
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW(RunSystem("loom:no_such_key=1", ds, *source, FastConfig()),
+               std::invalid_argument);
+}
+
 TEST(ExperimentTest, ComparisonNormalisesAgainstHash) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
   ComparisonResult cmp = RunComparison(ds, FastConfig());
-  EXPECT_EQ(cmp.systems.size(), 4u);
+  ASSERT_EQ(cmp.systems.size(), kPaperSystems.size());
   EXPECT_EQ(cmp.stream_edges, ds.NumEdges());
-  const SystemResult* hash = cmp.Find(System::kHash);
+  const SystemResult* hash = cmp.Find("hash");
   ASSERT_NE(hash, nullptr);
   EXPECT_DOUBLE_EQ(hash->ipt_vs_hash, 1.0);
-  for (const SystemResult& r : cmp.systems) {
-    EXPECT_GT(r.weighted_ipt, 0.0) << ToString(r.system);
+  for (size_t i = 0; i < cmp.systems.size(); ++i) {
+    const SystemResult& r = cmp.systems[i];
+    EXPECT_EQ(r.label, kPaperSystems[i]);
+    EXPECT_GT(r.weighted_ipt, 0.0) << r.label;
     EXPECT_NEAR(r.ipt_vs_hash, r.weighted_ipt / hash->weighted_ipt, 1e-9);
   }
-  EXPECT_EQ(cmp.Find(System::kLoom)->system, System::kLoom);
+  EXPECT_EQ(cmp.Find("hdrf"), nullptr);
 }
 
 TEST(ReportTest, RelativeIptTableRenders) {

@@ -18,8 +18,8 @@ namespace {
 ExperimentConfig FastConfig(stream::StreamOrder order, uint32_t k = 8) {
   ExperimentConfig cfg;
   cfg.order = order;
-  cfg.k = k;
-  cfg.window_size = 1000;
+  cfg.options.k = k;
+  cfg.options.window_size = 1000;
   cfg.executor.max_seeds = 1000;
   return cfg;
 }
@@ -29,9 +29,9 @@ class OrderSweepTest : public ::testing::TestWithParam<stream::StreamOrder> {};
 TEST_P(OrderSweepTest, LoomBeatsHashAndLdgOnProvGen) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.2);
   ComparisonResult cmp = RunComparison(ds, FastConfig(GetParam()));
-  const double hash = cmp.Find(System::kHash)->weighted_ipt;
-  const double ldg = cmp.Find(System::kLdg)->weighted_ipt;
-  const double loom = cmp.Find(System::kLoom)->weighted_ipt;
+  const double hash = cmp.Find("hash")->weighted_ipt;
+  const double ldg = cmp.Find("ldg")->weighted_ipt;
+  const double loom = cmp.Find("loom")->weighted_ipt;
   EXPECT_LT(loom, hash * 0.8) << stream::ToString(GetParam());
   EXPECT_LT(loom, ldg) << stream::ToString(GetParam());
 }
@@ -49,8 +49,8 @@ TEST(IntegrationTest, LoomBeatsFennelOnOrderedProvGen) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.2);
   ComparisonResult cmp =
       RunComparison(ds, FastConfig(stream::StreamOrder::kBreadthFirst));
-  const double fennel = cmp.Find(System::kFennel)->weighted_ipt;
-  const double loom = cmp.Find(System::kLoom)->weighted_ipt;
+  const double fennel = cmp.Find("fennel")->weighted_ipt;
+  const double loom = cmp.Find("loom")->weighted_ipt;
   EXPECT_LT(loom, fennel * 0.9);
 }
 
@@ -59,10 +59,10 @@ TEST(IntegrationTest, LoomBeatsFennelOnMusicBrainz) {
   // largest margin there.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, 0.15);
   ExperimentConfig cfg = FastConfig(stream::StreamOrder::kBreadthFirst);
-  cfg.window_size = 2000;
+  cfg.options.window_size = 2000;
   ComparisonResult cmp = RunComparison(ds, cfg);
-  const double fennel = cmp.Find(System::kFennel)->weighted_ipt;
-  const double loom = cmp.Find(System::kLoom)->weighted_ipt;
+  const double fennel = cmp.Find("fennel")->weighted_ipt;
+  const double loom = cmp.Find("loom")->weighted_ipt;
   EXPECT_LT(loom, fennel);
 }
 
@@ -73,8 +73,8 @@ TEST_P(KSweepTest, RelativeStandingsStableAcrossK) {
   ComparisonResult cmp =
       RunComparison(ds, FastConfig(stream::StreamOrder::kBreadthFirst,
                                    GetParam()));
-  const double hash = cmp.Find(System::kHash)->weighted_ipt;
-  const double loom = cmp.Find(System::kLoom)->weighted_ipt;
+  const double hash = cmp.Find("hash")->weighted_ipt;
+  const double loom = cmp.Find("loom")->weighted_ipt;
   if (GetParam() > 1) {
     EXPECT_LT(loom, hash);
   }
@@ -85,11 +85,13 @@ INSTANTIATE_TEST_SUITE_P(Ks, KSweepTest, ::testing::Values(2u, 8u, 32u));
 TEST(IntegrationTest, AllSystemsProduceValidPartitionings) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kLubm100, 0.1);
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kDepthFirst);
-  for (System s : AllSystems()) {
-    auto p = MakePartitioner(s, ds, FastConfig(stream::StreamOrder::kDepthFirst));
+  for (std::string_view spec : kPaperSystems) {
+    auto p = test_util::MakeBackend(spec, test_util::OptionsFor(ds, 8, 1000),
+                                    ds);
+    ASSERT_NE(p, nullptr);
     test_util::RunAll(p.get(), es);
     EXPECT_TRUE(partition::FullyAssigned(ds.graph, p->partitioning()))
-        << ToString(s);
+        << spec;
   }
 }
 
@@ -100,8 +102,8 @@ TEST(IntegrationTest, LoomWindowSizeImprovesQualityUpToAPoint) {
   double tiny_ipt = 0, large_ipt = 0;
   for (size_t window : {16u, 4096u}) {
     ExperimentConfig cfg = FastConfig(stream::StreamOrder::kRandom);
-    cfg.window_size = window;
-    SystemResult r = RunSystem(System::kLoom, ds, *source, cfg);
+    cfg.options.window_size = window;
+    SystemResult r = RunSystem("loom", ds, *source, cfg);
     if (window == 16u) {
       tiny_ipt = r.weighted_ipt;
     } else {

@@ -6,7 +6,6 @@
 
 #include "datasets/dataset_registry.h"
 #include "engine/engine.h"
-#include "eval/experiment.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
@@ -207,12 +206,13 @@ TEST_P(PartitionerContractTest, DoubleFinalizeIsIdempotent) {
 
   for (const stream::StreamEdge& e : es) p->Ingest(e);
   p->Finalize();
-  const uint64_t first = eval::HashAssignment(p->partitioning(),
-                                              ds.NumVertices());
+  const uint64_t first =
+      partition::AssignmentHash(p->partitioning(), ds.NumVertices());
   const size_t assigned = p->partitioning().NumAssigned();
   p->Finalize();
   p->Finalize();
-  EXPECT_EQ(eval::HashAssignment(p->partitioning(), ds.NumVertices()), first);
+  EXPECT_EQ(partition::AssignmentHash(p->partitioning(), ds.NumVertices()),
+            first);
   EXPECT_EQ(p->partitioning().NumAssigned(), assigned);
 }
 
@@ -254,8 +254,9 @@ TEST_P(PartitionerContractTest, IngestBatchMatchesPerEdgeIngest) {
   }
   batched->Finalize();
 
-  EXPECT_EQ(eval::HashAssignment(per_edge->partitioning(), ds.NumVertices()),
-            eval::HashAssignment(batched->partitioning(), ds.NumVertices()))
+  EXPECT_EQ(
+      partition::AssignmentHash(per_edge->partitioning(), ds.NumVertices()),
+      partition::AssignmentHash(batched->partitioning(), ds.NumVertices()))
       << GetParam();
 }
 

@@ -19,6 +19,7 @@
 #include "engine/session.h"
 #include "eval/experiment.h"
 #include "io/assignment_sink.h"
+#include "partition/partition_metrics.h"
 #include "stream/stream_order.h"
 #include "test_util.h"
 
@@ -179,15 +180,16 @@ TEST(SessionTest, StepDrivenAndResumedStreamsMatchOneShotRunBitForBit) {
     const RunReport resumed_report = resumed->Run(source_c);
 
     const uint64_t hash =
-        eval::HashAssignment(one_shot->partitioning(), ds.NumVertices());
+        partition::AssignmentHash(one_shot->partitioning(), ds.NumVertices());
     for (const auto& [leg, session, report] :
          {std::tuple{"stepped", stepped.get(), &step_report},
           std::tuple{"resumed", resumed.get(), &resumed_report},
           std::tuple{"one-shot", one_shot.get(), &run_report}}) {
       SCOPED_TRACE(leg);
       EXPECT_EQ(report->edges, m);
-      EXPECT_EQ(eval::HashAssignment(session->partitioning(), ds.NumVertices()),
-                hash);
+      EXPECT_EQ(
+          partition::AssignmentHash(session->partitioning(), ds.NumVertices()),
+          hash);
       EXPECT_EQ(report->backend_stats, run_report.backend_stats);
       EXPECT_EQ(report->vertices_assigned, run_report.vertices_assigned);
       EXPECT_EQ(report->edges_bypassed, run_report.edges_bypassed);
@@ -257,18 +259,17 @@ TEST(SessionTest, CheckpointFlushesSinksExactlyOnce) {
 TEST(EvalBackendStatsTest, SystemResultCarriesGenericStatsOnly) {
   const datasets::Dataset& ds = TestDataset();
   eval::ExperimentConfig cfg;
-  cfg.window_size = 128;
-  cfg.executor.max_seeds = 100;
+  cfg.options.window_size = 128;
 
   auto source = MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst);
   const eval::SystemResult loom =
-      eval::RunSystemTimingOnly(eval::System::kLoom, ds, *source, cfg);
+      eval::RunSystem("loom", ds, *source, cfg, /*run_queries=*/false);
   EXPECT_GT(loom.BackendStat("match_allocs_fresh"), 0u);
   EXPECT_GT(loom.BackendStat("matcher_edges_admitted"), 0u);
   EXPECT_EQ(loom.BackendStat("never_reported"), 0u);
 
   const eval::SystemResult hash =
-      eval::RunSystemTimingOnly(eval::System::kHash, ds, *source, cfg);
+      eval::RunSystem("hash", ds, *source, cfg, /*run_queries=*/false);
   // No more per-backend magic zeros: backends that report nothing carry
   // nothing.
   EXPECT_TRUE(hash.backend_stats.empty());

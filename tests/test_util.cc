@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "engine/session.h"
-#include "eval/experiment.h"
 #include "partition/partition_metrics.h"
 
 namespace loom {
@@ -75,7 +74,8 @@ std::ostream& operator<<(std::ostream& os, const Quality& q) {
 Quality QualityOf(const partition::Partitioner& p,
                   const datasets::Dataset& ds) {
   Quality q;
-  q.assignment_hash = eval::HashAssignment(p.partitioning(), ds.NumVertices());
+  q.assignment_hash =
+      partition::AssignmentHash(p.partitioning(), ds.NumVertices());
   q.edge_cut = partition::EdgeCut(ds.graph, p.partitioning());
   q.imbalance = partition::Imbalance(p.partitioning());
   return q;

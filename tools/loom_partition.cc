@@ -135,12 +135,14 @@ void Usage() {
 }
 
 void UsageOpts() {
-  loom::engine::EngineOptions defaults;
+  // Both lists follow the options' declaration order.
+  const auto keys = loom::engine::EngineOptions::KeyTable();
+  const auto defaults = loom::engine::EngineOptions{}.ToFlat();
   std::cerr << "EngineOptions keys (every --opt / spec-string key, with "
                "defaults):\n";
-  for (const auto& info : loom::engine::EngineOptions::KeyTable()) {
-    std::cerr << "  " << info.name << "=" << defaults.Get(info.name) << "\n"
-              << "      " << info.help << "  (" << info.spec << ")\n";
+  for (size_t i = 0; i < keys.size(); ++i) {
+    std::cerr << "  " << keys[i].name << "=" << defaults[i].second << "\n"
+              << "      " << keys[i].help << "  (" << keys[i].spec << ")\n";
   }
 }
 
