@@ -21,7 +21,7 @@ int main() {
   datasets::Dataset ds =
       datasets::MakeDataset(datasets::DatasetId::kProvGen, bench::BenchScale());
   const std::vector<graph::EdgeId> order = stream::EdgeOrderFor(
-      ds.graph, stream::StreamOrder::kRandom, /*seed=*/0x10c5);
+      ds.graph, stream::StreamOrder::kRandom, stream::kDefaultStreamSeed);
   engine::GraphEdgeSource source(ds.graph, order);
 
   util::TableWriter t({"window t", "midstream ipt (with Ptemp)",

@@ -23,7 +23,7 @@ int main() {
   for (auto id : datasets::QueryableDatasets()) {
     datasets::Dataset ds = datasets::MakeDataset(id, bench::BenchScale());
     auto source = engine::MakeEdgeSource(ds, stream::StreamOrder::kRandom,
-                                         /*seed=*/0x10c5);
+                                         stream::kDefaultStreamSeed);
     std::vector<std::string> row = {ds.meta.name};
     for (size_t w : windows) {
       eval::ExperimentConfig cfg;

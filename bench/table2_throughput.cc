@@ -60,7 +60,7 @@ eval::SystemResult RunCell(std::string_view spec, const datasets::Dataset& ds,
 
 std::unique_ptr<engine::EdgeSource> BfsSource(const datasets::Dataset& ds) {
   return engine::MakeEdgeSource(ds, stream::StreamOrder::kBreadthFirst,
-                                eval::ExperimentConfig{}.stream_seed);
+                                stream::kDefaultStreamSeed);
 }
 
 /// The quality fields of one cell; the edge triple only for edge backends

@@ -100,14 +100,14 @@ class SpanEdgeSource : public EdgeSource {
 /// matters for StreamOrder::kRandom.
 std::unique_ptr<EdgeSource> MakeEdgeSource(const graph::LabeledGraph& graph,
                                            stream::StreamOrder order,
-                                           uint64_t seed = 0x10c5);
+                                           uint64_t seed = stream::kDefaultStreamSeed);
 
 /// Dataset-generator adapter: streams `ds.graph` (the four Table 1
 /// generators all produce Datasets) under `order`. The dataset must outlive
 /// the source.
 std::unique_ptr<EdgeSource> MakeEdgeSource(const datasets::Dataset& ds,
                                            stream::StreamOrder order,
-                                           uint64_t seed = 0x10c5);
+                                           uint64_t seed = stream::kDefaultStreamSeed);
 
 }  // namespace engine
 }  // namespace loom

@@ -40,7 +40,7 @@ class GeneratorEdgeSource : public EdgeSource {
   /// adjacency (bfs/dfs).
   GeneratorEdgeSource(datasets::DatasetId id, double scale,
                       stream::StreamOrder order = stream::StreamOrder::kCanonical,
-                      uint64_t seed = 0x10c5);
+                      uint64_t seed = stream::kDefaultStreamSeed);
 
   size_t NextBatch(std::span<stream::StreamEdge> out) override;
   size_t SizeHint() const override { return edges_.size(); }

@@ -36,7 +36,7 @@ struct ExperimentConfig {
   /// expected_vertices/expected_edges from the dataset.
   engine::EngineOptions options;
   stream::StreamOrder order = stream::StreamOrder::kBreadthFirst;
-  uint64_t stream_seed = 0x10c5;
+  uint64_t stream_seed = stream::kDefaultStreamSeed;
 
   /// Query-executor caps (identical across systems: fair relative ipt).
   query::ExecutorConfig executor{.max_seeds = 4000,

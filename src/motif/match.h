@@ -4,9 +4,10 @@
 // whose induced sub-graph has the same signature as motif mi. We add the
 // (derivable) vertex set because the allocator's bid function (Eq. 1) scores
 // matches by vertex overlap with partitions, and a per-vertex degree array
-// (parallel to the sorted vertex set) so the matcher's factor-delta
-// computation reads degrees in O(log |V|) instead of rescanning every match
-// edge against the window on each extend/join attempt.
+// (parallel to the sorted vertex set) so the matcher reads an edge's
+// endpoint degrees (half of its motif-child memo key) in O(log |V|) instead
+// of rescanning every match edge against the window on each extension or
+// join step.
 //
 // Records live in a MatchPool (match_pool.h) and are referenced by 32-bit
 // generational MatchHandles; liveness is the pool's, not a flag here.

@@ -17,10 +17,15 @@
 // Hot-path design: matches are pooled records addressed by 32-bit handles
 // (match_pool.h); endpoint degrees are tracked inside each record, so
 // factor deltas never rescan a match's edges against the window; the
-// admission test is memoised per label pair (the trie/signature machinery
-// runs once per distinct pair, not once per edge); and all per-edge
-// working sets live in reusable scratch buffers — steady-state matching
-// performs no heap allocation beyond growth of committed match records.
+// admission test is memoised per label pair and the motif-child lookup per
+// (node, endpoint labels and degrees), so the trie/signature machinery runs
+// once per distinct input, not once per edge; a per-node motif depth (the
+// longest chain of motif children below a node) rejects every extension or
+// join that cannot reach a motif before it touches a signature; step 2
+// never pairs a match with the edge's own single-edge match, which would
+// only repeat step 1's extension; and all per-edge working sets live in
+// reusable scratch buffers — steady-state matching performs no heap
+// allocation beyond growth of committed match records.
 
 #ifndef LOOM_MOTIF_MOTIF_MATCHER_H_
 #define LOOM_MOTIF_MOTIF_MATCHER_H_
@@ -53,6 +58,9 @@ struct MatcherStats {
   uint64_t single_edge_matches = 0;
   uint64_t extension_matches = 0;
   uint64_t join_matches = 0;
+  /// Pairs handed to the recursive absorption: only pairs that could add a
+  /// match (the base's motif depth covers the edges to absorb, and the
+  /// smaller side is not the edge's own single-edge match).
   uint64_t join_attempts = 0;
 };
 
@@ -92,8 +100,9 @@ class MotifMatcher {
   const MatcherStats& stats() const { return stats_; }
 
  private:
-  /// Attempts to extend match `mh` by edge `e`; on success builds the grown
-  /// match and registers it. Returns the new handle or kNullMatch.
+  /// Attempts to extend match `mh` (which must not contain `e`) by edge `e`;
+  /// on success builds the grown match and registers it. Returns the new
+  /// handle or kNullMatch.
   MatchHandle TryExtend(MatchHandle mh, const stream::StreamEdge& e,
                         MatchList* ml);
 
@@ -119,31 +128,40 @@ class MotifMatcher {
   mutable std::vector<uint8_t> admission_known_;
   size_t admission_side_ = 0;
 
-  /// Motif-child memo: (node, canonical factor delta) -> child (nullable).
-  /// FindMotifChild runs several multiset comparisons plus a support check
-  /// per child; the matcher asks it millions of times for a handful of
-  /// distinct (node, delta) pairs. Keys pack the node id and the three
-  /// sorted delta factors into 64 bits; inputs that don't fit (prime or trie
-  /// beyond 16 bits — never the paper's configurations) bypass the memo.
-  const tpstry::TpsNode* FindMotifChildMemo(uint32_t node_id);
-  void RefreshExtendability();
+  /// Motif-child memo: (node, {(l_u, deg_u), (l_v, deg_v)}) -> child
+  /// (nullable), the degrees being the endpoints' degrees after adding the
+  /// edge. FindMotifChild runs several multiset comparisons plus a support
+  /// check per child; the matcher asks it millions of times for a handful
+  /// of distinct inputs. Keys pack the node id (16 bits), the two labels
+  /// (16 each) and the two degrees (8 each), the (label, degree) pairs in
+  /// ascending order since the factor delta is symmetric in the endpoints;
+  /// a hit skips computing the delta. Inputs that don't fit (trie beyond
+  /// 16 bits or a degree above 255 — never the paper's configurations)
+  /// bypass the memo.
+  const tpstry::TpsNode* FindMotifChild(uint32_t node_id, graph::LabelId lu,
+                                        uint32_t new_deg_u, graph::LabelId lv,
+                                        uint32_t new_deg_v);
+  void RefreshMotifDepth();
   util::FlatMap64<const tpstry::TpsNode*> child_memo_;
 
-  /// Cached trie.MaxMotifEdges() (refreshed with the motif caches): any
-  /// extension or join whose result would exceed it can never be a motif
-  /// child chain, so those attempts are pruned before touching signatures.
-  uint32_t max_motif_edges_ = 0;
-
-  /// Per-trie-node flag: does the node have ANY motif child? Most live
-  /// matches sit at leaf/maximal motifs, where every extend/join attempt is
-  /// doomed — this skips them before computing factor deltas.
-  std::vector<uint8_t> node_extendable_;
+  /// Per-trie-node motif depth: the longest chain of motif children below
+  /// the node (refreshed with the motif caches). Every extension step and
+  /// every join absorption moves to a motif child, so a match at a depth-0
+  /// node cannot grow, and a join that must absorb more edges than the
+  /// base's depth cannot succeed. Most live matches sit at leaf/maximal
+  /// motifs, where this rejects before computing factor deltas.
+  std::vector<uint32_t> motif_depth_;
 
   // Reusable per-edge scratch (see class comment).
-  std::vector<MatchHandle> snap_u_;
+  std::vector<MatchHandle> snap_extend_;  // step 1's snapshot
+  std::vector<MatchHandle> snap_u_;       // step 2's per-endpoint snapshots
   std::vector<MatchHandle> snap_v_;
-  std::vector<size_t> snap_u_sizes_;  // edge counts, resolved once per snap
-  std::vector<size_t> snap_v_sizes_;
+  struct SnapInfo {  // a step-2 snapshot entry, resolved once per snapshot
+    size_t edges;
+    uint32_t depth;  // motif_depth_ of the match's node
+  };
+  std::vector<SnapInfo> snap_u_info_;
+  std::vector<SnapInfo> snap_v_info_;
   signature::FactorDelta delta_;
   Match cand_;  // join candidate accumulator
   std::vector<graph::EdgeId> remaining_;

@@ -30,13 +30,17 @@ std::string ToString(StreamOrder order);
 /// Parses the ToString names; false on anything else.
 bool ParseStreamOrder(std::string_view name, StreamOrder* out);
 
+/// Seed of the kRandom order wherever a caller gives none: every tool,
+/// bench, experiment and test default streams this one permutation.
+inline constexpr uint64_t kDefaultStreamSeed = 0x10c5;
+
 /// The arrival permutation of g's edge ids under `order`. `seed` only
 /// matters for kRandom; BFS/DFS orders are fully determined by the graph.
 /// Single source of the order -> permutation mapping: engine::MakeEdgeSource
 /// and every caller that replays a graph by hand go through it.
 std::vector<graph::EdgeId> EdgeOrderFor(const graph::LabeledGraph& g,
                                         StreamOrder order,
-                                        uint64_t seed = 0x10c5);
+                                        uint64_t seed = kDefaultStreamSeed);
 
 }  // namespace stream
 }  // namespace loom

@@ -260,9 +260,10 @@ TEST(EdgeSourceEquivalenceTest, GeneratorSourceMatchesMaterialisedDataset) {
   Env& env = GetEnv();
   for (auto order :
        {stream::StreamOrder::kCanonical, stream::StreamOrder::kRandom}) {
-    auto in_memory = engine::MakeEdgeSource(env.ds, order, /*seed=*/0x10c5);
+    auto in_memory =
+        engine::MakeEdgeSource(env.ds, order, stream::kDefaultStreamSeed);
     engine::GeneratorEdgeSource lazy(datasets::DatasetId::kProvGen, kScale,
-                                     order, /*seed=*/0x10c5);
+                                     order, stream::kDefaultStreamSeed);
     EXPECT_EQ(lazy.NumVertices(), env.ds.NumVertices());
     EXPECT_EQ(lazy.NumEdges(), env.ds.NumEdges());
     ExpectSameSequence(Drain(*in_memory, 64), Drain(lazy, 64),

@@ -240,8 +240,9 @@ TEST(EdgeSourceTest, GraphSourceMatchesMaterializedStream) {
     // The expected sequence comes straight from the graph, not from any
     // EdgeSource.
     const std::vector<stream::StreamEdge> es = test_util::ReferenceStream(
-        ds.graph, stream::EdgeOrderFor(ds.graph, order, 0x10c5));
-    auto source = MakeEdgeSource(ds, order, 0x10c5);
+        ds.graph,
+        stream::EdgeOrderFor(ds.graph, order, stream::kDefaultStreamSeed));
+    auto source = MakeEdgeSource(ds, order, stream::kDefaultStreamSeed);
     EXPECT_EQ(source->SizeHint(), es.size());
 
     std::vector<stream::StreamEdge> batch(64);

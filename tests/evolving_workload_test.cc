@@ -124,6 +124,61 @@ TEST(UpdateWorkloadTest, FullReplacementWithZeroDecay) {
   EXPECT_EQ(loom.trie().MaxMotifEdges(), 3u);  // the full a-b-c-d path
 }
 
+TEST(UpdateWorkloadTest, PromotedMotifLetsBridgeJoinUntilDemoted) {
+  // The matcher prunes joins by each trie node's motif depth (the longest
+  // chain of motif children below it); UpdateWorkload must refresh it. Two
+  // disjoint a-b edges and a b-a bridge form the path a-b-a-b, which only a
+  // join of {a-b-a} with the far a-b edge can match.
+  graph::LabelRegistry reg;
+  const graph::LabelId a = reg.Intern("a");
+  const graph::LabelId b = reg.Intern("b");
+  query::Workload two_edge;  // a-b-a and b-a-b at 50% each: no 3-edge motif
+  two_edge.Add("aba", graph::PatternGraph::Path({a, b, a}), 0.5);
+  two_edge.Add("bab", graph::PatternGraph::Path({b, a, b}), 0.5);
+  query::Workload three_edge;
+  three_edge.Add("abab", graph::PatternGraph::Path({a, b, a, b}), 1.0);
+
+  core::LoomOptions options;
+  options.base.k = 2;
+  options.base.expected_vertices = 16;
+  options.base.expected_edges = 16;
+  options.window_size = 64;  // nothing is evicted
+  LoomPartitioner loom(options, two_edge, reg.size());
+  graph::EdgeId next_edge = 0;
+  graph::VertexId next_vertex = 0;
+  auto ingest = [&](graph::VertexId u, graph::LabelId lu, graph::VertexId v,
+                    graph::LabelId lv) {
+    stream::StreamEdge e;
+    e.id = next_edge++;
+    e.u = u;
+    e.v = v;
+    e.label_u = lu;
+    e.label_v = lv;
+    loom.Ingest(e);
+  };
+  // Returns the joins the bridge made, on four fresh vertices.
+  auto bridge_joins = [&] {
+    const graph::VertexId a1 = next_vertex++, b1 = next_vertex++;
+    const graph::VertexId a2 = next_vertex++, b2 = next_vertex++;
+    ingest(a1, a, b1, b);
+    ingest(a2, a, b2, b);
+    const uint64_t joins = loom.matcher_stats().join_matches;
+    const uint64_t extensions = loom.matcher_stats().extension_matches;
+    ingest(b1, b, a2, a);
+    EXPECT_EQ(loom.matcher_stats().extension_matches - extensions, 2u)
+        << "the bridge extends both a-b edges to 2-edge motifs";
+    return loom.matcher_stats().join_matches - joins;
+  };
+
+  EXPECT_EQ(bridge_joins(), 0u) << "a-b-a-b is not in the trie yet";
+  loom.UpdateWorkload(three_edge, /*decay=*/0.0);
+  ASSERT_EQ(loom.trie().MaxMotifEdges(), 3u);
+  EXPECT_EQ(bridge_joins(), 1u) << "a-b-a-b promoted: the bridge joins";
+  loom.UpdateWorkload(two_edge, /*decay=*/0.0);
+  ASSERT_EQ(loom.trie().MaxMotifEdges(), 2u);
+  EXPECT_EQ(bridge_joins(), 0u) << "a-b-a-b demoted: no join";
+}
+
 TEST(UpdateWorkloadTest, StillBeatsStaleOnShiftedWorkload) {
   // End-to-end sanity of the Sec. 6 story (mirrors the ablation bench at
   // test scale): adapting at the shift must not be worse than staying stale.

@@ -50,7 +50,7 @@ std::vector<stream::StreamEdge> Drain(engine::EdgeSource& source);
 /// `g` streamed in `order` (engine::MakeEdgeSource), drained.
 std::vector<stream::StreamEdge> Drain(const graph::LabeledGraph& g,
                                       stream::StreamOrder order,
-                                      uint64_t seed = 0x10c5);
+                                      uint64_t seed = stream::kDefaultStreamSeed);
 
 /// The stream a walk of `g` in `order` must produce, built straight from
 /// the graph (g.edge(order[i]) with g.label() endpoints, ids = positions)

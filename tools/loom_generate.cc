@@ -27,6 +27,7 @@
 #include "graph/graph_io.h"
 #include "io/edge_stream_io.h"
 #include "query/workload_io.h"
+#include "stream/stream_order.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
   std::string dataset_name, graph_out, workload_out, stream_out;
   std::string format_name = "binary", order_name = "canonical";
   double scale = 1.0;
-  uint64_t seed = 0x10c5;
+  uint64_t seed = stream::kDefaultStreamSeed;
   bool lazy = false;
   // Numeric flags parse through exception-free helpers: a typo'd value
   // must print the usual error line, not an unhandled-exception abort.

@@ -58,6 +58,7 @@
 #include "partition/partition_metrics.h"
 #include "query/workload_io.h"
 #include "query/workload_runner.h"
+#include "stream/stream_order.h"
 #include "util/string_util.h"
 #include "util/table_writer.h"
 
@@ -86,7 +87,7 @@ struct Args {
   uint32_t k = 8;
   size_t window = 10000;
   double threshold = 0.4;
-  uint64_t seed = 0x10c5;
+  uint64_t seed = loom::stream::kDefaultStreamSeed;
   bool evaluate = false;
   bool progress = false;  // per-slice progress + decision-latency histogram
   // Offline rebalance mode (--rebalance-to > 0 switches to it entirely).
@@ -95,53 +96,55 @@ struct Args {
   double balance_cap = 1.1;           // merge feasibility cap
 };
 
-void Usage() {
-  std::cerr << "usage: loom_partition (--graph G.lg | --input S.les)\n"
-               "         --workload Q.lw\n"
-               "         [--system NAME | NAME:key=value,...] [--k N]\n"
-               "         [--order bfs|dfs|random|canonical] [--window N]\n"
-               "         [--threshold F] [--opt key=value]...\n"
-               "         [--seed N] [--out FILE | --output-assignments FILE]\n"
-               "         [--edge-out FILE]\n"
-               "         [--checkpoint FILE] [--checkpoint-every EDGES]\n"
-               "         [--resume FILE] [--evaluate] [--progress]\n"
-               "         [--help-opts]\n"
-               "       loom_partition --rebalance-to K\n"
-               "         --edge-assignments A.tsv [--balance-cap F]\n"
-               "         [--edge-out MERGED.tsv]\n"
-               "signals:\n"
-               "  SIGINT/SIGTERM stop gracefully: the slice in flight\n"
-               "    finishes, a final checkpoint rotates (with --checkpoint),\n"
-               "    the sink flushes, exit code 0; rerun with --resume to\n"
-               "    continue bit-identically\n"
-               "checkpointing:\n"
-               "  --checkpoint FILE        write a LOOMCK snapshot to FILE\n"
-               "    every --checkpoint-every edges (default 100000) and keep\n"
-               "    the previous one at FILE.prev — a crash (even mid-commit)\n"
-               "    always leaves one complete checkpoint behind\n"
-               "  --resume FILE            restore FILE (falling back to\n"
-               "    FILE.prev if FILE is missing or corrupt), skip the stream\n"
-               "    to the saved cursor, re-emit the restored assignments and\n"
-               "    keep driving; the finished run is bit-identical to an\n"
-               "    uninterrupted one. Flags must match the checkpointed run.\n"
-               "backends: ";
+// --help and --help-opts print to stdout (an explicit request, exit 0);
+// usage printed on a bad command line goes to stderr.
+void Usage(std::ostream& out) {
+  out << "usage: loom_partition (--graph G.lg | --input S.les)\n"
+         "         --workload Q.lw\n"
+         "         [--system NAME | NAME:key=value,...] [--k N]\n"
+         "         [--order bfs|dfs|random|canonical] [--window N]\n"
+         "         [--threshold F] [--opt key=value]...\n"
+         "         [--seed N] [--out FILE | --output-assignments FILE]\n"
+         "         [--edge-out FILE]\n"
+         "         [--checkpoint FILE] [--checkpoint-every EDGES]\n"
+         "         [--resume FILE] [--evaluate] [--progress]\n"
+         "         [--help-opts]\n"
+         "       loom_partition --rebalance-to K\n"
+         "         --edge-assignments A.tsv [--balance-cap F]\n"
+         "         [--edge-out MERGED.tsv]\n"
+         "signals:\n"
+         "  SIGINT/SIGTERM stop gracefully: the slice in flight\n"
+         "    finishes, a final checkpoint rotates (with --checkpoint),\n"
+         "    the sink flushes, exit code 0; rerun with --resume to\n"
+         "    continue bit-identically\n"
+         "checkpointing:\n"
+         "  --checkpoint FILE        write a LOOMCK snapshot to FILE\n"
+         "    every --checkpoint-every edges (default 100000) and keep\n"
+         "    the previous one at FILE.prev — a crash (even mid-commit)\n"
+         "    always leaves one complete checkpoint behind\n"
+         "  --resume FILE            restore FILE (falling back to\n"
+         "    FILE.prev if FILE is missing or corrupt), skip the stream\n"
+         "    to the saved cursor, re-emit the restored assignments and\n"
+         "    keep driving; the finished run is bit-identical to an\n"
+         "    uninterrupted one. Flags must match the checkpointed run.\n"
+         "backends: ";
   bool first = true;
   for (const std::string& name :
        loom::engine::PartitionerRegistry::Global().Names()) {
-    std::cerr << (first ? "" : ", ") << name;
+    out << (first ? "" : ", ") << name;
     first = false;
   }
-  std::cerr << "\n";
+  out << "\n";
 }
 
 void UsageOpts() {
   // Both lists follow the options' declaration order.
   const auto keys = loom::engine::EngineOptions::KeyTable();
   const auto defaults = loom::engine::EngineOptions{}.ToFlat();
-  std::cerr << "EngineOptions keys (every --opt / spec-string key, with "
+  std::cout << "EngineOptions keys (every --opt / spec-string key, with "
                "defaults):\n";
   for (size_t i = 0; i < keys.size(); ++i) {
-    std::cerr << "  " << keys[i].name << "=" << defaults[i].second << "\n"
+    std::cout << "  " << keys[i].name << "=" << defaults[i].second << "\n"
               << "      " << keys[i].help << "  (" << keys[i].spec << ")\n";
   }
 }
@@ -254,7 +257,7 @@ bool Parse(int argc, char** argv, Args* args) {
       UsageOpts();
       std::exit(0);
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      Usage();
+      Usage(std::cout);
       std::exit(0);
     } else {
       std::cerr << "unknown flag: " << argv[i] << "\n";
@@ -342,14 +345,14 @@ int main(int argc, char** argv) {
   Args args;
   try {
     if (!Parse(argc, argv, &args)) {
-      Usage();
+      Usage(std::cerr);
       return 2;
     }
   } catch (const std::exception&) {
     // std::stoul/stod on a malformed numeric flag — print usage, don't
     // abort with an unhandled exception.
     std::cerr << "malformed numeric flag value\n";
-    Usage();
+    Usage(std::cerr);
     return 2;
   }
 
