@@ -684,6 +684,8 @@ TEST(SemanticCorruptionTest, MatchesSectionRejectsImpossiblePayloads) {
       [](MatchesSection* s) { s->match_vertices = {1, 2, 9}; });
   add("posting entry at a vertex its match lacks",
       [](MatchesSection* s) { s->extra_posting_vertex = 0; });
+  add("live match missing from its vertex's list",
+      [](MatchesSection* s) { s->match_vertices = {0, 1, 2}; });
   for (const auto& [name, section] : cases) {
     io::CheckpointReader r(section.Write());
     EXPECT_TRUE(r.Has("matches"));  // framing and checksums intact

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -343,6 +345,71 @@ TEST(MatchListTest, RandomCommitsAndRemovalsMatchABruteForceModel) {
     }
   }
   std::filesystem::remove(path);
+}
+
+// The index follows the window, not the vertex ids: single-edge matches
+// stream over 120k+ distinct vertices through a 64-edge window that retires
+// its oldest edge, as Loom's does. Every 256 edges share a block hub whose
+// list outgrows kRetainedCapacity before its block ends and it empties, so
+// the trim on release is exercised. Pooled lists never exceed twice the
+// peak live edge count plus one (vertex) or the peak plus one (edge), free
+// lists keep at most kRetainedCapacity handles, and a mid-stream checkpoint
+// restores to the same bytes.
+TEST(MatchListTest, PooledListsStayBoundedByTheWindowOverManyVertices) {
+  constexpr graph::EdgeId kEdges = 240000;
+  constexpr size_t kWindow = 64;
+  constexpr graph::VertexId kHubBase = 1000000;
+  const std::filesystem::path dir(testing::TempDir());
+  const auto read_bytes = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  MatchList ml;
+  std::deque<graph::EdgeId> window;
+  size_t peak_live_edges = 0;
+  size_t largest_hub_list = 0;
+  for (graph::EdgeId e = 0; e < kEdges; ++e) {
+    const graph::VertexId hub = kHubBase + e / 256;
+    ASSERT_NE(AddMatch(ml, {e}, {e / 2, hub}, 1), kNullMatch) << e;
+    window.push_back(e);
+    peak_live_edges = std::max(peak_live_edges, window.size());
+    largest_hub_list = std::max(largest_hub_list, ml.IndexEntriesAt(hub));
+    if (window.size() > kWindow) {
+      ml.RemoveMatchesWithEdge(window.front());
+      window.pop_front();
+    }
+    const MatchList::Footprint fp = ml.footprint();
+    ASSERT_LE(fp.vertex_lists, 2 * peak_live_edges + 1) << e;
+    ASSERT_LE(fp.edge_lists, peak_live_edges + 1) << e;
+    ASSERT_LE(fp.max_free_capacity, MatchList::kRetainedCapacity) << e;
+    ASSERT_EQ(ml.NumLive(), window.size()) << e;
+    if (e == kEdges / 2) {
+      {
+        io::CheckpointWriter w;
+        ml.SaveTo(&w);
+        w.Commit((dir / "pooled_a.loomck").string());
+      }
+      io::CheckpointReader r((dir / "pooled_a.loomck").string());
+      MatchList restored;
+      restored.LoadFrom(&r);
+      io::CheckpointWriter w;
+      restored.SaveTo(&w);
+      w.Commit((dir / "pooled_b.loomck").string());
+      ASSERT_EQ(read_bytes(dir / "pooled_a.loomck"),
+                read_bytes(dir / "pooled_b.loomck"));
+      ASSERT_EQ(restored.LiveAt(hub), ml.LiveAt(hub));
+    }
+  }
+  EXPECT_EQ(peak_live_edges, kWindow + 1);
+  EXPECT_GT(largest_hub_list, MatchList::kRetainedCapacity);
+  // The live window's lists are all that remain in use.
+  for (const graph::EdgeId e : window) {
+    EXPECT_EQ(ml.LiveWithEdge(e).size(), 1u) << e;
+  }
+  EXPECT_EQ(ml.IndexEntriesAt(0), 0u);
+  EXPECT_EQ(ml.IndexEntriesAt(kHubBase), 0u);
+  std::filesystem::remove(dir / "pooled_a.loomck");
+  std::filesystem::remove(dir / "pooled_b.loomck");
 }
 
 TEST(MatchListTest, EdgeRingSurvivesSparseGrowingIds) {

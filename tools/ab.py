@@ -218,7 +218,11 @@ def self_test():
     """Checks the verdict logic on canned numbers; builds and runs nothing."""
     eps = {"name": "ingest_eps", "better": "higher", "bound": 0.25}
     p50 = {"name": "ingest_p50_us", "better": "lower", "bound": 0.25}
+    rss = {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}
     base = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]
+    # Peak RSS barely moves between runs of one build: a base spread near 0.
+    rss_base = [103.2, 103.4, 103.1, 103.3, 103.2, 103.5, 103.2, 103.3,
+                103.1, 103.4]
     cases = [
         # (metric, base, change, expected verdict)
         (eps, base, [b * 1.20 for b in base], "win"),
@@ -233,6 +237,11 @@ def self_test():
         # Lower is better: a 20% drop in latency is a win, a rise a loss.
         (p50, base, [b * 0.80 for b in base], "win"),
         (p50, base, [b * 1.30 for b in base], "loss"),
+        # A lower-is-better memory metric with a tight bound: a 30% drop is
+        # a win, a 6% rise crosses the 5% bound, a 1% rise stays inside it.
+        (rss, rss_base, [b * 0.70 for b in rss_base], "win"),
+        (rss, rss_base, [b * 1.06 for b in rss_base], "loss"),
+        (rss, rss_base, [b * 1.01 for b in rss_base], "inside noise"),
         # A base spread wider than the bound cannot tell anything.
         (eps, [60, 140, 70, 130, 100, 65, 135, 100, 70, 140],
          [100] * 10, "unresolved"),

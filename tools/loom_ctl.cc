@@ -30,13 +30,15 @@
 
 namespace {
 
-void Usage() {
-  std::cerr << "usage: loom_ctl --socket PATH COMMAND\n"
-               "commands:\n"
-               "  stats | checkpoint | finalize | quality | shutdown\n"
-               "  get VERTEX\n"
-               "  ingest U V LABEL_U LABEL_V\n"
-               "  ingest-file S.les [--from N] [--depth N]\n";
+// --help prints to stdout (an explicit request, exit 0); usage printed on a
+// bad command line goes to stderr.
+void Usage(std::ostream& out) {
+  out << "usage: loom_ctl --socket PATH COMMAND\n"
+         "commands:\n"
+         "  stats | checkpoint | finalize | quality | shutdown\n"
+         "  get VERTEX\n"
+         "  ingest U V LABEL_U LABEL_V\n"
+         "  ingest-file S.les [--from N] [--depth N]\n";
 }
 
 // One command line in, the reply line printed; exit status from OK/ERR.
@@ -113,14 +115,14 @@ int main(int argc, char** argv) {
       }
       socket_path = argv[++i];
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      Usage();
+      Usage(std::cout);
       return 0;
     } else {
       rest.emplace_back(argv[i]);
     }
   }
   if (socket_path.empty() || rest.empty()) {
-    Usage();
+    Usage(std::cerr);
     return 2;
   }
 
@@ -153,7 +155,7 @@ int main(int argc, char** argv) {
       size_t depth = 512;
       for (size_t i = 2; i < rest.size(); i += 2) {
         if (i + 1 >= rest.size()) {
-          Usage();
+          Usage(std::cerr);
           return 2;
         }
         if (rest[i] == "--from") {
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
           depth = std::stoul(rest[i + 1]);
           if (depth == 0) depth = 1;
         } else {
-          Usage();
+          Usage(std::cerr);
           return 2;
         }
       }
@@ -172,6 +174,6 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  Usage();
+  Usage(std::cerr);
   return 2;
 }

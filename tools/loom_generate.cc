@@ -16,6 +16,10 @@
 // canonical/random; bfs/dfs need adjacency and therefore the materialised
 // path). The lazy and materialised exports are bit-identical for the same
 // order and seed.
+//
+// --help prints the usage to stdout and exits 0; an unknown flag, a flag
+// without its value or a malformed value prints the error and the usage to
+// stderr and exits 2.
 
 #include <cstring>
 #include <iostream>
@@ -29,6 +33,19 @@
 #include "query/workload_io.h"
 #include "stream/stream_order.h"
 #include "util/string_util.h"
+
+namespace {
+
+void Usage(std::ostream& out) {
+  out << "usage: loom_generate --dataset NAME [--scale F]\n"
+         "         [--graph-out G.lg] [--workload-out Q.lw]\n"
+         "         [--write-stream S.les] [--stream-format binary|text]\n"
+         "         [--order bfs|dfs|random|canonical] [--seed N] [--lazy]\n"
+         "datasets: dblp provgen musicbrainz lubm-100 lubm-4000\n"
+         "(at least one output flag is required)\n";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace loom;
@@ -60,48 +77,45 @@ int main(int argc, char** argv) {
       parse_ok = false;
     }
   };
-  for (int i = 1; i < argc; ++i) {
+  for (int i = 1; i < argc && parse_ok; ++i) {
+    const char* flag = argv[i];
+    // Every flag but --help and --lazy takes a value.
     auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << flag << " requires a value\n";
+      parse_ok = false;
+      return nullptr;
     };
-    if (std::strcmp(argv[i], "--dataset") == 0) {
-      const char* v = value();
-      if (v) dataset_name = v;
-    } else if (std::strcmp(argv[i], "--scale") == 0) {
-      const char* v = value();
-      if (v) parse_double("--scale", v, &scale);
-    } else if (std::strcmp(argv[i], "--graph-out") == 0) {
-      const char* v = value();
-      if (v) graph_out = v;
-    } else if (std::strcmp(argv[i], "--workload-out") == 0) {
-      const char* v = value();
-      if (v) workload_out = v;
-    } else if (std::strcmp(argv[i], "--write-stream") == 0) {
-      const char* v = value();
-      if (v) stream_out = v;
-    } else if (std::strcmp(argv[i], "--stream-format") == 0) {
-      const char* v = value();
-      if (v) format_name = v;
-    } else if (std::strcmp(argv[i], "--order") == 0) {
-      const char* v = value();
-      if (v) order_name = v;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      const char* v = value();
-      if (v) parse_u64("--seed", v, &seed);
-    } else if (std::strcmp(argv[i], "--lazy") == 0) {
+    const char* v = nullptr;
+    if (std::strcmp(flag, "--help") == 0) {
+      Usage(std::cout);
+      return 0;
+    } else if (std::strcmp(flag, "--lazy") == 0) {
       lazy = true;
+    } else if (std::strcmp(flag, "--dataset") == 0) {
+      if ((v = value())) dataset_name = v;
+    } else if (std::strcmp(flag, "--scale") == 0) {
+      if ((v = value())) parse_double(flag, v, &scale);
+    } else if (std::strcmp(flag, "--graph-out") == 0) {
+      if ((v = value())) graph_out = v;
+    } else if (std::strcmp(flag, "--workload-out") == 0) {
+      if ((v = value())) workload_out = v;
+    } else if (std::strcmp(flag, "--write-stream") == 0) {
+      if ((v = value())) stream_out = v;
+    } else if (std::strcmp(flag, "--stream-format") == 0) {
+      if ((v = value())) format_name = v;
+    } else if (std::strcmp(flag, "--order") == 0) {
+      if ((v = value())) order_name = v;
+    } else if (std::strcmp(flag, "--seed") == 0) {
+      if ((v = value())) parse_u64(flag, v, &seed);
+    } else {
+      std::cerr << "unknown flag: " << flag << "\n";
+      parse_ok = false;
     }
   }
-  if (!parse_ok) return 2;
-  if (dataset_name.empty() ||
+  if (!parse_ok || dataset_name.empty() ||
       (graph_out.empty() && workload_out.empty() && stream_out.empty())) {
-    std::cerr << "usage: loom_generate --dataset NAME [--scale F]\n"
-                 "         [--graph-out G.lg] [--workload-out Q.lw]\n"
-                 "         [--write-stream S.les] [--stream-format "
-                 "binary|text]\n"
-                 "         [--order bfs|dfs|random|canonical] [--seed N] "
-                 "[--lazy]\n"
-                 "(at least one output flag is required)\n";
+    Usage(std::cerr);
     return 2;
   }
 

@@ -66,9 +66,10 @@ struct Args {
   double threshold = 0.4;
 };
 
-void Usage() {
-  std::cerr
-      << "usage: loom_serve --socket PATH --workload Q.lw --like S.les\n"
+// --help prints to stdout (an explicit request, exit 0); usage printed on a
+// bad command line goes to stderr.
+void Usage(std::ostream& out) {
+  out << "usage: loom_serve --socket PATH --workload Q.lw --like S.les\n"
          "         [--system NAME | NAME:key=value,...] [--k N]\n"
          "         [--window N] [--threshold F] [--opt key=value]...\n"
          "         [--checkpoint FILE]\n"
@@ -140,7 +141,7 @@ bool Parse(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (std::strcmp(argv[i], "--help") == 0) {
-      Usage();
+      Usage(std::cout);
       std::exit(0);
     } else {
       std::cerr << "unknown flag: " << argv[i] << "\n";
@@ -169,12 +170,12 @@ int main(int argc, char** argv) {
   Args args;
   try {
     if (!Parse(argc, argv, &args)) {
-      Usage();
+      Usage(std::cerr);
       return 2;
     }
   } catch (const std::exception&) {
     std::cerr << "malformed numeric flag value\n";
-    Usage();
+    Usage(std::cerr);
     return 2;
   }
 
