@@ -1,19 +1,19 @@
 // LoomPartitioner's checkpoint codec.
 //
 // Sections written:
-//   "loom"      — options fingerprint (every knob that steers a decision,
-//                 doubles as bit patterns), label-space ctor/current counts,
-//                 and a TPSTry++ support fingerprint (workload drift check)
+//   "loom"      — label-space ctor/current counts and a TPSTry++ support
+//                 fingerprint (workload drift check)
 //   "loom_stats"— LoomStats + MatcherStats counters
 //   "partition" — the partition table (Partitioning::SaveTo)
 //   "window"    — live sliding-window edges (SlidingWindow::SaveTo)
 //   "matches"   — match pool + postings (MatchList::SaveTo)
 //   "seen_graph"— the streamed-so-far adjacency (DynamicGraph::SaveTo)
 //
-// Restore verifies the fingerprint field-by-field (first differing knob is
-// named in the error), rejects label-space mismatches, then loads the
-// component sections and re-fits the open-alphabet tables to the label
-// count the checkpointed run had grown to.
+// The options are not fingerprinted here: engine::Session checkpoints every
+// EngineOptions key and compares them before any backend restores. Restore
+// rejects what the session cannot see — a label-space or workload mismatch
+// — then loads the component sections and re-fits the open-alphabet tables
+// to the label count the checkpointed run had grown to.
 
 #include <cassert>
 #include <cstring>
@@ -55,47 +55,12 @@ uint64_t TrieFingerprint(const tpstry::Tpstry& trie) {
   return h;
 }
 
-/// The decision-steering knobs, in one fixed order. Save writes each value;
-/// restore reads and compares, naming the first knob that differs. Doubles
-/// travel and compare as bit patterns — a fingerprint match means the
-/// resumed process computes with the exact same constants.
-struct Knob {
-  const char* name;
-  uint64_t value;
-};
-
-std::vector<Knob> Fingerprint(const LoomOptions& o) {
-  return {
-      {"k", o.base.k},
-      {"expected_vertices", o.base.expected_vertices},
-      {"expected_edges", o.base.expected_edges},
-      {"max_imbalance", Bits(o.base.max_imbalance)},
-      {"window_size", o.window_size},
-      {"support_threshold", Bits(o.support_threshold)},
-      {"prime", o.prime},
-      {"signature_seed", o.signature_seed},
-      {"eo_alpha", Bits(o.equal_opportunism.alpha)},
-      {"eo_balance_b", Bits(o.equal_opportunism.balance_b)},
-      {"eo_neighbor_bid_weight", Bits(o.equal_opportunism.neighbor_bid_weight)},
-      {"eo_disable_rationing", o.equal_opportunism.disable_rationing ? 1u : 0u},
-      {"matcher_max_matches_per_vertex", o.matcher.max_matches_per_vertex},
-  };
-}
-
 }  // namespace
 
-bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
-                                std::string* error) const {
-  (void)error;
+void LoomPartitioner::SaveState(io::CheckpointWriter* w) const {
   w->BeginSection("loom");
   w->U64(ctor_num_labels_);
   w->U64(label_values_->num_labels());  // may have grown past ctor
-  const std::vector<Knob> knobs = Fingerprint(options_);
-  w->U32(static_cast<uint32_t>(knobs.size()));
-  for (const Knob& k : knobs) {
-    w->Str(k.name);
-    w->U64(k.value);
-  }
   w->U64(TrieFingerprint(*trie_));
   w->EndSection();
 
@@ -117,12 +82,9 @@ bool LoomPartitioner::SaveState(io::CheckpointWriter* w,
   window_.SaveTo(w);
   match_list_.SaveTo(w);
   seen_.SaveTo(w, "seen_graph");
-  return true;
 }
 
-bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
-                                   std::string* error) {
-  (void)error;
+void LoomPartitioner::RestoreState(io::CheckpointReader* r) {
   assert(seen_.NumEdges() == 0 && "restore into a fresh backend");
   r->Open("loom");
   const uint64_t ctor_labels = r->U64();
@@ -133,25 +95,6 @@ bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
             std::to_string(ctor_num_labels_) +
             " (dataset or label registry changed; resume with the original "
             "label space)");
-  }
-  const std::vector<Knob> knobs = Fingerprint(options_);
-  const uint32_t n_knobs = r->U32();
-  if (n_knobs != knobs.size()) {
-    r->Fail("options fingerprint arity mismatch (checkpoint from a build "
-            "with different Loom knobs)");
-  }
-  for (const Knob& k : knobs) {
-    const std::string name = r->Str();
-    const uint64_t value = r->U64();
-    if (name != k.name) {
-      r->Fail("options fingerprint key order mismatch: expected '" +
-              std::string(k.name) + "', checkpoint has '" + name + "'");
-    }
-    if (value != k.value) {
-      r->Fail("options mismatch on '" + name +
-              "': the resumed run is configured differently from the "
-              "checkpointed one");
-    }
   }
   const uint64_t trie_fp = r->U64();
   if (trie_fp != TrieFingerprint(*trie_)) {
@@ -192,7 +135,6 @@ bool LoomPartitioner::RestoreState(io::CheckpointReader* r,
     const std::vector<bool> mask = trie_->MotifLabelMask(grown);
     motif_label_.assign(mask.begin(), mask.end());
   }
-  return true;
 }
 
 }  // namespace core

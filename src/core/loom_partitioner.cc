@@ -20,16 +20,15 @@ constexpr size_t kTailLookahead = 4;
 
 }  // namespace
 
-LoomPartitioner::LoomPartitioner(const LoomOptions& options,
+LoomPartitioner::LoomPartitioner(const engine::EngineOptions& options,
                                  const query::Workload& workload,
                                  size_t num_labels)
-    : options_(options),
-      ctor_num_labels_(num_labels),
-      partitioning_(options.base.k, options.base.expected_vertices,
-                    options.base.max_imbalance),
-      seen_(options.base.expected_vertices, /*page_entries=*/0,
-            /*expected_entries=*/2 * options.base.expected_edges),
-      hub_(options.base.k, options.base.hub_degree_threshold),
+    : ctor_num_labels_(num_labels),
+      partitioning_(options.k, options.expected_vertices,
+                    options.max_imbalance),
+      seen_(options.expected_vertices, /*page_entries=*/0,
+            /*expected_entries=*/2 * options.expected_edges),
+      hub_(options.k, options.hub_threshold),
       window_(options.window_size) {
   label_values_ = std::make_unique<signature::LabelValues>(
       num_labels, options.prime, options.signature_seed);
@@ -41,10 +40,18 @@ LoomPartitioner::LoomPartitioner(const LoomOptions& options,
   for (const query::Query& q : normalised.queries()) {
     trie_->AddQuery(q.pattern, q.frequency);
   }
+  motif::MatcherConfig matcher;
+  matcher.max_matches_per_vertex =
+      static_cast<size_t>(options.max_matches_per_vertex);
   matcher_ = std::make_unique<motif::MotifMatcher>(trie_.get(), calc_.get(),
-                                                   options.matcher);
-  allocator_ = std::make_unique<EqualOpportunism>(
-      trie_.get(), &seen_, options.equal_opportunism, &hub_);
+                                                   matcher);
+  EqualOpportunismConfig allocation;
+  allocation.alpha = options.alpha;
+  allocation.balance_b = options.balance_b;
+  allocation.neighbor_bid_weight = options.neighbor_bid_weight;
+  allocation.disable_rationing = options.disable_rationing;
+  allocator_ = std::make_unique<EqualOpportunism>(trie_.get(), &seen_,
+                                                  allocation, &hub_);
   const std::vector<bool> mask = trie_->MotifLabelMask(num_labels);
   motif_label_.assign(mask.begin(), mask.end());
   match_list_.ReserveEdgeSpan(options.window_size + 1);

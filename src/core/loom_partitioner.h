@@ -36,26 +36,6 @@
 namespace loom {
 namespace core {
 
-/// All Loom knobs, with the paper's defaults.
-struct LoomOptions {
-  partition::PartitionerConfig base;
-
-  /// Sliding window size t (paper default 10k edges).
-  size_t window_size = 10000;
-
-  /// Motif support threshold T (paper default 40%).
-  double support_threshold = 0.4;
-
-  /// Finite-field prime p for signatures (paper: 251).
-  uint32_t prime = signature::kDefaultPrime;
-
-  /// Seed for the label -> random value assignment.
-  uint64_t signature_seed = 0xC0FFEE;
-
-  EqualOpportunismConfig equal_opportunism;
-  motif::MatcherConfig matcher;
-};
-
 /// Counters exposed for reports and tests. The last four are reported as
 /// final stats under the same names.
 struct LoomStats {
@@ -72,9 +52,13 @@ struct LoomStats {
 class LoomPartitioner : public partition::Partitioner {
  public:
   /// Builds the TPSTry++ from `workload` (frequencies are normalised
-  /// internally) over a label space of `num_labels`.
-  LoomPartitioner(const LoomOptions& options, const query::Workload& workload,
-                  size_t num_labels);
+  /// internally) over a label space of `num_labels`. Reads the shared keys
+  /// (k, expected totals, max_imbalance, hub_threshold) and every Loom
+  /// knob: window t, support threshold T, prime p, signature seed, the
+  /// equal-opportunism α/b/neighbour weight/rationing switch and the
+  /// matcher cap.
+  LoomPartitioner(const engine::EngineOptions& options,
+                  const query::Workload& workload, size_t num_labels);
 
   /// Hoists the admission-mask probe (memoised per label pair) for the
   /// whole batch before running the per-edge pipeline, so the admission
@@ -100,11 +84,12 @@ class LoomPartitioner : public partition::Partitioner {
   }
   std::string name() const override { return "loom"; }
 
-  /// Full pipeline snapshot (options fingerprint, stats, partition table,
-  /// window, matchList, seen-graph; codec in core/loom_checkpoint.cc);
-  /// restore + tail is bit-identical to the uninterrupted run.
-  bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
-  bool RestoreState(io::CheckpointReader* r, std::string* error) override;
+  /// Full pipeline snapshot (label space, TPSTry++ fingerprint, stats,
+  /// partition table, window, matchList, seen-graph; codec in
+  /// core/loom_checkpoint.cc); restore + tail is bit-identical to the
+  /// uninterrupted run.
+  void SaveState(io::CheckpointWriter* w) const override;
+  void RestoreState(io::CheckpointReader* r) override;
 
   const tpstry::Tpstry& trie() const { return *trie_; }
   const LoomStats& stats() const { return stats_; }
@@ -148,7 +133,6 @@ class LoomPartitioner : public partition::Partitioner {
   /// Evicts the oldest window edge, allocating its match cluster.
   void EvictOldest();
 
-  LoomOptions options_;
   size_t ctor_num_labels_;  // label space at construction (checkpoint id)
   partition::Partitioning partitioning_;
   graph::DynamicGraph seen_;  // streamed-so-far adjacency (for LDG scoring)

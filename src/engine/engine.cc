@@ -14,22 +14,6 @@ namespace engine {
 
 namespace {
 
-core::LoomOptions ToLoomOptions(const EngineOptions& o) {
-  core::LoomOptions lo;
-  lo.base = o.BaseConfig();
-  lo.window_size = static_cast<size_t>(o.window_size);
-  lo.support_threshold = o.support_threshold;
-  lo.prime = o.prime;
-  lo.signature_seed = o.signature_seed;
-  lo.equal_opportunism.alpha = o.alpha;
-  lo.equal_opportunism.balance_b = o.balance_b;
-  lo.equal_opportunism.neighbor_bid_weight = o.neighbor_bid_weight;
-  lo.equal_opportunism.disable_rationing = o.disable_rationing;
-  lo.matcher.max_matches_per_vertex =
-      static_cast<size_t>(o.max_matches_per_vertex);
-  return lo;
-}
-
 using Factory = std::unique_ptr<partition::Partitioner> (*)(
     const EngineOptions&, const BuildContext&, std::string* error);
 
@@ -38,23 +22,18 @@ struct Backend {
   Factory make;
 };
 
+// Every backend reads what it needs from the one resolved EngineOptions.
+template <typename T>
+std::unique_ptr<partition::Partitioner> Make(const EngineOptions& o,
+                                             const BuildContext&,
+                                             std::string*) {
+  return std::make_unique<T>(o);
+}
+
 constexpr Backend kBackends[] = {
-    {"hash",
-     [](const EngineOptions& o, const BuildContext&,
-        std::string*) -> std::unique_ptr<partition::Partitioner> {
-       return std::make_unique<partition::HashPartitioner>(o.BaseConfig());
-     }},
-    {"ldg",
-     [](const EngineOptions& o, const BuildContext&,
-        std::string*) -> std::unique_ptr<partition::Partitioner> {
-       return std::make_unique<partition::LdgPartitioner>(o.BaseConfig());
-     }},
-    {"fennel",
-     [](const EngineOptions& o, const BuildContext&,
-        std::string*) -> std::unique_ptr<partition::Partitioner> {
-       return std::make_unique<partition::FennelPartitioner>(o.BaseConfig(),
-                                                             o.fennel_gamma);
-     }},
+    {"hash", Make<partition::HashPartitioner>},
+    {"ldg", Make<partition::LdgPartitioner>},
+    {"fennel", Make<partition::FennelPartitioner>},
     {"loom",
      [](const EngineOptions& o, const BuildContext& ctx,
         std::string* error) -> std::unique_ptr<partition::Partitioner> {
@@ -66,30 +45,15 @@ constexpr Backend kBackends[] = {
          }
          return nullptr;
        }
-       return std::make_unique<core::LoomPartitioner>(
-           ToLoomOptions(o), *ctx.workload, ctx.num_labels);
+       return std::make_unique<core::LoomPartitioner>(o, *ctx.workload,
+                                                      ctx.num_labels);
      }},
     // Streaming EDGE partitioners (partition/edge/): they place edges, not
     // vertices, and report the (replication factor, edge balance, edge
     // hash) quality triple through FillFinalStats.
-    {"hdrf",
-     [](const EngineOptions& o, const BuildContext&,
-        std::string*) -> std::unique_ptr<partition::Partitioner> {
-       return std::make_unique<partition::edge::HdrfPartitioner>(
-           o.BaseConfig(), o.lambda, o.epsilon);
-     }},
-    {"dbh",
-     [](const EngineOptions& o, const BuildContext&,
-        std::string*) -> std::unique_ptr<partition::Partitioner> {
-       return std::make_unique<partition::edge::DbhPartitioner>(
-           o.BaseConfig());
-     }},
-    {"hep",
-     [](const EngineOptions& o, const BuildContext&,
-        std::string*) -> std::unique_ptr<partition::Partitioner> {
-       return std::make_unique<partition::edge::HepPartitioner>(
-           o.BaseConfig(), o.threshold_factor, o.lambda, o.epsilon);
-     }},
+    {"hdrf", Make<partition::edge::HdrfPartitioner>},
+    {"dbh", Make<partition::edge::DbhPartitioner>},
+    {"hep", Make<partition::edge::HepPartitioner>},
 };
 
 }  // namespace

@@ -3,9 +3,9 @@
 //
 // The paper's contribution is a *family* of streaming partitioners compared
 // uniformly across workloads and stream orders; this layer makes the code
-// match that shape. Instead of hand-rolled constructors (and one-off
-// LoomOptions/PartitionerConfig assembly in every tool, bench and example),
-// callers:
+// match that shape. Every backend's constructor takes one resolved
+// EngineOptions and reads the keys it uses, so there is no per-backend
+// config struct to assemble; callers:
 //
 //   engine::EngineOptions opts;              // typed, string-addressable
 //   opts.Set("k", "8", &err);                // or opts.k = 8
@@ -13,8 +13,10 @@
 //   auto p = engine::PartitionerRegistry::Global().Create("loom", opts, ctx,
 //                                                         &err);
 //
-// and every run then goes through engine::Session (session.h), which pulls
-// an EdgeSource into the backend's IngestBatch.
+// and every run then goes through engine::Session (session.h), which
+// resolves a spec string's overrides once, builds the backend from that
+// value, pulls an EdgeSource into its IngestBatch and checks the same value
+// against a checkpoint on resume.
 //
 // Backends: the vertex partitioners "hash", "ldg", "fennel", "loom" and the
 // edge partitioners "hdrf", "dbh", "hep" — a fixed table, so adding a

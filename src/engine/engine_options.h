@@ -12,8 +12,9 @@
 //
 // Every key round-trips: ToFlat() lists each key's canonical string form,
 // which Set() parses back to the identical value (doubles use
-// shortest-round-trip formatting). Backends simply ignore keys they have no
-// use for — "hash" reads only k/expected_vertices, "loom" reads everything.
+// shortest-round-trip formatting). Every backend is constructed from one
+// resolved EngineOptions and ignores the keys it has no use for — "hash"
+// reads only k/expected_vertices, "loom" the shared keys and its own knobs.
 
 #ifndef LOOM_ENGINE_ENGINE_OPTIONS_H_
 #define LOOM_ENGINE_ENGINE_OPTIONS_H_
@@ -23,8 +24,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "partition/partitioner.h"
 
 namespace loom {
 namespace engine {
@@ -116,17 +115,6 @@ struct EngineOptions {
 
   /// Every known key's documentation, in declaration order.
   static std::vector<KeyInfo> KeyTable();
-
-  /// The subset every backend shares.
-  partition::PartitionerConfig BaseConfig() const {
-    partition::PartitionerConfig base;
-    base.k = k;
-    base.expected_vertices = static_cast<size_t>(expected_vertices);
-    base.expected_edges = static_cast<size_t>(expected_edges);
-    base.max_imbalance = max_imbalance;
-    base.hub_degree_threshold = hub_threshold;
-    return base;
-  }
 };
 
 }  // namespace engine

@@ -1,9 +1,10 @@
 #include "engine/generator_source.h"
 
-#include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
+#include "graph/labeled_graph.h"
 #include "util/rng.h"
 
 namespace loom {
@@ -48,27 +49,10 @@ GeneratorEdgeSource::GeneratorEdgeSource(datasets::DatasetId id, double scale,
   CollectorSink sink;
   datasets::EmitDatasetEdges(id, scale, &registry_, &sink);
 
-  // Replicate LabeledGraph::Builder::Build's normalisation: drop self
-  // loops, orient (min,max), sort, dedupe. Identical comparator, so the
-  // surviving sequence matches the built graph's edge-id order exactly.
-  std::vector<graph::Edge>& edges = sink.edges();
-  std::vector<graph::Edge> uniq;
-  uniq.reserve(edges.size());
-  for (const graph::Edge& e : edges) {
-    if (e.u == e.v) continue;
-    uniq.push_back(e.Normalized());
-  }
-  edges.clear();
-  edges.shrink_to_fit();
-  std::sort(uniq.begin(), uniq.end(), [](const graph::Edge& a,
-                                         const graph::Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  uniq.erase(std::unique(uniq.begin(), uniq.end(),
-                         [](const graph::Edge& a, const graph::Edge& b) {
-                           return a.u == b.u && a.v == b.v;
-                         }),
-             uniq.end());
+  // LabeledGraph::Builder::Build's edge numbering, so the surviving
+  // sequence matches the built graph's edge-id order exactly.
+  const std::vector<graph::Edge> uniq =
+      graph::CanonicalEdges(std::move(sink.edges()));
 
   // Replicate MakeDataset's DropIsolatedVertices: compact away vertices no
   // surviving edge touches, preserving id order (the remap is monotone, so

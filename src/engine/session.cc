@@ -1,7 +1,6 @@
 #include "engine/session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
@@ -34,29 +33,23 @@ double RunReport::EdgeBalance(uint32_t k) const {
 std::unique_ptr<Session> Session::Create(const SessionConfig& config,
                                          const BuildContext& context,
                                          std::string* error) {
-  std::unique_ptr<partition::Partitioner> partitioner =
-      BuildPartitioner(config.spec, config.options, context, error);
-  if (partitioner == nullptr) return nullptr;
-  auto session =
-      std::unique_ptr<Session>(new Session(config, std::move(partitioner)));
-  // Re-apply the spec's inline overrides onto a copy of the base options so
-  // the checkpoint fingerprint records what the backend was actually built
-  // with. BuildPartitioner already validated both steps, so neither can fail.
+  // The spec's inline overrides are resolved once: the backend is built
+  // from this value, and Checkpoint/Resume record and compare the same one.
   BackendSpec parsed;
-  std::string ignored;
-  const bool ok = ParseBackendSpec(config.spec, &parsed, &ignored) &&
-                  session->resolved_options_.ApplyOverrides(parsed.overrides,
-                                                            &ignored);
-  assert(ok && "spec re-parse after successful build");
-  (void)ok;
-  return session;
+  if (!ParseBackendSpec(config.spec, &parsed, error)) return nullptr;
+  EngineOptions options = config.options;
+  if (!options.ApplyOverrides(parsed.overrides, error)) return nullptr;
+  std::unique_ptr<partition::Partitioner> partitioner =
+      PartitionerRegistry::Global().Create(parsed.name, options, context,
+                                           error);
+  if (partitioner == nullptr) return nullptr;
+  return std::unique_ptr<Session>(
+      new Session(config.drive, options, std::move(partitioner)));
 }
 
-Session::Session(const SessionConfig& config,
+Session::Session(const DriveConfig& drive, const EngineOptions& options,
                  std::unique_ptr<partition::Partitioner> partitioner)
-    : config_(config),
-      resolved_options_(config.options),
-      partitioner_(std::move(partitioner)) {}
+    : drive_(drive), options_(options), partitioner_(std::move(partitioner)) {}
 
 RunReport Session::Run(EdgeSource& source) {
   IngestSome(source, SIZE_MAX);
@@ -64,7 +57,7 @@ RunReport Session::Run(EdgeSource& source) {
 }
 
 size_t Session::IngestSome(EdgeSource& source, size_t max_edges) {
-  const size_t batch_cap = std::max<size_t>(config_.drive.batch_size, 1);
+  const size_t batch_cap = std::max<size_t>(drive_.batch_size, 1);
   // One buffer for the session's lifetime: a server calls this once per
   // short run of edges, so a fresh zero-filled batch per call would cost
   // an allocation and a fill per run.
@@ -119,14 +112,14 @@ bool Session::Checkpoint(const std::string& path, std::string* error) {
     w.BeginSection("session");
     w.Str(partitioner_->name());
     w.U64(edges_);
-    const auto flat = resolved_options_.ToFlat();
+    const auto flat = options_.ToFlat();
     w.U32(static_cast<uint32_t>(flat.size()));
     for (const auto& [key, value] : flat) {
       w.Str(key);
       w.Str(value);
     }
     w.EndSection();
-    if (!partitioner_->SaveState(&w, error)) return false;
+    partitioner_->SaveState(&w);
     if (extension_ != nullptr) extension_->Save(&w);
     w.Commit(path);
   } catch (const std::exception& e) {
@@ -154,7 +147,7 @@ bool Session::Resume(const std::string& path, std::string* error) {
              "'");
     }
     const uint64_t edges = r.U64();
-    const auto flat = resolved_options_.ToFlat();
+    const auto flat = options_.ToFlat();
     const uint32_t n_options = r.U32();
     if (n_options != flat.size()) {
       r.Fail("engine options arity mismatch (checkpoint from a build with a "
@@ -174,7 +167,7 @@ bool Session::Resume(const std::string& path, std::string* error) {
       }
     }
     r.Close();
-    if (!partitioner_->RestoreState(&r, error)) return false;
+    partitioner_->RestoreState(&r);
     if (extension_ != nullptr) extension_->Restore(&r);
     edges_ = edges;
   } catch (const std::exception& e) {

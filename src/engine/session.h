@@ -96,9 +96,10 @@ class SessionExtension {
 
 class Session {
  public:
-  /// Builds the backend named by `config.spec` through the global registry.
-  /// Returns nullptr and an actionable `*error` on unknown backends, bad
-  /// overrides or missing context.
+  /// Resolves `config.spec`'s inline overrides on top of `config.options`
+  /// once, and builds the backend it names from that value through the
+  /// global registry. Returns nullptr and an actionable `*error` on unknown
+  /// backends, bad overrides or missing context.
   static std::unique_ptr<Session> Create(const SessionConfig& config,
                                          const BuildContext& context,
                                          std::string* error);
@@ -138,7 +139,8 @@ class Session {
   RunReport Finish();
 
   /// Snapshots the whole run — session envelope (backend id, stream cursor,
-  /// resolved options fingerprint) plus the backend's SaveState sections —
+  /// every resolved EngineOptions key) plus the backend's SaveState
+  /// sections —
   /// into a LOOMCK file at `path`, committed atomically (tmp + fsync +
   /// rename), flushing sinks first so everything already assigned is
   /// durable alongside the checkpoint. Returns false + an actionable
@@ -150,9 +152,11 @@ class Session {
   /// ingested). On success the session's stream cursor is edges_ingested();
   /// skip the source to that position and keep driving — assignments and
   /// the final report will be bit-identical to the uninterrupted run.
-  /// On failure (corruption, version skew, backend/options/label mismatch)
-  /// returns false with an actionable `*error` and the session must be
-  /// discarded.
+  /// Every option key is compared here, naming the first that differs, so
+  /// backends check only what the options cannot describe (label space,
+  /// workload, table shapes). On failure (corruption, version skew,
+  /// backend/options/label mismatch) returns false with an actionable
+  /// `*error` and the session must be discarded.
   bool Resume(const std::string& path, std::string* error);
 
   /// Stream elements ingested over the session's lifetime (the resume
@@ -176,14 +180,14 @@ class Session {
   partition::Partitioner& backend() { return *partitioner_; }
 
  private:
-  Session(const SessionConfig& config,
+  Session(const DriveConfig& drive, const EngineOptions& options,
           std::unique_ptr<partition::Partitioner> partitioner);
 
-  SessionConfig config_;
-  /// config_.options with the spec's inline overrides applied — what the
-  /// backend was actually built with; the checkpoint fingerprint uses this,
-  /// never the raw base options.
-  EngineOptions resolved_options_;
+  DriveConfig drive_;
+  /// The base options with the spec's inline overrides applied: what the
+  /// backend was built with, and what Checkpoint records and Resume
+  /// compares key by key.
+  EngineOptions options_;
   std::unique_ptr<partition::Partitioner> partitioner_;
   SessionExtension* extension_ = nullptr;
   util::Histogram latency_;

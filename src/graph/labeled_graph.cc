@@ -7,6 +7,22 @@
 namespace loom {
 namespace graph {
 
+std::vector<Edge> CanonicalEdges(std::vector<Edge> edges) {
+  edges.erase(std::remove_if(edges.begin(), edges.end(),
+                             [](const Edge& e) { return e.u == e.v; }),
+              edges.end());
+  for (Edge& e : edges) e = e.Normalized();
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const Edge& a, const Edge& b) {
+                            return a.u == b.u && a.v == b.v;
+                          }),
+              edges.end());
+  return edges;
+}
+
 VertexId LabeledGraph::Builder::AddVertex(LabelId label) {
   VertexId id = static_cast<VertexId>(labels_.size());
   labels_.push_back(label);
@@ -23,23 +39,8 @@ LabeledGraph LabeledGraph::Builder::Build() {
   g.labels_ = std::move(labels_);
   labels_.clear();
 
-  // Normalise, drop self loops, dedupe.
-  std::vector<Edge> uniq;
-  uniq.reserve(edges_.size());
-  for (const Edge& e : edges_) {
-    if (e.u == e.v) continue;
-    uniq.push_back(e.Normalized());
-  }
+  g.edges_ = CanonicalEdges(std::move(edges_));
   edges_.clear();
-  std::sort(uniq.begin(), uniq.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  uniq.erase(std::unique(uniq.begin(), uniq.end(),
-                         [](const Edge& a, const Edge& b) {
-                           return a.u == b.u && a.v == b.v;
-                         }),
-             uniq.end());
-  g.edges_ = std::move(uniq);
 
   // CSR construction: counting sort on endpoints.
   const size_t n = g.labels_.size();

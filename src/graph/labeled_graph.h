@@ -17,6 +17,13 @@
 namespace loom {
 namespace graph {
 
+/// The edge list of the simple undirected graph `edges` describe, in edge-id
+/// order: self-loops dropped, each edge oriented (min,max), sorted by (u,v),
+/// duplicates removed. Works in place on the consumed vector. Both
+/// LabeledGraph::Builder::Build and engine::GeneratorEdgeSource number edges
+/// this way, so a lazily generated stream matches the built graph's ids.
+std::vector<Edge> CanonicalEdges(std::vector<Edge> edges);
+
 /// CSR-backed labelled graph. Vertices are dense [0, n); each has exactly one
 /// label (the paper's surjective fl: V -> LV). Edges are undirected, stored
 /// once in `edges()` and twice in the adjacency (both directions).

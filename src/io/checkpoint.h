@@ -4,7 +4,7 @@
 //
 // A checkpoint is a sequence of named sections. Each layer of the engine
 // writes its own section(s) — the session writes "session" (backend id,
-// stream cursor, options fingerprint, event totals), a backend writes its
+// stream cursor, every resolved option key and value), a backend writes its
 // component state ("loom", "partition", "window", "matches", ...) — so no
 // layer parses another's bytes. The writer buffers the whole file in
 // memory and Commit() publishes it atomically: write to `path + ".tmp"`,
@@ -45,8 +45,11 @@ namespace io {
 /// section dropped the assignment count and the progress snapshot (the
 /// partition table and the backend's own sections hold both). v8:
 /// "loom_stats" dropped the ingested-edge count (the session's cursor
-/// holds it).
-inline constexpr uint16_t kCheckpointVersion = 8;
+/// holds it). v9: "loom" dropped its 13-knob options fingerprint and
+/// "edge_state" dropped hdrf's lambda/epsilon and hep's
+/// threshold_factor/lambda/epsilon (the session section's option keys
+/// hold all of them).
+inline constexpr uint16_t kCheckpointVersion = 9;
 
 /// Builds a checkpoint in memory, then commits it to disk atomically.
 /// All methods throw std::runtime_error on misuse or I/O failure.

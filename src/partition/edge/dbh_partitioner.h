@@ -25,8 +25,9 @@ namespace edge {
 
 class DbhPartitioner final : public EdgePartitioner {
  public:
-  explicit DbhPartitioner(const PartitionerConfig& config)
-      : EdgePartitioner(config) {}
+  /// Reads k and expected_vertices.
+  explicit DbhPartitioner(const engine::EngineOptions& options)
+      : EdgePartitioner(options) {}
 
   std::string name() const override { return "dbh"; }
 

@@ -9,16 +9,16 @@ namespace loom {
 namespace partition {
 namespace edge {
 
-EdgePartitioner::EdgePartitioner(const PartitionerConfig& config)
+EdgePartitioner::EdgePartitioner(const engine::EngineOptions& options)
     // The primary vertex table carries each vertex's FIRST replica part for
     // the shared eval/sink plumbing; the ν=2.0 slack (same idiom as
     // hash_partitioner) guarantees Assign never diverts, so the table is a
     // faithful record of the edge placements rather than a second heuristic.
-    : partitioning_(config.k, config.expected_vertices, /*nu=*/2.0),
-      words_((config.k + 63) / 64),
-      loads_(config.k, 0) {
-  degrees_.reserve(config.expected_vertices);
-  replicas_.reserve(config.expected_vertices * words_);
+    : partitioning_(options.k, options.expected_vertices, /*nu=*/2.0),
+      words_((options.k + 63) / 64),
+      loads_(options.k, 0) {
+  degrees_.reserve(options.expected_vertices);
+  replicas_.reserve(options.expected_vertices * words_);
 }
 
 void EdgePartitioner::EnsureVertex(graph::VertexId v) {
@@ -152,9 +152,7 @@ void EdgePartitioner::FillFinalStats(engine::StatCounters* stats) const {
   stats->emplace_back("edge_assignment_hash", edge_hash_);
 }
 
-bool EdgePartitioner::SaveState(io::CheckpointWriter* w,
-                                std::string* error) const {
-  (void)error;
+void EdgePartitioner::SaveState(io::CheckpointWriter* w) const {
   w->BeginSection("edge_state");
   w->U32(k());
   w->U32(words_);
@@ -168,29 +166,24 @@ bool EdgePartitioner::SaveState(io::CheckpointWriter* w,
   SaveExtra(w);
   w->EndSection();
   partitioning_.SaveTo(w);
-  return true;
 }
 
-bool EdgePartitioner::RestoreState(io::CheckpointReader* r,
-                                   std::string* error) {
+void EdgePartitioner::RestoreState(io::CheckpointReader* r) {
   if (edges_assigned_ != 0 || partitioning_.NumAssigned() != 0) {
-    *error = "RestoreState requires a fresh instance (edges already ingested)";
-    return false;
+    r->Fail("RestoreState requires a fresh instance (edges already ingested)");
   }
   r->Open("edge_state");
   const uint32_t saved_k = r->U32();
   if (saved_k != k()) {
-    *error = "edge_state k mismatch: checkpoint has k=" +
-             std::to_string(saved_k) + ", this instance has k=" +
-             std::to_string(k());
-    return false;
+    r->Fail("edge_state k mismatch: checkpoint has k=" +
+            std::to_string(saved_k) + ", this instance has k=" +
+            std::to_string(k()));
   }
   const uint32_t saved_words = r->U32();
   if (saved_words != words_) {
-    *error = "edge_state replica-mask width mismatch: checkpoint has " +
-             std::to_string(saved_words) + " words/vertex, expected " +
-             std::to_string(words_);
-    return false;
+    r->Fail("edge_state replica-mask width mismatch: checkpoint has " +
+            std::to_string(saved_words) + " words/vertex, expected " +
+            std::to_string(words_));
   }
   edges_assigned_ = r->U64();
   edge_hash_ = r->U64();
@@ -200,16 +193,14 @@ bool EdgePartitioner::RestoreState(io::CheckpointReader* r,
   r->PodVec(&degrees_);
   r->PodVec(&replicas_);
   if (loads_.size() != k()) {
-    *error = "edge_state load table has " + std::to_string(loads_.size()) +
-             " entries, expected k=" + std::to_string(k());
-    return false;
+    r->Fail("edge_state load table has " + std::to_string(loads_.size()) +
+            " entries, expected k=" + std::to_string(k()));
   }
   if (replicas_.size() != degrees_.size() * words_) {
-    *error = "edge_state replica table has " +
-             std::to_string(replicas_.size()) + " words for " +
-             std::to_string(degrees_.size()) + " vertices (expected " +
-             std::to_string(degrees_.size() * words_) + ")";
-    return false;
+    r->Fail("edge_state replica table has " +
+            std::to_string(replicas_.size()) + " words for " +
+            std::to_string(degrees_.size()) + " vertices (expected " +
+            std::to_string(degrees_.size() * words_) + ")");
   }
   // Semantic validation (same discipline as DynamicGraph::LoadFrom): the
   // stored scalar counters must agree with the loaded tables, so a
@@ -218,10 +209,9 @@ bool EdgePartitioner::RestoreState(io::CheckpointReader* r,
   const uint64_t load_sum =
       std::accumulate(loads_.begin(), loads_.end(), uint64_t{0});
   if (load_sum != edges_assigned_) {
-    *error = "edge_state counter desync: part loads sum to " +
-             std::to_string(load_sum) + " but edges_assigned=" +
-             std::to_string(edges_assigned_);
-    return false;
+    r->Fail("edge_state counter desync: part loads sum to " +
+            std::to_string(load_sum) + " but edges_assigned=" +
+            std::to_string(edges_assigned_));
   }
   uint64_t mask_bits = 0, mask_vertices = 0;
   for (size_t v = 0; v < degrees_.size(); ++v) {
@@ -233,17 +223,15 @@ bool EdgePartitioner::RestoreState(io::CheckpointReader* r,
     if (bits > 0) ++mask_vertices;
   }
   if (mask_bits != replica_total_ || mask_vertices != vertices_seen_) {
-    *error = "edge_state counter desync: replica masks hold " +
-             std::to_string(mask_bits) + " bits over " +
-             std::to_string(mask_vertices) + " vertices but counters say " +
-             std::to_string(replica_total_) + " / " +
-             std::to_string(vertices_seen_);
-    return false;
+    r->Fail("edge_state counter desync: replica masks hold " +
+            std::to_string(mask_bits) + " bits over " +
+            std::to_string(mask_vertices) + " vertices but counters say " +
+            std::to_string(replica_total_) + " / " +
+            std::to_string(vertices_seen_));
   }
-  if (!RestoreExtra(r, error)) return false;
+  RestoreExtra(r);
   r->Close();
   partitioning_.LoadFrom(r);
-  return true;
 }
 
 }  // namespace edge

@@ -39,7 +39,8 @@ namespace edge {
 
 class EdgePartitioner : public Partitioner {
  public:
-  explicit EdgePartitioner(const PartitionerConfig& config);
+  /// Reads k and expected_vertices.
+  explicit EdgePartitioner(const engine::EngineOptions& options);
 
   /// Per edge: updates partial degrees, asks the subclass for a placement,
   /// then commits: replica sets, part load, edge hash, primary vertex
@@ -58,8 +59,12 @@ class EdgePartitioner : public Partitioner {
   /// hash) quality triple from.
   void FillFinalStats(engine::StatCounters* stats) const override;
 
-  bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
-  bool RestoreState(io::CheckpointReader* r, std::string* error) override;
+  /// One "edge_state" section (tables, counters and the subclass's
+  /// SaveExtra payload), then the primary vertex table. Restore rejects a
+  /// used instance, a k or replica-mask width other than this instance's,
+  /// mis-sized tables and counters that disagree with them.
+  void SaveState(io::CheckpointWriter* w) const override;
+  void RestoreState(io::CheckpointReader* r) override;
 
   // ------------------------------------------------------ quality readouts
 
@@ -96,12 +101,10 @@ class EdgePartitioner : public Partitioner {
   /// nothing downstream of the return has been committed yet.
   virtual graph::PartitionId PlaceEdge(const stream::StreamEdge& e) = 0;
 
-  /// Subclass scalars carried inside the "edge_state" section (HDRF's λ/ε
-  /// fingerprint). Restore returns false + `*error` on mismatch.
+  /// Subclass state carried inside the "edge_state" section (hep's split).
+  /// Restore rejects an inconsistent payload through `r->Fail`.
   virtual void SaveExtra(io::CheckpointWriter*) const {}
-  virtual bool RestoreExtra(io::CheckpointReader*, std::string*) {
-    return true;
-  }
+  virtual void RestoreExtra(io::CheckpointReader*) {}
 
   uint32_t k() const { return partitioning_.k(); }
 

@@ -7,9 +7,10 @@ namespace loom {
 namespace partition {
 namespace edge {
 
-HdrfPartitioner::HdrfPartitioner(const PartitionerConfig& config,
-                                 double lambda, double epsilon)
-    : EdgePartitioner(config), lambda_(lambda), epsilon_(epsilon) {
+HdrfPartitioner::HdrfPartitioner(const engine::EngineOptions& options)
+    : EdgePartitioner(options),
+      lambda_(options.lambda),
+      epsilon_(options.epsilon) {
   // NaN fails every ordered comparison, so "lambda_ < 0.0" alone would let
   // hdrf:lambda=nan through — every score would be NaN, "score > best"
   // would never fire and all edges would silently land in partition 0.
@@ -24,28 +25,6 @@ HdrfPartitioner::HdrfPartitioner(const PartitionerConfig& config,
 
 graph::PartitionId HdrfPartitioner::PlaceEdge(const stream::StreamEdge& e) {
   return HdrfGreedyPick(e, lambda_, epsilon_);
-}
-
-void HdrfPartitioner::SaveExtra(io::CheckpointWriter* w) const {
-  w->F64(lambda_);
-  w->F64(epsilon_);
-}
-
-bool HdrfPartitioner::RestoreExtra(io::CheckpointReader* r,
-                                   std::string* error) {
-  // Bit-exact F64 comparison: the session's options fingerprint already
-  // catches spec drift, but a checkpoint can also be restored through the
-  // partitioner API directly — defence in depth.
-  const double saved_lambda = r->F64();
-  const double saved_epsilon = r->F64();
-  if (saved_lambda != lambda_ || saved_epsilon != epsilon_) {
-    *error = "hdrf parameter mismatch: checkpoint has lambda=" +
-             std::to_string(saved_lambda) + " epsilon=" +
-             std::to_string(saved_epsilon) + ", this instance has lambda=" +
-             std::to_string(lambda_) + " epsilon=" + std::to_string(epsilon_);
-    return false;
-  }
-  return true;
 }
 
 }  // namespace edge

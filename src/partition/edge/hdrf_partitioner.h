@@ -31,23 +31,16 @@ namespace edge {
 
 class HdrfPartitioner final : public EdgePartitioner {
  public:
-  /// `lambda` >= 0 weights the balance term; `epsilon` > 0 guards its
-  /// denominator. (Engine spec: "hdrf:lambda=1.1,epsilon=1".)
-  HdrfPartitioner(const PartitionerConfig& config, double lambda,
-                  double epsilon);
+  /// Reads k, expected_vertices, `lambda` (>= 0, weights the balance term)
+  /// and `epsilon` (> 0, guards its denominator); throws
+  /// std::invalid_argument on a non-finite or out-of-range value. (Engine
+  /// spec: "hdrf:lambda=1.1,epsilon=1".)
+  explicit HdrfPartitioner(const engine::EngineOptions& options);
 
   std::string name() const override { return "hdrf"; }
 
-  double lambda() const { return lambda_; }
-  double epsilon() const { return epsilon_; }
-
  protected:
   graph::PartitionId PlaceEdge(const stream::StreamEdge& e) override;
-
-  /// λ/ε ride in the checkpoint and are verified on restore — a drifted
-  /// balance weight would silently change every post-resume placement.
-  void SaveExtra(io::CheckpointWriter* w) const override;
-  bool RestoreExtra(io::CheckpointReader* r, std::string* error) override;
 
  private:
   const double lambda_;

@@ -21,15 +21,13 @@ constexpr double kNeighborWeight = 0.9;
 
 }  // namespace
 
-HepPartitioner::HepPartitioner(const PartitionerConfig& config,
-                               double threshold_factor, double lambda,
-                               double epsilon)
-    : EdgePartitioner(config),
-      threshold_factor_(threshold_factor),
-      lambda_(lambda),
-      epsilon_(epsilon),
-      capacity_factor_(config.max_imbalance),
-      nbr_scratch_(config.k, 0) {
+HepPartitioner::HepPartitioner(const engine::EngineOptions& options)
+    : EdgePartitioner(options),
+      threshold_factor_(options.threshold_factor),
+      lambda_(options.lambda),
+      epsilon_(options.epsilon),
+      capacity_factor_(options.max_imbalance),
+      nbr_scratch_(options.k, 0) {
   // Same non-finite discipline as HdrfPartitioner: NaN fails every ordered
   // comparison, so range checks alone would accept it and silently skew
   // every placement.
@@ -42,7 +40,7 @@ HepPartitioner::HepPartitioner(const PartitionerConfig& config,
   if (!std::isfinite(epsilon_) || epsilon_ <= 0.0) {
     throw std::invalid_argument("hep: epsilon must be finite and > 0");
   }
-  core_adj_.reserve(config.expected_vertices);
+  core_adj_.reserve(options.expected_vertices);
 }
 
 void HepPartitioner::MaybePromote(graph::VertexId v, double threshold) {
@@ -160,9 +158,6 @@ void HepPartitioner::FillFinalStats(engine::StatCounters* stats) const {
 }
 
 void HepPartitioner::SaveExtra(io::CheckpointWriter* w) const {
-  w->F64(threshold_factor_);
-  w->F64(lambda_);
-  w->F64(epsilon_);
   w->U64(touched_);
   w->U64(core_edges_);
   w->U64(fallback_edges_);
@@ -184,33 +179,14 @@ void HepPartitioner::SaveExtra(io::CheckpointWriter* w) const {
   w->PodVec(flat);
 }
 
-bool HepPartitioner::RestoreExtra(io::CheckpointReader* r,
-                                  std::string* error) {
-  // Bit-exact knob fingerprints, same defence in depth as HDRF's lambda
-  // check: a drifted threshold would silently change every post-resume
-  // promotion and placement.
-  const double saved_tf = r->F64();
-  const double saved_lambda = r->F64();
-  const double saved_epsilon = r->F64();
-  if (saved_tf != threshold_factor_ || saved_lambda != lambda_ ||
-      saved_epsilon != epsilon_) {
-    *error = "hep parameter mismatch: checkpoint has threshold_factor=" +
-             std::to_string(saved_tf) + " lambda=" +
-             std::to_string(saved_lambda) + " epsilon=" +
-             std::to_string(saved_epsilon) +
-             ", this instance has threshold_factor=" +
-             std::to_string(threshold_factor_) + " lambda=" +
-             std::to_string(lambda_) + " epsilon=" + std::to_string(epsilon_);
-    return false;
-  }
+void HepPartitioner::RestoreExtra(io::CheckpointReader* r) {
   touched_ = r->U64();
   core_edges_ = r->U64();
   fallback_edges_ = r->U64();
   if (core_edges_ + fallback_edges_ != EdgesAssigned()) {
-    *error = "hep counter desync: core_edges=" + std::to_string(core_edges_) +
-             " + fallback_edges=" + std::to_string(fallback_edges_) +
-             " != edges_assigned=" + std::to_string(EdgesAssigned());
-    return false;
+    r->Fail("hep counter desync: core_edges=" + std::to_string(core_edges_) +
+            " + fallback_edges=" + std::to_string(fallback_edges_) +
+            " != edges_assigned=" + std::to_string(EdgesAssigned()));
   }
   std::vector<uint64_t> words;
   r->PodVec(&words);
@@ -222,10 +198,9 @@ bool HepPartitioner::RestoreExtra(io::CheckpointReader* r,
   const uint64_t total =
       std::accumulate(counts.begin(), counts.end(), uint64_t{0});
   if (total != flat.size()) {
-    *error = "hep core adjacency desync: slot counts sum to " +
-             std::to_string(total) + " but " + std::to_string(flat.size()) +
-             " neighbor ids are stored";
-    return false;
+    r->Fail("hep core adjacency desync: slot counts sum to " +
+            std::to_string(total) + " but " + std::to_string(flat.size()) +
+            " neighbor ids are stored");
   }
   core_adj_.assign(counts.size(), {});
   size_t offset = 0;
@@ -234,7 +209,6 @@ bool HepPartitioner::RestoreExtra(io::CheckpointReader* r,
     core_adj_[v].assign(flat.begin() + offset, flat.begin() + offset + n);
     offset += n;
   }
-  return true;
 }
 
 }  // namespace edge

@@ -32,8 +32,8 @@
 // Determinism contract: same as every edge backend (placements depend only
 // on the edge sequence), pinned by tests/edge_partition_test.cc and the
 // crash-recovery kill-point matrix. All hybrid state (promotion bitset,
-// core adjacency, distinct-vertex counter, knob fingerprints) rides the
-// checkpoint through SaveExtra/RestoreExtra.
+// core adjacency, distinct-vertex and split counters) rides the checkpoint
+// through SaveExtra/RestoreExtra.
 
 #ifndef LOOM_PARTITION_EDGE_HEP_PARTITIONER_H_
 #define LOOM_PARTITION_EDGE_HEP_PARTITIONER_H_
@@ -49,15 +49,14 @@ namespace edge {
 
 class HepPartitioner final : public EdgePartitioner {
  public:
-  /// `threshold_factor` > 0 scales the high/low-degree split point;
-  /// `lambda`/`epsilon` parameterise the HDRF fallback exactly as in
-  /// HdrfPartitioner. (Engine spec: "hep:threshold_factor=4,lambda=1.1".)
-  HepPartitioner(const PartitionerConfig& config, double threshold_factor,
-                 double lambda, double epsilon);
+  /// Reads k, expected_vertices, max_imbalance (the hard edge-balance
+  /// cap), `threshold_factor` (> 0, scales the high/low-degree split point)
+  /// and `lambda`/`epsilon` (the HDRF fallback, exactly as in
+  /// HdrfPartitioner); throws std::invalid_argument on a non-finite or
+  /// out-of-range value. (Engine spec: "hep:threshold_factor=4,lambda=1.1".)
+  explicit HepPartitioner(const engine::EngineOptions& options);
 
   std::string name() const override { return "hep"; }
-
-  double threshold_factor() const { return threshold_factor_; }
 
   /// Vertices promoted to the high-degree (streamed) side so far.
   uint64_t HighDegreeCount() const { return high_degree_.Count(); }
@@ -70,7 +69,7 @@ class HepPartitioner final : public EdgePartitioner {
   graph::PartitionId PlaceEdge(const stream::StreamEdge& e) override;
 
   void SaveExtra(io::CheckpointWriter* w) const override;
-  bool RestoreExtra(io::CheckpointReader* r, std::string* error) override;
+  void RestoreExtra(io::CheckpointReader* r) override;
 
  private:
   /// Promotes v when its partial degree crosses `threshold`, freeing its

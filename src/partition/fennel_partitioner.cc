@@ -6,18 +6,18 @@
 namespace loom {
 namespace partition {
 
-FennelPartitioner::FennelPartitioner(const PartitionerConfig& config,
-                                     double gamma)
-    : partitioning_(config.k, config.expected_vertices, config.max_imbalance),
-      seen_(config.expected_vertices, /*page_entries=*/0,
-            /*expected_entries=*/2 * config.expected_edges),
-      gamma_(gamma) {
+FennelPartitioner::FennelPartitioner(const engine::EngineOptions& options)
+    : partitioning_(options.k, options.expected_vertices,
+                    options.max_imbalance),
+      seen_(options.expected_vertices, /*page_entries=*/0,
+            /*expected_entries=*/2 * options.expected_edges),
+      gamma_(options.fennel_gamma) {
   const double n = static_cast<double>(
-      config.expected_vertices > 0 ? config.expected_vertices : 1);
+      options.expected_vertices > 0 ? options.expected_vertices : 1);
   const double m = static_cast<double>(
-      config.expected_edges > 0 ? config.expected_edges : 1);
+      options.expected_edges > 0 ? options.expected_edges : 1);
   // α = m · k^(γ-1) / n^γ  (for γ=1.5 this is the paper's √k·m/n^1.5).
-  alpha_ = m * std::pow(static_cast<double>(config.k), gamma_ - 1.0) /
+  alpha_ = m * std::pow(static_cast<double>(options.k), gamma_ - 1.0) /
            std::pow(n, gamma_);
 }
 
@@ -63,18 +63,14 @@ void FennelPartitioner::IngestBatch(
   }
 }
 
-bool FennelPartitioner::SaveState(io::CheckpointWriter* w, std::string* error) const {
-  (void)error;
+void FennelPartitioner::SaveState(io::CheckpointWriter* w) const {
   partitioning_.SaveTo(w);
   seen_.SaveTo(w, "seen_graph");
-  return true;
 }
 
-bool FennelPartitioner::RestoreState(io::CheckpointReader* r, std::string* error) {
-  (void)error;
+void FennelPartitioner::RestoreState(io::CheckpointReader* r) {
   partitioning_.LoadFrom(r);
   seen_.LoadFrom(r, "seen_graph");
-  return true;
 }
 
 }  // namespace partition

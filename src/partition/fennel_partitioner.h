@@ -17,9 +17,9 @@ namespace partition {
 
 class FennelPartitioner : public Partitioner {
  public:
-  /// `gamma` defaults to the paper's 1.5.
-  explicit FennelPartitioner(const PartitionerConfig& config,
-                             double gamma = 1.5);
+  /// Reads k, expected_vertices/edges, max_imbalance and fennel_gamma (the
+  /// paper's 1.5 by default).
+  explicit FennelPartitioner(const engine::EngineOptions& options);
 
   void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   const Partitioning& partitioning() const override { return partitioning_; }
@@ -30,8 +30,8 @@ class FennelPartitioner : public Partitioner {
 
   /// Table + seen-graph, as for LDG (gamma/alpha are ctor-derived constants
   /// and need no serialisation).
-  bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
-  bool RestoreState(io::CheckpointReader* r, std::string* error) override;
+  void SaveState(io::CheckpointWriter* w) const override;
+  void RestoreState(io::CheckpointReader* r) override;
 
  private:
   /// Greedy placement of a single vertex.

@@ -12,10 +12,10 @@ inline uint64_t MixVertex(uint64_t x) {
 }
 }  // namespace
 
-HashPartitioner::HashPartitioner(const PartitionerConfig& config)
+HashPartitioner::HashPartitioner(const engine::EngineOptions& options)
     // Hash ignores capacity (it is balanced in expectation); give it slack so
     // Assign never has to divert, matching a truly stateless hash placement.
-    : partitioning_(config.k, config.expected_vertices, /*nu=*/2.0) {}
+    : partitioning_(options.k, options.expected_vertices, /*nu=*/2.0) {}
 
 graph::PartitionId HashPartitioner::HashPlace(graph::VertexId v) const {
   return static_cast<graph::PartitionId>(MixVertex(v) % partitioning_.k());
@@ -28,18 +28,12 @@ void HashPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
   }
 }
 
-bool HashPartitioner::SaveState(io::CheckpointWriter* w,
-                                std::string* error) const {
-  (void)error;
+void HashPartitioner::SaveState(io::CheckpointWriter* w) const {
   partitioning_.SaveTo(w);
-  return true;
 }
 
-bool HashPartitioner::RestoreState(io::CheckpointReader* r,
-                                   std::string* error) {
-  (void)error;
+void HashPartitioner::RestoreState(io::CheckpointReader* r) {
   partitioning_.LoadFrom(r);
-  return true;
 }
 
 }  // namespace partition

@@ -12,7 +12,8 @@ namespace partition {
 
 class HashPartitioner : public Partitioner {
  public:
-  explicit HashPartitioner(const PartitionerConfig& config);
+  /// Reads k and expected_vertices.
+  explicit HashPartitioner(const engine::EngineOptions& options);
 
   void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   const Partitioning& partitioning() const override { return partitioning_; }
@@ -22,8 +23,8 @@ class HashPartitioner : public Partitioner {
   graph::PartitionId HashPlace(graph::VertexId v) const;
 
   /// Table only: the placement rule reads nothing else.
-  bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
-  bool RestoreState(io::CheckpointReader* r, std::string* error) override;
+  void SaveState(io::CheckpointWriter* w) const override;
+  void RestoreState(io::CheckpointReader* r) override;
 
  private:
   Partitioning partitioning_;

@@ -93,14 +93,14 @@ graph::PartitionId LdgHeuristic::Choose(const stream::StreamEdge& e,
   return BestByWeightedCount(counts, partitioning, had_signal);
 }
 
-LdgPartitioner::LdgPartitioner(const PartitionerConfig& config)
+LdgPartitioner::LdgPartitioner(const engine::EngineOptions& options)
     // LDG's capacity constraint is the strict C = n/k (its residual weight
     // reaches zero at perfect balance), which is why the paper observes only
     // 1-3% imbalance for LDG vs Fennel's/Loom's ~10%.
-    : partitioning_(config.k, config.expected_vertices, /*nu=*/1.0),
-      seen_(config.expected_vertices, /*page_entries=*/0,
-            /*expected_entries=*/2 * config.expected_edges),
-      hub_(config.k, config.hub_degree_threshold) {}
+    : partitioning_(options.k, options.expected_vertices, /*nu=*/1.0),
+      seen_(options.expected_vertices, /*page_entries=*/0,
+            /*expected_entries=*/2 * options.expected_edges),
+      hub_(options.k, options.hub_threshold) {}
 
 void LdgPartitioner::AssignVertex(graph::VertexId v, graph::PartitionId target) {
   const graph::PartitionId actual =
@@ -129,18 +129,14 @@ void LdgPartitioner::IngestBatch(std::span<const stream::StreamEdge> batch) {
   }
 }
 
-bool LdgPartitioner::SaveState(io::CheckpointWriter* w, std::string* error) const {
-  (void)error;
+void LdgPartitioner::SaveState(io::CheckpointWriter* w) const {
   partitioning_.SaveTo(w);
   seen_.SaveTo(w, "seen_graph");
-  return true;
 }
 
-bool LdgPartitioner::RestoreState(io::CheckpointReader* r, std::string* error) {
-  (void)error;
+void LdgPartitioner::RestoreState(io::CheckpointReader* r) {
   partitioning_.LoadFrom(r);
   seen_.LoadFrom(r, "seen_graph");
-  return true;
 }
 
 }  // namespace partition

@@ -50,7 +50,9 @@ class LdgHeuristic {
 
 class LdgPartitioner : public Partitioner {
  public:
-  explicit LdgPartitioner(const PartitionerConfig& config);
+  /// Reads k, expected_vertices/edges and hub_threshold (LDG fixes its own
+  /// strict capacity n/k, so max_imbalance is unread).
+  explicit LdgPartitioner(const engine::EngineOptions& options);
 
   void IngestBatch(std::span<const stream::StreamEdge> batch) override;
   const Partitioning& partitioning() const override { return partitioning_; }
@@ -58,8 +60,8 @@ class LdgPartitioner : public Partitioner {
 
   /// Table + streamed-so-far adjacency: LDG's score reads the seen-graph,
   /// so a table-only snapshot would not resume bit-identically.
-  bool SaveState(io::CheckpointWriter* w, std::string* error) const override;
-  bool RestoreState(io::CheckpointReader* r, std::string* error) override;
+  void SaveState(io::CheckpointWriter* w) const override;
+  void RestoreState(io::CheckpointReader* r) override;
 
  private:
   void AssignVertex(graph::VertexId v, graph::PartitionId target);

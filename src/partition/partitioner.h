@@ -3,11 +3,13 @@
 // vertex partitioning, append each placement to the bound assignment
 // sinks, and report its progress gauges and end-of-run counters.
 //
-// Construction goes through engine::PartitionerRegistry (the fixed set
-// "hash", "ldg", "fennel", "loom", "hdrf", "dbh", "hep") for everything
-// outside src/ internals and unit tests; see engine/engine.h. Runs go
-// through engine::Session, which pulls an EdgeSource into IngestBatch and
-// builds the run's report.
+// Every backend is constructed from one resolved engine::EngineOptions
+// (each reads the keys it uses), through engine::PartitionerRegistry (the
+// fixed set "hash", "ldg", "fennel", "loom", "hdrf", "dbh", "hep") for
+// everything outside src/ internals and unit tests; see engine/engine.h.
+// Runs go through engine::Session, which pulls an EdgeSource into
+// IngestBatch, builds the run's report and owns the options check of a
+// resumed checkpoint.
 
 #ifndef LOOM_PARTITION_PARTITIONER_H_
 #define LOOM_PARTITION_PARTITIONER_H_
@@ -16,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine_options.h"
 #include "engine/run_stats.h"
 #include "io/assignment_sink.h"
 #include "io/checkpoint.h"
@@ -24,23 +27,6 @@
 
 namespace loom {
 namespace partition {
-
-/// Shared configuration. Streaming partitioners (LDG, Fennel and the paper's
-/// Loom evaluation) are parameterised by the expected totals n and m — a
-/// standard assumption for this family of algorithms. (Callers normally
-/// express this through engine::EngineOptions, whose BaseConfig() produces
-/// one of these.)
-struct PartitionerConfig {
-  uint32_t k = 8;                    // number of partitions
-  size_t expected_vertices = 0;      // n
-  size_t expected_edges = 0;         // m
-  double max_imbalance = 1.1;        // ν: capacity = ν·n/k
-
-  // Hub tally cache threshold (0 = 128; UINT32_MAX disables the cache).
-  // SPEED only — assignments are bit-identical for every value (pinned by
-  // differential tests).
-  uint32_t hub_degree_threshold = 0;
-};
 
 class Partitioner {
  public:
@@ -108,16 +94,17 @@ class Partitioner {
   /// with the same options/context, then ingesting the remaining stream
   /// suffix, must produce assignments, progress gauges and final stats
   /// BIT-IDENTICAL to the uninterrupted run (pinned by
-  /// tests/crash_recovery_test.cc). Returns false + `*error` for backends
-  /// that cannot snapshot.
-  virtual bool SaveState(io::CheckpointWriter* w, std::string* error) const = 0;
+  /// tests/crash_recovery_test.cc).
+  virtual void SaveState(io::CheckpointWriter* w) const = 0;
 
-  /// Restores a SaveState snapshot. Must be called on a fresh instance
-  /// (nothing ingested); returns false + an actionable `*error` on any
-  /// mismatch (backend, options fingerprint, label space) — the instance
-  /// may not be used after a failed restore. Structural corruption throws
-  /// from the reader before this is reached.
-  virtual bool RestoreState(io::CheckpointReader* r, std::string* error) = 0;
+  /// Restores a SaveState snapshot into a fresh instance (nothing
+  /// ingested). The options it was built with are not re-checked here:
+  /// engine::Session compares every EngineOptions key before any backend
+  /// restores. What the session cannot see — a used instance, a label
+  /// space, table shapes and counters that disagree — is rejected through
+  /// `r->Fail`, like structural corruption the reader itself catches; the
+  /// instance may not be used after a throw.
+  virtual void RestoreState(io::CheckpointReader* r) = 0;
 
  protected:
   /// First-writer-wins assignment that appends the placement actually used

@@ -35,6 +35,7 @@
 #include "graph/dynamic_graph.h"
 #include "io/checkpoint.h"
 #include "motif/match_list.h"
+#include "query/query.h"
 #include "stream/stream_order.h"
 #include "test_util.h"
 
@@ -477,16 +478,18 @@ TEST_F(CorruptionTest, BadMagicAndFutureVersionAreActionable) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
-// Older files carry a session section this build no longer reads: v1 has
-// three progress fields and two option keys that v2 dropped, v2 has the
-// "simd" option key that v3 dropped, v3 has the "adj_page" option key that
-// v4 dropped, v4 has the eviction/cluster totals and the "compact_interval"
+// Older files carry sections this build no longer reads: v1 has three
+// progress fields and two option keys that v2 dropped, v2 has the "simd"
+// option key that v3 dropped, v3 has the "adj_page" option key that v4
+// dropped, v4 has the eviction/cluster totals and the "compact_interval"
 // key that v5 dropped, v5 has the empty-cluster eviction count that v6
 // dropped, v6 has the assignment count and progress snapshot that v7
-// dropped. They must fail on the version check, naming both versions, not
-// on a confusing layout or arity error further in.
+// dropped, v7 has the ingested-edge count that v8 dropped from
+// "loom_stats", and v8 has the option fingerprints that v9 dropped from
+// "loom" and "edge_state". They must fail on the version check, naming
+// both versions, not on a confusing layout or arity error further in.
 TEST_F(CorruptionTest, VersionOneCheckpointIsRejectedByVersion) {
-  for (const uint16_t old_version : {1, 2, 3, 4, 5, 6, 7}) {
+  for (const uint16_t old_version : {1, 2, 3, 4, 5, 6, 7, 8}) {
     SCOPED_TRACE("v" + std::to_string(old_version));
     std::vector<char> old = bytes_;
     old[6] = static_cast<char>(old_version);
@@ -518,6 +521,39 @@ TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
     EXPECT_FALSE(session->Resume(path_, &error));
     EXPECT_NE(error.find("window_size"), std::string::npos) << error;
   }
+  // The session's option check is the only one: every backend key is
+  // named by it. Each checkpoint is written by one backend and resumed
+  // with one of its own keys changed in the spec.
+  struct Skew {
+    const char* spec;
+    const char* skewed_spec;
+    const char* key;
+  };
+  for (const Skew& skew : {Skew{"hdrf", "hdrf:lambda=2", "lambda"},
+                           Skew{"hep", "hep:threshold_factor=2",
+                                "threshold_factor"},
+                           Skew{"fennel", "fennel:fennel_gamma=2",
+                                "fennel_gamma"}}) {
+    SCOPED_TRACE(skew.skewed_spec);
+    const std::string path =
+        TempPath(std::string(skew.spec) + "_skew.loomck");
+    {
+      auto writer = MustCreate(skew.spec, ds_);
+      ASSERT_NE(writer, nullptr);
+      engine::SpanEdgeSource source(es_);
+      writer->IngestSome(source, es_.size() / 2);
+      std::string error;
+      ASSERT_TRUE(writer->Checkpoint(path, &error)) << error;
+    }
+    auto session = MustCreate(skew.skewed_spec, ds_);
+    ASSERT_NE(session, nullptr);
+    std::string error;
+    EXPECT_FALSE(session->Resume(path, &error));
+    EXPECT_NE(error.find("options mismatch on '" + std::string(skew.key) +
+                         "'"),
+              std::string::npos)
+        << error;
+  }
   // Different backend entirely.
   {
     auto session = MustCreate("hash", ds_);
@@ -535,6 +571,45 @@ TEST_F(CorruptionTest, ConfigurationSkewIsNamedNotSilent) {
     ASSERT_NE(session, nullptr) << error;
     EXPECT_FALSE(session->Resume(path_, &error));
     EXPECT_NE(error.find("label-space mismatch"), std::string::npos) << error;
+  }
+  // Same options and labels, drifted workload (one query's frequency
+  // doubled): only Loom's TPSTry++ fingerprint can see it.
+  {
+    query::Workload drifted;
+    for (size_t i = 0; i < ds_.workload.size(); ++i) {
+      const query::Query& q = ds_.workload.queries()[i];
+      drifted.Add(q.name, q.pattern, i == 0 ? 2 * q.frequency : q.frequency);
+    }
+    std::string error;
+    auto session = engine::Session::Create(
+        ConfigFor("loom", ds_), {&drifted, ds_.registry.size()}, &error);
+    ASSERT_NE(session, nullptr) << error;
+    EXPECT_FALSE(session->Resume(path_, &error));
+    EXPECT_NE(error.find("workload mismatch"), std::string::npos) << error;
+  }
+  // A session section with one option too many (a build with a different
+  // option set) fails on the arity, before any key is compared.
+  {
+    const std::string path = TempPath("arity.loomck");
+    io::CheckpointWriter w;
+    w.BeginSection("session");
+    w.Str("loom");
+    w.U64(0);
+    const auto flat = ConfigFor("loom", ds_).options.ToFlat();
+    w.U32(static_cast<uint32_t>(flat.size() + 1));
+    for (const auto& [key, value] : flat) {
+      w.Str(key);
+      w.Str(value);
+    }
+    w.Str("retired_key");
+    w.Str("1");
+    w.EndSection();
+    w.Commit(path);
+    auto session = MustCreate("loom", ds_);
+    std::string error;
+    EXPECT_FALSE(session->Resume(path, &error));
+    EXPECT_NE(error.find("engine options arity mismatch"), std::string::npos)
+        << error;
   }
   // A used session cannot Resume (restore assumes pristine structures).
   {

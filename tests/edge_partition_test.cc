@@ -46,18 +46,28 @@ namespace fs = std::filesystem;
 
 constexpr double kScale = 0.05;
 
-PartitionerConfig ConfigFor(const datasets::Dataset& ds, uint32_t k = 8) {
-  PartitionerConfig config;
-  config.k = k;
-  config.expected_vertices = ds.NumVertices();
-  config.expected_edges = ds.NumEdges();
-  return config;
-}
-
 engine::StatCounters FinalStatsOf(const Partitioner& p) {
   engine::StatCounters stats;
   p.FillFinalStats(&stats);
   return stats;
+}
+
+// A rejected restore throws through CheckpointReader::Fail, with an error
+// that names the file and carries `text`.
+void ExpectRestoreFails(Partitioner* p, io::CheckpointReader* r,
+                        const std::string& text) {
+  EXPECT_THROW(
+      {
+        try {
+          p->RestoreState(r);
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find(text), std::string::npos) << what;
+          EXPECT_NE(what.find(r->path()), std::string::npos) << what;
+          throw;
+        }
+      },
+      std::runtime_error);
 }
 
 std::string TempPath(const std::string& name) {
@@ -121,17 +131,23 @@ TEST(EdgePartitionRegistryTest, BadKnobValuesFailActionably) {
 // Non-finite knobs must also fail at DIRECT construction (defence in depth
 // for programmatic callers that never go through the option parser).
 TEST(EdgePartitionRegistryTest, NonFiniteKnobsThrowOnDirectConstruction) {
-  PartitionerConfig config;
-  config.k = 8;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(HdrfPartitioner(config, nan, 1.0), std::invalid_argument);
-  EXPECT_THROW(HdrfPartitioner(config, 1.1, nan), std::invalid_argument);
-  EXPECT_THROW(HdrfPartitioner(config, inf, 1.0), std::invalid_argument);
-  EXPECT_THROW(HepPartitioner(config, nan, 1.1, 1.0), std::invalid_argument);
-  EXPECT_THROW(HepPartitioner(config, 4.0, nan, 1.0), std::invalid_argument);
-  EXPECT_THROW(HepPartitioner(config, 4.0, 1.1, nan), std::invalid_argument);
-  EXPECT_THROW(HepPartitioner(config, 0.0, 1.1, 1.0), std::invalid_argument);
+  using O = engine::EngineOptions;
+  const auto with = [](double O::*knob, double value) {
+    O options;
+    options.*knob = value;
+    return options;
+  };
+  EXPECT_THROW(HdrfPartitioner(with(&O::lambda, nan)), std::invalid_argument);
+  EXPECT_THROW(HdrfPartitioner(with(&O::epsilon, nan)), std::invalid_argument);
+  EXPECT_THROW(HdrfPartitioner(with(&O::lambda, inf)), std::invalid_argument);
+  EXPECT_THROW(HepPartitioner(with(&O::threshold_factor, nan)),
+               std::invalid_argument);
+  EXPECT_THROW(HepPartitioner(with(&O::lambda, nan)), std::invalid_argument);
+  EXPECT_THROW(HepPartitioner(with(&O::epsilon, nan)), std::invalid_argument);
+  EXPECT_THROW(HepPartitioner(with(&O::threshold_factor, 0.0)),
+               std::invalid_argument);
 }
 
 // Every float-typed EngineOptions key shares the same NaN hole if parsed
@@ -234,7 +250,7 @@ TEST(EdgePartitionBruteForceTest, HdrfStatsMatchPlacementLogReplay) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
+  HdrfPartitioner p(test_util::OptionsFor(ds));
   CheckBruteForce(&p, es, /*k=*/8);
 }
 
@@ -243,7 +259,7 @@ TEST(EdgePartitionBruteForceTest, DbhStatsMatchPlacementLogReplay) {
       datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kDepthFirst);
-  DbhPartitioner p(ConfigFor(ds));
+  DbhPartitioner p(test_util::OptionsFor(ds));
   CheckBruteForce(&p, es, /*k=*/8);
 }
 
@@ -252,8 +268,7 @@ TEST(EdgePartitionBruteForceTest, HepStatsMatchPlacementLogReplay) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HepPartitioner p(ConfigFor(ds), /*threshold_factor=*/4.0, /*lambda=*/1.1,
-                   /*epsilon=*/1.0);
+  HepPartitioner p(test_util::OptionsFor(ds));
   CheckBruteForce(&p, es, /*k=*/8);
   // The stream is skewed, so the split must actually engage: both the core
   // path and the high-degree fallback should have placed edges.
@@ -275,7 +290,9 @@ TEST(HdrfPropertyTest, LargeLambdaForcesNearPerfectEdgeBalance) {
       datasets::MakeDataset(datasets::DatasetId::kDblp, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1000.0, /*epsilon=*/1.0);
+  engine::EngineOptions options = test_util::OptionsFor(ds);
+  options.lambda = 1000.0;
+  HdrfPartitioner p(options);
   for (const stream::StreamEdge& e : es) p.Ingest(e);
   uint64_t max_load = 0, min_load = UINT64_MAX;
   for (graph::PartitionId part = 0; part < 8; ++part) {
@@ -292,8 +309,8 @@ TEST(HdrfPropertyTest, GreedyBeatsHashingOnReplicationFactor) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner hdrf(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
-  DbhPartitioner dbh(ConfigFor(ds));
+  HdrfPartitioner hdrf(test_util::OptionsFor(ds));
+  DbhPartitioner dbh(test_util::OptionsFor(ds));
   for (const stream::StreamEdge& e : es) {
     hdrf.Ingest(e);
     dbh.Ingest(e);
@@ -311,8 +328,9 @@ TEST(HepPropertyTest, ExtremeThresholdsDegenerateCleanly) {
 
   // threshold_factor so large nothing ever crosses it: every vertex stays
   // in the core, every edge goes through neighborhood expansion.
-  HepPartitioner all_low(ConfigFor(ds), /*threshold_factor=*/1e9,
-                         /*lambda=*/1.1, /*epsilon=*/1.0);
+  engine::EngineOptions options = test_util::OptionsFor(ds);
+  options.threshold_factor = 1e9;
+  HepPartitioner all_low(options);
   for (const stream::StreamEdge& e : es) all_low.Ingest(e);
   EXPECT_EQ(all_low.HighDegreeCount(), 0u);
   EXPECT_EQ(engine::FindCounter(FinalStatsOf(all_low), "hep_fallback_edges",
@@ -321,8 +339,8 @@ TEST(HepPropertyTest, ExtremeThresholdsDegenerateCleanly) {
 
   // threshold_factor so small every vertex is promoted on first sight:
   // everything falls back to the streamed HDRF rule.
-  HepPartitioner all_high(ConfigFor(ds), /*threshold_factor=*/1e-9,
-                          /*lambda=*/1.1, /*epsilon=*/1.0);
+  options.threshold_factor = 1e-9;
+  HepPartitioner all_high(options);
   for (const stream::StreamEdge& e : es) all_high.Ingest(e);
   EXPECT_GT(all_high.HighDegreeCount(), 0u);
   EXPECT_EQ(engine::FindCounter(FinalStatsOf(all_high), "hep_core_edges", 1),
@@ -339,10 +357,9 @@ TEST(HepPropertyTest, HardCapacityKeepsEdgeBalanceBounded) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  PartitionerConfig config = ConfigFor(ds);
-  config.max_imbalance = 1.05;
-  HepPartitioner p(config, /*threshold_factor=*/4.0, /*lambda=*/1.1,
-                   /*epsilon=*/1.0);
+  engine::EngineOptions options = test_util::OptionsFor(ds);
+  options.max_imbalance = 1.05;
+  HepPartitioner p(options);
   for (const stream::StreamEdge& e : es) p.Ingest(e);
   EXPECT_LE(p.EdgeBalance(),
             1.05 + 8.0 / static_cast<double>(es.size()) + 1e-9);
@@ -358,9 +375,8 @@ TEST(HepPropertyTest, HepBeatsHdrfOnReplicationFactor) {
       datasets::MakeDataset(datasets::DatasetId::kMusicBrainz, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner hdrf(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
-  HepPartitioner hep(ConfigFor(ds), /*threshold_factor=*/4.0, /*lambda=*/1.1,
-                     /*epsilon=*/1.0);
+  HdrfPartitioner hdrf(test_util::OptionsFor(ds));
+  HepPartitioner hep(test_util::OptionsFor(ds));
   for (const stream::StreamEdge& e : es) {
     hdrf.Ingest(e);
     hep.Ingest(e);
@@ -382,7 +398,7 @@ TEST(EdgePartitionReadoutTest, OutOfRangeReadoutsReturnEmptyNotUB) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
+  HdrfPartitioner p(test_util::OptionsFor(ds));
   for (size_t i = 0; i < 64 && i < es.size(); ++i) p.Ingest(es[i]);
 
   // Part id past k: load 0, no replica — not loads_[p] on a vector of 8.
@@ -489,13 +505,14 @@ TEST(EdgePartitionCheckpointTest, MidStreamRoundTripFinishesBitIdentically) {
   for (const char* which : {"hdrf", "dbh", "hep"}) {
     SCOPED_TRACE(which);
     auto make = [&]() -> std::unique_ptr<EdgePartitioner> {
+      const engine::EngineOptions options = test_util::OptionsFor(ds);
       if (std::string(which) == "hdrf") {
-        return std::make_unique<HdrfPartitioner>(ConfigFor(ds), 1.1, 1.0);
+        return std::make_unique<HdrfPartitioner>(options);
       }
       if (std::string(which) == "hep") {
-        return std::make_unique<HepPartitioner>(ConfigFor(ds), 4.0, 1.1, 1.0);
+        return std::make_unique<HepPartitioner>(options);
       }
-      return std::make_unique<DbhPartitioner>(ConfigFor(ds));
+      return std::make_unique<DbhPartitioner>(options);
     };
 
     auto baseline = make();
@@ -507,15 +524,13 @@ TEST(EdgePartitionCheckpointTest, MidStreamRoundTripFinishesBitIdentically) {
       auto doomed = make();
       for (size_t i = 0; i < half; ++i) doomed->Ingest(es[i]);
       io::CheckpointWriter w;
-      std::string error;
-      ASSERT_TRUE(doomed->SaveState(&w, &error)) << error;
+      doomed->SaveState(&w);
       w.Commit(path);
     }
 
     auto resumed = make();
     io::CheckpointReader r(path);
-    std::string error;
-    ASSERT_TRUE(resumed->RestoreState(&r, &error)) << error;
+    resumed->RestoreState(&r);
     for (size_t i = half; i < es.size(); ++i) resumed->Ingest(es[i]);
     resumed->Finalize();
 
@@ -523,54 +538,6 @@ TEST(EdgePartitionCheckpointTest, MidStreamRoundTripFinishesBitIdentically) {
     EXPECT_EQ(test_util::QualityOf(*resumed, ds),
               test_util::QualityOf(*baseline, ds));
   }
-}
-
-TEST(EdgePartitionCheckpointTest, HdrfParameterMismatchIsRejected) {
-  const datasets::Dataset ds =
-      datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const std::vector<stream::StreamEdge> es =
-      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-
-  const std::string path = TempPath("hdrf_lambda.loomck");
-  {
-    HdrfPartitioner p(ConfigFor(ds), /*lambda=*/1.1, /*epsilon=*/1.0);
-    for (size_t i = 0; i < 64 && i < es.size(); ++i) p.Ingest(es[i]);
-    io::CheckpointWriter w;
-    std::string error;
-    ASSERT_TRUE(p.SaveState(&w, &error)) << error;
-    w.Commit(path);
-  }
-
-  HdrfPartitioner other(ConfigFor(ds), /*lambda=*/2.0, /*epsilon=*/1.0);
-  io::CheckpointReader r(path);
-  std::string error;
-  EXPECT_FALSE(other.RestoreState(&r, &error));
-  EXPECT_NE(error.find("lambda"), std::string::npos) << error;
-}
-
-TEST(EdgePartitionCheckpointTest, HepParameterMismatchIsRejected) {
-  const datasets::Dataset ds =
-      datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
-  const std::vector<stream::StreamEdge> es =
-      test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-
-  const std::string path = TempPath("hep_threshold.loomck");
-  {
-    HepPartitioner p(ConfigFor(ds), /*threshold_factor=*/4.0, /*lambda=*/1.1,
-                     /*epsilon=*/1.0);
-    for (size_t i = 0; i < 64 && i < es.size(); ++i) p.Ingest(es[i]);
-    io::CheckpointWriter w;
-    std::string error;
-    ASSERT_TRUE(p.SaveState(&w, &error)) << error;
-    w.Commit(path);
-  }
-
-  HepPartitioner other(ConfigFor(ds), /*threshold_factor=*/2.0,
-                       /*lambda=*/1.1, /*epsilon=*/1.0);
-  io::CheckpointReader r(path);
-  std::string error;
-  EXPECT_FALSE(other.RestoreState(&r, &error));
-  EXPECT_NE(error.find("threshold_factor"), std::string::npos) << error;
 }
 
 TEST(EdgePartitionCheckpointTest, RestoreIntoUsedInstanceIsRejected) {
@@ -581,20 +548,17 @@ TEST(EdgePartitionCheckpointTest, RestoreIntoUsedInstanceIsRejected) {
 
   const std::string path = TempPath("dbh_used.loomck");
   {
-    DbhPartitioner p(ConfigFor(ds));
+    DbhPartitioner p(test_util::OptionsFor(ds));
     p.Ingest(es[0]);
     io::CheckpointWriter w;
-    std::string error;
-    ASSERT_TRUE(p.SaveState(&w, &error)) << error;
+    p.SaveState(&w);
     w.Commit(path);
   }
 
-  DbhPartitioner used(ConfigFor(ds));
+  DbhPartitioner used(test_util::OptionsFor(ds));
   used.Ingest(es[1]);
   io::CheckpointReader r(path);
-  std::string error;
-  EXPECT_FALSE(used.RestoreState(&r, &error));
-  EXPECT_NE(error.find("fresh"), std::string::npos) << error;
+  ExpectRestoreFails(&used, &r, "fresh");
 }
 
 // A checkpoint whose scalar counters disagree with its tables must be
@@ -628,13 +592,9 @@ TEST(EdgePartitionCheckpointTest, CounterDesyncIsRejected) {
     w.EndSection();
     w.Commit(path);
 
-    PartitionerConfig config;
-    config.k = 8;
-    DbhPartitioner p(config);
+    DbhPartitioner p{engine::EngineOptions()};  // k = 8
     io::CheckpointReader r(path);
-    std::string error;
-    EXPECT_FALSE(p.RestoreState(&r, &error));
-    EXPECT_NE(error.find("counter desync"), std::string::npos) << error;
+    ExpectRestoreFails(&p, &r, "counter desync");
   }
 }
 
@@ -663,7 +623,7 @@ TEST(SplitMergeTest, RecordedTripleMatchesLiveRunExactly) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner p(ConfigFor(ds, 16), /*lambda=*/1.1, /*epsilon=*/1.0);
+  HdrfPartitioner p(test_util::OptionsFor(ds, 16));
   const std::vector<EdgeAssignmentRecord> records = RecordRun(&p, es);
   ASSERT_EQ(records.size(), es.size());
 
@@ -682,7 +642,7 @@ TEST(SplitMergeTest, MergeRespectsCapAndBeatsNaiveModulo) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner p(ConfigFor(ds, 16), /*lambda=*/1.1, /*epsilon=*/1.0);
+  HdrfPartitioner p(test_util::OptionsFor(ds, 16));
   const std::vector<EdgeAssignmentRecord> records = RecordRun(&p, es);
 
   // HDRF at k=16 on this tiny BFS stream is visibly skewed (edge balance
@@ -725,7 +685,7 @@ TEST(SplitMergeTest, TargetEqualToInputIsIdentity) {
       datasets::MakeDataset(datasets::DatasetId::kProvGen, kScale);
   const std::vector<stream::StreamEdge> es =
       test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  HdrfPartitioner p(ConfigFor(ds, 8), /*lambda=*/1.1, /*epsilon=*/1.0);
+  HdrfPartitioner p(test_util::OptionsFor(ds));
   const std::vector<EdgeAssignmentRecord> records = RecordRun(&p, es);
 
   SplitMergeOptions options;

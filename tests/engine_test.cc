@@ -165,17 +165,12 @@ TEST(PartitionerRegistryTest,
   const EngineOptions options =
       test_util::OptionsFor(ds, /*k=*/2, /*window_size=*/6);
 
-  const partition::PartitionerConfig base = options.BaseConfig();
-  core::LoomOptions loom_options;
-  loom_options.base = base;
-  loom_options.window_size = 6;
-
   std::vector<std::unique_ptr<partition::Partitioner>> direct;
-  direct.push_back(std::make_unique<partition::HashPartitioner>(base));
-  direct.push_back(std::make_unique<partition::LdgPartitioner>(base));
-  direct.push_back(std::make_unique<partition::FennelPartitioner>(base));
+  direct.push_back(std::make_unique<partition::HashPartitioner>(options));
+  direct.push_back(std::make_unique<partition::LdgPartitioner>(options));
+  direct.push_back(std::make_unique<partition::FennelPartitioner>(options));
   direct.push_back(std::make_unique<core::LoomPartitioner>(
-      loom_options, ds.workload, ds.registry.size()));
+      options, ds.workload, ds.registry.size()));
 
   for (auto& d : direct) {
     auto r = test_util::MakeBackend(d->name(), options, ds);

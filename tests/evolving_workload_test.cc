@@ -80,10 +80,10 @@ TEST(UpdateWorkloadTest, ChangesAdmissionMaskMidStream) {
                                          reg.Find("Agent")}),
               1.0);
 
-  core::LoomOptions options;
-  options.base.k = 4;
-  options.base.expected_vertices = ds.NumVertices();
-  options.base.expected_edges = ds.NumEdges();
+  engine::EngineOptions options;
+  options.k = 4;
+  options.expected_vertices = ds.NumVertices();
+  options.expected_edges = ds.NumEdges();
   options.window_size = 256;
 
   LoomPartitioner loom(options, initial, reg.size());
@@ -106,10 +106,10 @@ TEST(UpdateWorkloadTest, ChangesAdmissionMaskMidStream) {
 
 TEST(UpdateWorkloadTest, FullReplacementWithZeroDecay) {
   auto ds = datasets::MakeFigure1Dataset();
-  core::LoomOptions options;
-  options.base.k = 2;
-  options.base.expected_vertices = ds.NumVertices();
-  options.base.expected_edges = ds.NumEdges();
+  engine::EngineOptions options;
+  options.k = 2;
+  options.expected_vertices = ds.NumVertices();
+  options.expected_edges = ds.NumEdges();
   LoomPartitioner loom(options, ds.workload, ds.registry.size());
   const size_t motifs_before = loom.trie().MotifIds().size();
 
@@ -138,10 +138,10 @@ TEST(UpdateWorkloadTest, PromotedMotifLetsBridgeJoinUntilDemoted) {
   query::Workload three_edge;
   three_edge.Add("abab", graph::PatternGraph::Path({a, b, a, b}), 1.0);
 
-  core::LoomOptions options;
-  options.base.k = 2;
-  options.base.expected_vertices = 16;
-  options.base.expected_edges = 16;
+  engine::EngineOptions options;
+  options.k = 2;
+  options.expected_vertices = 16;
+  options.expected_edges = 16;
   options.window_size = 64;  // nothing is evicted
   LoomPartitioner loom(options, two_edge, reg.size());
   graph::EdgeId next_edge = 0;
@@ -198,10 +198,10 @@ TEST(UpdateWorkloadTest, StillBeatsStaleOnShiftedWorkload) {
   const query::Workload& final_w = ds.workload;
 
   auto run = [&](bool adapt) {
-    core::LoomOptions options;
-    options.base.k = 8;
-    options.base.expected_vertices = ds.NumVertices();
-    options.base.expected_edges = ds.NumEdges();
+    engine::EngineOptions options;
+    options.k = 8;
+    options.expected_vertices = ds.NumVertices();
+    options.expected_edges = ds.NumEdges();
     options.window_size = 1000;
     LoomPartitioner loom(options, initial, reg.size());
     auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);

@@ -11,19 +11,10 @@ namespace loom {
 namespace core {
 namespace {
 
-LoomOptions OptionsFor(const datasets::Dataset& ds, uint32_t k,
-                       size_t window = 512) {
-  LoomOptions opts;
-  opts.base.k = k;
-  opts.base.expected_vertices = ds.NumVertices();
-  opts.base.expected_edges = ds.NumEdges();
-  opts.window_size = window;
-  return opts;
-}
-
 TEST(LoomPartitionerTest, FullyAssignsEveryVertex) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  LoomPartitioner loom(OptionsFor(ds, 8), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 8, 512), ds.workload,
+                       ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
@@ -33,7 +24,8 @@ TEST(LoomPartitionerTest, FullyAssignsEveryVertex) {
 
 TEST(LoomPartitionerTest, StatsAreConsistent) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  LoomPartitioner loom(OptionsFor(ds, 8), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 8, 512), ds.workload,
+                       ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
@@ -48,7 +40,8 @@ TEST(LoomPartitionerTest, StatsAreConsistent) {
 
 TEST(LoomPartitionerTest, RespectsImbalanceBound) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  LoomPartitioner loom(OptionsFor(ds, 8), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 8, 512), ds.workload,
+                       ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
@@ -57,7 +50,8 @@ TEST(LoomPartitionerTest, RespectsImbalanceBound) {
 
 TEST(LoomPartitionerTest, FinalizeIsIdempotent) {
   auto ds = datasets::MakeFigure1Dataset();
-  LoomPartitioner loom(OptionsFor(ds, 2, 4), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 2, 4), ds.workload,
+                       ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
@@ -68,14 +62,16 @@ TEST(LoomPartitionerTest, FinalizeIsIdempotent) {
 
 TEST(LoomPartitionerTest, TrieBuiltFromWorkload) {
   auto ds = datasets::MakeFigure1Dataset();
-  LoomPartitioner loom(OptionsFor(ds, 2), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 2, 512), ds.workload,
+                       ds.registry.size());
   EXPECT_EQ(loom.trie().NumNodes(), 11u);
   EXPECT_EQ(loom.trie().MotifIds().size(), 3u);
 }
 
 TEST(LoomPartitionerTest, NonMotifEdgesBypassWindow) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  LoomPartitioner loom(OptionsFor(ds, 4), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 4, 512), ds.workload,
+                       ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
   loom.Finalize();
@@ -86,7 +82,7 @@ TEST(LoomPartitionerTest, NonMotifEdgesBypassWindow) {
 
 TEST(LoomPartitionerTest, TinyWindowStillCorrect) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
-  LoomPartitioner loom(OptionsFor(ds, 4, /*window=*/1), ds.workload,
+  LoomPartitioner loom(test_util::OptionsFor(ds, 4, /*window=*/1), ds.workload,
                        ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);
@@ -97,7 +93,8 @@ TEST(LoomPartitionerTest, TinyWindowStillCorrect) {
 TEST(LoomPartitionerTest, WindowNeverExceedsCapacityBetweenIngests) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
   const size_t t = 64;
-  LoomPartitioner loom(OptionsFor(ds, 4, t), ds.workload, ds.registry.size());
+  LoomPartitioner loom(test_util::OptionsFor(ds, 4, t), ds.workload,
+                       ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) {
     loom.Ingest(e);
@@ -108,8 +105,10 @@ TEST(LoomPartitionerTest, WindowNeverExceedsCapacityBetweenIngests) {
 TEST(LoomPartitionerTest, DeterministicAcrossRuns) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.03);
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  LoomPartitioner a(OptionsFor(ds, 4), ds.workload, ds.registry.size());
-  LoomPartitioner b(OptionsFor(ds, 4), ds.workload, ds.registry.size());
+  LoomPartitioner a(test_util::OptionsFor(ds, 4, 512), ds.workload,
+                    ds.registry.size());
+  LoomPartitioner b(test_util::OptionsFor(ds, 4, 512), ds.workload,
+                    ds.registry.size());
   for (const auto& e : es) {
     a.Ingest(e);
     b.Ingest(e);
@@ -125,7 +124,7 @@ TEST(LoomPartitionerTest, MotifClustersColocated) {
   // The provgen E-A-E triples that Loom matches should be co-located far
   // more often than chance (1/k).
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  LoomPartitioner loom(OptionsFor(ds, 8, 2000), ds.workload,
+  LoomPartitioner loom(test_util::OptionsFor(ds, 8, 2000), ds.workload,
                        ds.registry.size());
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   for (const auto& e : es) loom.Ingest(e);

@@ -17,21 +17,14 @@ namespace loom {
 namespace partition {
 namespace {
 
+using test_util::OptionsFor;
 using test_util::RunAll;
-
-PartitionerConfig ConfigFor(const datasets::Dataset& ds, uint32_t k) {
-  PartitionerConfig cfg;
-  cfg.k = k;
-  cfg.expected_vertices = ds.NumVertices();
-  cfg.expected_edges = ds.NumEdges();
-  return cfg;
-}
 
 // ---------------------------------------------------------------- hash
 
 TEST(HashPartitionerTest, DeterministicPlacement) {
   auto ds = datasets::MakeFigure1Dataset();
-  HashPartitioner a(ConfigFor(ds, 4)), b(ConfigFor(ds, 4));
+  HashPartitioner a(OptionsFor(ds, 4)), b(OptionsFor(ds, 4));
   for (graph::VertexId v = 0; v < 100; ++v) {
     EXPECT_EQ(a.HashPlace(v), b.HashPlace(v));
     EXPECT_LT(a.HashPlace(v), 4u);
@@ -40,7 +33,7 @@ TEST(HashPartitionerTest, DeterministicPlacement) {
 
 TEST(HashPartitionerTest, RoughlyBalancedOnLargeInput) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  HashPartitioner p(ConfigFor(ds, 8));
+  HashPartitioner p(OptionsFor(ds, 8));
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   RunAll(&p, es);
   EXPECT_TRUE(FullyAssigned(ds.graph, p.partitioning()));
@@ -51,7 +44,7 @@ TEST(HashPartitionerTest, RoughlyBalancedOnLargeInput) {
 
 TEST(LdgPartitionerTest, NearPerfectBalance) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  LdgPartitioner p(ConfigFor(ds, 8));
+  LdgPartitioner p(OptionsFor(ds, 8));
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   RunAll(&p, es);
   EXPECT_TRUE(FullyAssigned(ds.graph, p.partitioning()));
@@ -62,8 +55,8 @@ TEST(LdgPartitionerTest, NearPerfectBalance) {
 TEST(LdgPartitionerTest, BeatsHashOnEdgeCut) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  LdgPartitioner ldg(ConfigFor(ds, 8));
-  HashPartitioner hash(ConfigFor(ds, 8));
+  LdgPartitioner ldg(OptionsFor(ds, 8));
+  HashPartitioner hash(OptionsFor(ds, 8));
   RunAll(&ldg, es);
   RunAll(&hash, es);
   EXPECT_LT(EdgeCut(ds.graph, ldg.partitioning()),
@@ -122,7 +115,7 @@ TEST(LdgHeuristicTest, ResidualCapacityDiscountsFullPartitions) {
 
 TEST(FennelPartitionerTest, AlphaMatchesFormula) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.05);
-  FennelPartitioner p(ConfigFor(ds, 8));
+  FennelPartitioner p(OptionsFor(ds, 8));
   const double n = static_cast<double>(ds.NumVertices());
   const double m = static_cast<double>(ds.NumEdges());
   EXPECT_NEAR(p.alpha(), std::sqrt(8.0) * m / std::pow(n, 1.5), 1e-9);
@@ -131,7 +124,7 @@ TEST(FennelPartitionerTest, AlphaMatchesFormula) {
 
 TEST(FennelPartitionerTest, FullyAssignsAndRespectsImbalance) {
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.1);
-  FennelPartitioner p(ConfigFor(ds, 8));
+  FennelPartitioner p(OptionsFor(ds, 8));
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
   RunAll(&p, es);
   EXPECT_TRUE(FullyAssigned(ds.graph, p.partitioning()));
@@ -142,8 +135,8 @@ TEST(FennelPartitionerTest, BeatsLdgOnEdgeCut) {
   // The paper (citing [31]): Fennel cuts fewer edges than LDG at k = 8.
   auto ds = datasets::MakeDataset(datasets::DatasetId::kProvGen, 0.15);
   auto es = test_util::Drain(ds.graph, stream::StreamOrder::kBreadthFirst);
-  FennelPartitioner fennel(ConfigFor(ds, 8));
-  LdgPartitioner ldg(ConfigFor(ds, 8));
+  FennelPartitioner fennel(OptionsFor(ds, 8));
+  LdgPartitioner ldg(OptionsFor(ds, 8));
   RunAll(&fennel, es);
   RunAll(&ldg, es);
   EXPECT_LT(EdgeCut(ds.graph, fennel.partitioning()),
@@ -161,11 +154,11 @@ TEST_P(PartitionerSweepTest, AllSystemsFullyAssignWithinBalance) {
   auto [dataset, order, k] = GetParam();
   auto ds = datasets::MakeDataset(dataset, 0.05);
   auto es = test_util::Drain(ds.graph, order, 0x5eed);
-  PartitionerConfig cfg = ConfigFor(ds, k);
+  const engine::EngineOptions options = OptionsFor(ds, k);
 
-  HashPartitioner hash(cfg);
-  LdgPartitioner ldg(cfg);
-  FennelPartitioner fennel(cfg);
+  HashPartitioner hash(options);
+  LdgPartitioner ldg(options);
+  FennelPartitioner fennel(options);
   for (Partitioner* p :
        std::initializer_list<Partitioner*>{&hash, &ldg, &fennel}) {
     RunAll(p, es);

@@ -19,9 +19,13 @@
 // own — start loom_serve with --like pointing at the same file (or one
 // with an identical label table) so both sides agree.
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "io/edge_stream_io.h"
@@ -102,6 +106,68 @@ int IngestFile(loom::serve::Client* client, const std::string& path,
   return rejected == 0 ? 0 : 1;
 }
 
+// A command line checked in full before connecting, so a bad one exits 2
+// whether or not a server is up: either one protocol line to round-trip,
+// or a stream file to replay.
+struct Request {
+  std::string line;  // empty for ingest-file
+  std::string file;
+  uint64_t from = 0;
+  size_t depth = 512;
+};
+
+// Fills `*req` from the words after the flags; false + `*error` (empty when
+// the usage alone says it) on an unknown command, a wrong word count or a
+// malformed --from/--depth number.
+bool ParseRequest(const std::vector<std::string>& words, Request* req,
+                  std::string* error) {
+  const std::string& cmd = words[0];
+  const size_t n = words.size();
+  static constexpr std::pair<std::string_view, std::string_view> kBare[] = {
+      {"stats", "STATS"},
+      {"checkpoint", "CHECKPOINT"},
+      {"finalize", "FINALIZE"},
+      {"quality", "SNAPSHOT-QUALITY"},
+      {"shutdown", "SHUTDOWN"}};
+  for (const auto& [name, line] : kBare) {
+    if (cmd == name) {
+      req->line = line;
+      return n == 1;
+    }
+  }
+  if (cmd == "get") {
+    if (n != 2) return false;
+    req->line = "GET " + words[1];
+    return true;
+  }
+  if (cmd == "ingest") {
+    if (n != 5) return false;
+    req->line = "INGEST " + words[1] + " " + words[2] + " " + words[3] + " " +
+                words[4];
+    return true;
+  }
+  if (cmd != "ingest-file" || n < 2) return false;
+  req->file = words[1];
+  for (size_t i = 2; i < n; i += 2) {
+    if (i + 1 >= n || (words[i] != "--from" && words[i] != "--depth")) {
+      return false;
+    }
+    const std::string& v = words[i + 1];
+    uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), value);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      *error = words[i] + ": not an integer: '" + v + "'";
+      return false;
+    }
+    if (words[i] == "--from") {
+      req->from = value;
+    } else {
+      req->depth = std::max<uint64_t>(value, 1);
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -121,7 +187,10 @@ int main(int argc, char** argv) {
       rest.emplace_back(argv[i]);
     }
   }
-  if (socket_path.empty() || rest.empty()) {
+  Request req;
+  std::string bad;
+  if (socket_path.empty() || rest.empty() || !ParseRequest(rest, &req, &bad)) {
+    if (!bad.empty()) std::cerr << bad << "\n";
     Usage(std::cerr);
     return 2;
   }
@@ -132,48 +201,13 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << error << "\n";
     return 1;
   }
-
-  const std::string& cmd = rest[0];
   try {
-    if (cmd == "stats" && rest.size() == 1) {
-      return Roundtrip(&client, "STATS");
-    } else if (cmd == "checkpoint" && rest.size() == 1) {
-      return Roundtrip(&client, "CHECKPOINT");
-    } else if (cmd == "finalize" && rest.size() == 1) {
-      return Roundtrip(&client, "FINALIZE");
-    } else if (cmd == "quality" && rest.size() == 1) {
-      return Roundtrip(&client, "SNAPSHOT-QUALITY");
-    } else if (cmd == "shutdown" && rest.size() == 1) {
-      return Roundtrip(&client, "SHUTDOWN");
-    } else if (cmd == "get" && rest.size() == 2) {
-      return Roundtrip(&client, "GET " + rest[1]);
-    } else if (cmd == "ingest" && rest.size() == 5) {
-      return Roundtrip(&client, "INGEST " + rest[1] + " " + rest[2] + " " +
-                                    rest[3] + " " + rest[4]);
-    } else if (cmd == "ingest-file" && rest.size() >= 2) {
-      uint64_t from = 0;
-      size_t depth = 512;
-      for (size_t i = 2; i < rest.size(); i += 2) {
-        if (i + 1 >= rest.size()) {
-          Usage(std::cerr);
-          return 2;
-        }
-        if (rest[i] == "--from") {
-          from = std::stoull(rest[i + 1]);
-        } else if (rest[i] == "--depth") {
-          depth = std::stoul(rest[i + 1]);
-          if (depth == 0) depth = 1;
-        } else {
-          Usage(std::cerr);
-          return 2;
-        }
-      }
-      return IngestFile(&client, rest[1], from, depth);
-    }
+    return req.line.empty()
+               ? IngestFile(&client, req.file, req.from, req.depth)
+               : Roundtrip(&client, req.line);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  Usage(std::cerr);
-  return 2;
 }
+
